@@ -1,88 +1,22 @@
-"""Deterministic JSON rendering.
+"""JSON text for reports and CLI output.
 
-Report files must be byte-identical across runs and thread counts, so we
-render JSON ourselves instead of relying on ``json.dumps`` float behaviour
-staying put across interpreter versions.  Floats are written with ``%.17g``,
-which is lossless for IEEE binary64; dict key order is preserved exactly as
-constructed (all writers in this package construct keys in a fixed order).
+A thin layer over ``json.dumps`` that refuses NaN and infinity.  Floats are
+written as Python's shortest round-trip ``repr`` and dict keys keep the order
+in which the writers build them, so report bytes are deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
-
-_DIGITS = frozenset("0123456789+-")
-
-
-def format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float in JSON payload")
-    s = format(float(x), ".17g")
-    # keep float typing through a round trip: "4" -> "4.0"
-    if all(ch in _DIGITS for ch in s):
-        s += ".0"
-    return s
-
-
-def _render(obj: Any, out: list[str], indent: int | None, level: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, dict):
-        _render_items(
-            obj.items(), out, indent, level, "{", "}", keyed=True
-        )
-    elif isinstance(obj, (list, tuple)):
-        _render_items(
-            ((None, v) for v in obj), out, indent, level, "[", "]", keyed=False
-        )
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
-
-
-def _render_items(items, out, indent, level, open_ch, close_ch, keyed):
-    items = list(items)
-    if not items:
-        out.append(open_ch + close_ch)
-        return
-    out.append(open_ch)
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    closing_pad = "" if indent is None else "\n" + " " * (indent * level)
-    sep = "," if indent is None else ","
-    for i, (key, value) in enumerate(items):
-        if i:
-            out.append(sep)
-        out.append(pad)
-        if keyed:
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":" if indent is None else ": ")
-        _render(value, out, indent, level + 1)
-    out.append(closing_pad)
-    out.append(close_ch)
 
 
 def dumps(obj: Any, indent: int | None = None) -> str:
-    """Render ``obj`` as deterministic JSON text."""
-    out: list[str] = []
-    _render(obj, out, indent, 0)
-    return "".join(out)
+    """Render ``obj`` as JSON text; non-finite floats raise ``ValueError``."""
+    separators = (",", ":") if indent is None else (",", ": ")
+    return json.dumps(obj, indent=indent, separators=separators, allow_nan=False)
 
 
 def dump_path(obj: Any, path, indent: int | None = 2) -> None:
-    text = dumps(obj, indent=indent)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+        fh.write(dumps(obj, indent=indent) + "\n")

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functions import FunctionSpec, _sorted_terms
+from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
 
@@ -49,19 +49,7 @@ def _as_grid_fn(f, arity: int) -> Callable:
     if isinstance(f, FunctionSpec):
         if f.arity != arity:
             raise ConfigError(f"function arity {f.arity} does not match box arity {arity}")
-        terms = _sorted_terms(f)
-
-        def poly(*grids):
-            out = np.zeros_like(grids[0], dtype=float)
-            for alpha, c in terms:
-                term = np.full_like(grids[0], c, dtype=float)
-                for g, e in zip(grids, alpha):
-                    if e:
-                        term = term * g**e
-                out = out + term
-            return out
-
-        return poly
+        return f
     if not callable(f):
         raise ConfigError("f must be a function spec or a callable")
 

@@ -372,7 +372,7 @@ def _cmd_absmon_limit(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="run config: inline JSON or @file")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
+    p.add_argument("--threads", type=int, default=None, help="kept for old scripts; no effect")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out-json", default=None, help="write the report JSON here")
     p.add_argument("--out-csv", default=None, help="write a one-line CSV summary here")

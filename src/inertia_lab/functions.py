@@ -1,14 +1,19 @@
 """Entrywise function specs, their evaluation, and the syntactic classifier.
 
-A function spec is a finitely supported real polynomial in ``arity``
-variables, wrapped in one of a few shapes that the classifier and the
-verification harness care about:
+Every function spec is one :class:`FunctionSpec`: a finitely supported real
+polynomial in ``arity`` variables, kept as canonical terms.  Five
+constructors build the shapes the classifier and the harness talk about:
 
-* :class:`Constant` -- f(x) = d
-* :class:`Homothety` -- f(x) = c * x_slot with c > 0
-* :class:`Affine` -- f(x) = offset + c * x_slot with c > 0
-* :class:`Series` -- finitely supported multivariate polynomial
-* :class:`SplitForm` -- f(x) = F(x_1..x_m0) + c * x_slot with c >= 0
+* :func:`Constant` -- f(x) = d
+* :func:`Homothety` -- f(x) = c * x_slot with c > 0
+* :func:`Affine` -- f(x) = offset + c * x_slot with c > 0
+* :func:`Series` -- finitely supported multivariate polynomial
+* :func:`SplitForm` -- f(x) = F(x_1..x_m0) + c * x_slot with c >= 0
+
+A spec keeps the JSON form of the constructor that built it, so ``fn`` in a
+report names its shape; evaluation and classification see only the terms.
+Calling a spec evaluates it entry by entry on same-shape arrays (a point, a
+matrix, a stack of matrices or a lattice).
 
 ``classify`` inspects a spec purely syntactically and reports whether the
 function belongs to the family that is compatible with a negativity claim
@@ -18,8 +23,9 @@ it violates.  The harness uses those clause names to pick witness recipes.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -65,232 +71,164 @@ def _canonical_terms(arity: int, coeffs) -> tuple[tuple[tuple[int, ...], float],
     return terms
 
 
+def _check_arity(arity) -> None:
+    if not isinstance(arity, int) or arity < 1:
+        raise ConfigError("arity must be a positive int")
+
+
+def _check_slot(slot, lo: int, hi: int) -> None:
+    if not isinstance(slot, int) or not lo <= slot <= hi:
+        raise ConfigError(f"slot must lie in {lo}..{hi}, got {slot!r}")
+
+
+def _positive(value, what: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be a positive finite float")
+    return value
+
+
+def _unit(slot: int, arity: int) -> tuple[int, ...]:
+    """The multi-index of x_slot (1-based)."""
+    return tuple(int(p == slot) for p in range(1, arity + 1))
+
+
 # ---------------------------------------------------------------------------
-# function spec variants
+# the function spec type and its constructors
 # ---------------------------------------------------------------------------
 
-class _FnBase:
-    """Shared plumbing: equality via a key tuple, JSON via subclass hooks."""
+@dataclass(frozen=True)
+class FunctionSpec:
+    """A finitely supported polynomial sum_alpha c_alpha * x^alpha.
 
-    __slots__ = ()
-
-    def _key(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-
-class Constant(_FnBase):
-    """f(x) = value, in any number of variables."""
-
-    __slots__ = ("value", "arity")
-
-    def __init__(self, value: float, arity: int = 1):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError("constant value must be finite")
-        if not isinstance(arity, int) or arity < 1:
-            raise ConfigError("arity must be a positive int")
-        self.value = value
-        self.arity = arity
-
-    def _key(self):
-        return (self.value, self.arity)
-
-    def __repr__(self):
-        return f"Constant({self.value!r}, arity={self.arity})"
-
-    def term_map(self) -> dict[tuple[int, ...], float]:
-        if self.value == 0.0:
-            return {}
-        return {(0,) * self.arity: self.value}
-
-    def to_json_dict(self) -> dict:
-        return {"type": "constant", "value": self.value, "arity": self.arity}
-
-
-class Homothety(_FnBase):
-    """f(x) = c * x_slot with c > 0 (slot is 1-based)."""
-
-    __slots__ = ("c", "slot", "arity")
-
-    def __init__(self, c: float, slot: int = 1, arity: int = 1):
-        c = float(c)
-        if not (math.isfinite(c) and c > 0.0):
-            raise ConfigError("homothety ratio must be a positive finite float")
-        if not isinstance(arity, int) or arity < 1:
-            raise ConfigError("arity must be a positive int")
-        if not isinstance(slot, int) or not 1 <= slot <= arity:
-            raise ConfigError(f"slot must lie in 1..{arity}, got {slot!r}")
-        self.c = c
-        self.slot = slot
-        self.arity = arity
-
-    def _key(self):
-        return (self.c, self.slot, self.arity)
-
-    def __repr__(self):
-        return f"Homothety({self.c!r}, slot={self.slot}, arity={self.arity})"
-
-    def term_map(self):
-        alpha = [0] * self.arity
-        alpha[self.slot - 1] = 1
-        return {tuple(alpha): self.c}
-
-    def to_json_dict(self) -> dict:
-        return {"type": "homothety", "c": self.c, "slot": self.slot, "arity": self.arity}
-
-
-class Affine(_FnBase):
-    """f(x) = offset + c * x_slot with c > 0."""
-
-    __slots__ = ("offset", "c", "slot", "arity")
-
-    def __init__(self, offset: float, c: float, slot: int = 1, arity: int = 1):
-        offset = float(offset)
-        c = float(c)
-        if not math.isfinite(offset):
-            raise ConfigError("affine offset must be finite")
-        if not (math.isfinite(c) and c > 0.0):
-            raise ConfigError("affine slope must be a positive finite float")
-        if not isinstance(arity, int) or arity < 1:
-            raise ConfigError("arity must be a positive int")
-        if not isinstance(slot, int) or not 1 <= slot <= arity:
-            raise ConfigError(f"slot must lie in 1..{arity}, got {slot!r}")
-        self.offset = offset
-        self.c = c
-        self.slot = slot
-        self.arity = arity
-
-    def _key(self):
-        return (self.offset, self.c, self.slot, self.arity)
-
-    def __repr__(self):
-        return f"Affine(offset={self.offset!r}, c={self.c!r}, slot={self.slot}, arity={self.arity})"
-
-    def term_map(self):
-        out = {}
-        if self.offset != 0.0:
-            out[(0,) * self.arity] = self.offset
-        alpha = [0] * self.arity
-        alpha[self.slot - 1] = 1
-        out[tuple(alpha)] = self.c
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "affine",
-            "offset": self.offset,
-            "c": self.c,
-            "slot": self.slot,
-            "arity": self.arity,
-        }
-
-
-class Series(_FnBase):
-    """Finitely supported polynomial sum_alpha c_alpha * x^alpha.
-
-    Terms are kept in a canonical order (total degree, then lexicographic) and
-    evaluation accumulates in that order, so results are bit-reproducible.
-    ``degree`` bounds the total degree of the support; it defaults to the
-    largest |alpha| present.
+    ``terms`` is canonical: zero coefficients dropped, sorted by total
+    degree and then lexicographically.  Evaluation accumulates in that
+    order, so results are bit-reproducible.  ``_form`` is the JSON text of
+    the constructor that built the spec; it only feeds :meth:`to_json_dict`
+    and equality.
+    Build specs with the constructors below or :func:`fn_from_json_dict`.
     """
 
-    __slots__ = ("arity", "terms", "degree")
-
-    def __init__(self, arity: int, coeffs, degree: int | None = None):
-        if not isinstance(arity, int) or arity < 1:
-            raise ConfigError("arity must be a positive int")
-        self.arity = arity
-        self.terms = _canonical_terms(arity, coeffs)
-        max_deg = max((sum(a) for a, _ in self.terms), default=0)
-        if degree is None:
-            degree = max_deg
-        if not isinstance(degree, int) or degree < 0:
-            raise ConfigError("degree must be a nonnegative int")
-        if degree < max_deg:
-            raise ConfigError(f"support has total degree {max_deg} above the declared cap {degree}")
-        self.degree = degree
-
-    def _key(self):
-        return (self.arity, self.terms, self.degree)
-
-    def __repr__(self):
-        return f"Series(arity={self.arity}, terms={len(self.terms)}, degree={self.degree})"
+    arity: int
+    terms: tuple[tuple[tuple[int, ...], float], ...]
+    _form: str = field(repr=False)
 
     @property
-    def coeffs(self) -> dict[tuple[int, ...], float]:
+    def degree(self) -> int:
+        """The declared degree cap of a series, else the support's degree."""
+        return self.to_json_dict().get("degree", max((sum(a) for a, _ in self.terms), default=0))
+
+    def term_map(self) -> dict[tuple[int, ...], float]:
         return dict(self.terms)
 
-    def term_map(self):
-        return dict(self.terms)
+    coeffs = property(term_map)
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": "series",
-            "arity": self.arity,
-            "degree": self.degree,
-            "terms": [{"alpha": list(a), "coeff": c} for a, c in self.terms],
-        }
+        return json.loads(self._form)
 
+    def __call__(self, *xs):
+        """Evaluate entry by entry on ``arity`` same-shape arrays (or floats).
 
-class SplitForm(_FnBase):
-    """f(x) = base(x_1, ..., x_m0) + c * x_slot with c >= 0 and slot > m0."""
-
-    __slots__ = ("arity", "base", "c", "slot")
-
-    def __init__(self, arity: int, base: Series, c: float, slot: int):
-        if not isinstance(arity, int) or arity < 1:
-            raise ConfigError("arity must be a positive int")
-        if not isinstance(base, Series):
-            raise ConfigError("split-form base must be a Series")
-        c = float(c)
-        if not (math.isfinite(c) and c >= 0.0):
-            raise ConfigError("split-form slope must be finite and >= 0")
-        if base.arity >= arity:
-            raise ConfigError("split-form base must use fewer variables than the full arity")
-        if not isinstance(slot, int) or not base.arity < slot <= arity:
-            raise ConfigError(f"slot must lie in {base.arity + 1}..{arity}, got {slot!r}")
-        self.arity = arity
-        self.base = base
-        self.c = c
-        self.slot = slot
-
-    def _key(self):
-        return (self.arity, self.base._key(), self.c, self.slot)
-
-    def __repr__(self):
-        return f"SplitForm(arity={self.arity}, base={self.base!r}, c={self.c!r}, slot={self.slot})"
-
-    def term_map(self):
-        out = {}
-        pad = self.arity - self.base.arity
-        for alpha, c in self.base.terms:
-            out[alpha + (0,) * pad] = c
-        if self.c != 0.0:
-            alpha = [0] * self.arity
-            alpha[self.slot - 1] = 1
-            key = tuple(alpha)
-            out[key] = out.get(key, 0.0) + self.c
+        Per-variable power tables are built by repeated multiplication and the
+        terms are added in canonical order, starting from zeros.
+        """
+        if len(xs) != self.arity:
+            raise ConfigError(f"got {len(xs)} arguments, function needs {self.arity}")
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        shape = xs[0].shape
+        if any(x.shape != shape for x in xs):
+            raise ConfigError("all arguments must share one shape")
+        powers = []
+        for p, x in enumerate(xs):
+            tab = [np.ones(shape)]
+            for _ in range(max((a[p] for a, _ in self.terms), default=0)):
+                tab.append(tab[-1] * x)
+            powers.append(tab)
+        out = np.zeros(shape)
+        for alpha, c in self.terms:
+            prod = None
+            for p, e in enumerate(alpha):
+                if e:
+                    prod = powers[p][e] if prod is None else prod * powers[p][e]
+            out = out + (c if prod is None else c * prod)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "split",
-            "arity": self.arity,
-            "base": self.base.to_json_dict(),
-            "c": self.c,
-            "slot": self.slot,
-        }
+
+def _spec(arity: int, terms, form: dict) -> FunctionSpec:
+    return FunctionSpec(arity, _canonical_terms(arity, terms), json.dumps(form))
 
 
-FunctionSpec = Constant | Homothety | Affine | Series | SplitForm
+def Constant(value: float, arity: int = 1) -> FunctionSpec:
+    """f(x) = value, in any number of variables."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError("constant value must be finite")
+    _check_arity(arity)
+    form = {"type": "constant", "value": value, "arity": arity}
+    return _spec(arity, [((0,) * arity, value)], form)
+
+
+def Homothety(c: float, slot: int = 1, arity: int = 1) -> FunctionSpec:
+    """f(x) = c * x_slot with c > 0 (slot is 1-based)."""
+    c = _positive(c, "homothety ratio")
+    _check_arity(arity)
+    _check_slot(slot, 1, arity)
+    form = {"type": "homothety", "c": c, "slot": slot, "arity": arity}
+    return _spec(arity, [(_unit(slot, arity), c)], form)
+
+
+def Affine(offset: float, c: float, slot: int = 1, arity: int = 1) -> FunctionSpec:
+    """f(x) = offset + c * x_slot with c > 0."""
+    offset = float(offset)
+    if not math.isfinite(offset):
+        raise ConfigError("affine offset must be finite")
+    c = _positive(c, "affine slope")
+    _check_arity(arity)
+    _check_slot(slot, 1, arity)
+    form = {"type": "affine", "offset": offset, "c": c, "slot": slot, "arity": arity}
+    return _spec(arity, [((0,) * arity, offset), (_unit(slot, arity), c)], form)
+
+
+def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
+    """Finitely supported polynomial from (alpha, coeff) pairs or a mapping.
+
+    Repeated multi-indices are merged.  ``degree`` bounds the total degree of
+    the support; it defaults to the largest |alpha| present.
+    """
+    _check_arity(arity)
+    terms = _canonical_terms(arity, coeffs)
+    max_deg = max((sum(a) for a, _ in terms), default=0)
+    if degree is None:
+        degree = max_deg
+    if not isinstance(degree, int) or degree < 0:
+        raise ConfigError("degree must be a nonnegative int")
+    if degree < max_deg:
+        raise ConfigError(f"support has total degree {max_deg} above the declared cap {degree}")
+    form = {
+        "type": "series",
+        "arity": arity,
+        "degree": degree,
+        "terms": [{"alpha": list(a), "coeff": c} for a, c in terms],
+    }
+    return _spec(arity, terms, form)
+
+
+def SplitForm(arity: int, base: FunctionSpec, c: float, slot: int) -> FunctionSpec:
+    """f(x) = base(x_1, ..., x_m0) + c * x_slot with c >= 0 and slot > m0."""
+    _check_arity(arity)
+    if not isinstance(base, FunctionSpec) or base.to_json_dict()["type"] != "series":
+        raise ConfigError("split-form base must be a Series")
+    c = float(c)
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ConfigError("split-form slope must be finite and >= 0")
+    if base.arity >= arity:
+        raise ConfigError("split-form base must use fewer variables than the full arity")
+    _check_slot(slot, base.arity + 1, arity)
+    pad = (0,) * (arity - base.arity)
+    terms = [(a + pad, b) for a, b in base.terms] + [(_unit(slot, arity), c)]
+    form = {"type": "split", "arity": arity, "base": base.to_json_dict(), "c": c, "slot": slot}
+    return _spec(arity, terms, form)
+
 
 _FN_TYPES = {
     "constant": Constant,
@@ -314,10 +252,7 @@ def fn_from_json_dict(d: dict) -> FunctionSpec:
             coeffs = [(tuple(t["alpha"]), t["coeff"]) for t in terms]
             return Series(coeffs=coeffs, **body)
         if kind == "split":
-            base = fn_from_json_dict(body.pop("base"))
-            if not isinstance(base, Series):
-                raise ConfigError("split-form base must be a series spec")
-            return SplitForm(base=base, **body)
+            return SplitForm(base=fn_from_json_dict(body.pop("base")), **body)
         return _FN_TYPES[kind](**body)
     except TypeError as exc:
         raise ConfigError(f"bad {kind} spec: {exc}") from None
@@ -329,27 +264,13 @@ def fn_from_json_dict(d: dict) -> FunctionSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _sorted_terms(f: FunctionSpec) -> list[tuple[tuple[int, ...], float]]:
-    tm = f.term_map()
-    return sorted(tm.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-
 def evaluate(f: FunctionSpec, x: Sequence[float], dom: DomainSpec) -> float:
     """Evaluate ``f`` at the point ``x``, enforcing the entry domain."""
     xs = [float(v) for v in x]
-    if len(xs) != f.arity:
-        raise ConfigError(f"point has {len(xs)} coordinates, function needs {f.arity}")
     for p, v in enumerate(xs, start=1):
         if not dom.contains(v):
             raise DomainViolation(v, 0, 0, p, detail=dom.describe())
-    total = 0.0
-    for alpha, c in _sorted_terms(f):
-        term = c
-        for v, e in zip(xs, alpha):
-            if e:
-                term *= v**e
-        total += term
-    return total
+    return float(f(*xs))
 
 
 def apply_entrywise(
@@ -364,34 +285,11 @@ def apply_entrywise(
         if m.n != n:
             raise ConfigError("all matrices in a tuple must share one size")
         dom.check_matrix(m, slot=p)
-
-    terms = _sorted_terms(f)
-    # per-variable entrywise power tables, built by repeated multiplication
-    max_exp = [0] * f.arity
-    for alpha, _ in terms:
-        for p, e in enumerate(alpha):
-            max_exp[p] = max(max_exp[p], e)
-    powers: list[list[np.ndarray]] = []
-    for p, m in enumerate(mats):
-        tab = [np.ones((n, n))]
-        for _ in range(max_exp[p]):
-            tab.append(tab[-1] * m.entries)
-        powers.append(tab)
-
-    out = np.zeros((n, n))
-    for alpha, c in terms:
-        prod = None
-        for p, e in enumerate(alpha):
-            if e:
-                prod = powers[p][e] if prod is None else prod * powers[p][e]
-        out = out + (c * prod if prod is not None else np.full((n, n), c))
-    return SymMatrix(out)
+    return SymMatrix(f(*(m.entries for m in mats)))
 
 
-def is_abs_monotone_series(f: Series, include_constant: bool = False) -> bool:
+def is_abs_monotone_series(f: FunctionSpec, include_constant: bool = False) -> bool:
     """Are all (non-constant, unless requested) coefficients nonnegative?"""
-    if not isinstance(f, Series):
-        raise ConfigError("absolute-monotonicity check expects a Series spec")
     zero = (0,) * f.arity
     for alpha, c in f.terms:
         if alpha == zero and not include_constant:
@@ -482,18 +380,20 @@ class PreserverVerdict:
 
 
 def _decompose(f: FunctionSpec, m0: int):
-    """Split the term map into (constant, base, linear, bad) parts.
+    """Split the terms into (constant, base, linear, bad) parts.
 
     ``base`` collects terms supported on the first ``m0`` (unconstrained)
     variables, excluding the constant.  ``linear`` maps 1-based slots of
     constrained variables to their pure-linear coefficients.  ``bad`` lists
-    terms that touch a constrained variable in any other way.
+    terms that touch a constrained variable in any other way.  Every part
+    keeps the canonical term order, which the classifier's first-offender
+    messages rely on.
     """
     const = 0.0
     base: dict[tuple[int, ...], float] = {}
     linear: dict[int, float] = {}
     bad: list[tuple[tuple[int, ...], float, str]] = []
-    for alpha, c in _sorted_terms(f):
+    for alpha, c in f.terms:
         total = sum(alpha)
         constrained = [(p, e) for p, e in enumerate(alpha, start=1) if e and p > m0]
         if total == 0:
@@ -635,7 +535,7 @@ def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerd
             return PreserverVerdict(
                 False, "bounded", "negative-coefficient", f"constant term {const:g}"
             )
-        for alpha, c in sorted(base.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for alpha, c in base.items():
             if c < 0.0:
                 return PreserverVerdict(
                     False, "bounded", "negative-coefficient",
@@ -645,7 +545,7 @@ def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerd
 
     if ks.all_zero:
         # PSD inputs, at most l >= 1 negatives allowed: the constant is free
-        for alpha, c in sorted(base.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for alpha, c in base.items():
             if c < 0.0:
                 return PreserverVerdict(
                     False, "bounded", "negative-coefficient",
@@ -671,7 +571,7 @@ def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerd
         return PreserverVerdict(
             False, "bounded", "multiple-linear-variables", f"slots {positive_slots}"
         )
-    for alpha, c in sorted(base.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+    for alpha, c in base.items():
         if c < 0.0:
             return PreserverVerdict(
                 False, "bounded", "nonmonotone-base", f"coefficient {c:g} on {alpha}"

@@ -16,16 +16,16 @@ Claim vocabulary (the ``theorem`` field of run configs and reports):
 function yields a vacuous report (nothing is verified).  ``falsify`` goes the
 other way: it uses the violated clause to pick a witness recipe, validates
 every candidate numerically (membership, domain, and the violation itself),
-and falls back to seeded random search when no recipe applies.  Reports are
-deterministic for a fixed seed, independent of the thread count.
+and falls back to seeded random search when no recipe applies.  Trials run
+one after another in index order, so reports are deterministic for a fixed
+seed.  The ``threads`` argument of the entry points is validated and has no
+other effect.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,25 +77,15 @@ RECIPE_HALVINGS = 40
 _SAMPLE_ATTEMPTS = 100
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if not isinstance(threads, int) or threads < 1:
+def _check_threads(threads: int | None) -> None:
+    """Validate ``threads``; trials always run one after another, in index order."""
+    if threads is not None and (not isinstance(threads, int) or threads < 1):
         raise ConfigError("threads must be a positive int")
-    return threads
-
-
-def _run_indexed(worker: Callable[[int], object], count: int, threads: int) -> list:
-    """Run worker(0..count-1), returning results in index order."""
-    if threads <= 1 or count <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based Philox keyed by (seed, stream): identical streams for a
-    # given trial index no matter how trials are scheduled across threads
+    # counter-based Philox keyed by (seed, stream): a trial's stream depends
+    # only on its index, not on which trials ran before it
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
@@ -417,7 +407,7 @@ def verify_forward(
     the run is vacuous: nothing is sampled and the label says so.
     """
     _check_claim(claim, fn, cfg)
-    threads = _thread_count(threads)
+    _check_threads(threads)
     started = time.perf_counter()
 
     if claim != "lift":
@@ -442,9 +432,8 @@ def verify_forward(
             base = inertia(apply_entrywise(fn, mats, cfg.dom), cfg.tol).n_neg
             for extra in (0, 3, 7):
                 lifted = tuple(lift_finite(m, n + extra) for m in mats)
-                count = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol).n_neg
-                if count != base:
-                    out = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol)
+                out = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol)
+                if out.n_neg != base:
                     return Witness(lifted, fn, out, "lift-transfer-mismatch")
             return None
         ref = inertia(mats[0], cfg.tol) if claim == "inertia" else None
@@ -453,8 +442,7 @@ def verify_forward(
             return Witness(mats, fn, out, f"verify-failure:{claim}")
         return None
 
-    results = _run_indexed(worker, cfg.trials, threads)
-    witnesses = [w for w in results if w is not None]
+    witnesses = [w for w in map(worker, range(cfg.trials)) if w is not None]
     failures = len(witnesses)
     label = (
         f"pass: {cfg.trials} trials, 0 failures"
@@ -694,8 +682,7 @@ def _recipe_negative_coefficient(fn, claim, cfg, rng):
     ks, dom = cfg.k, cfg.dom
     const, base, linear, _ = _decompose(fn, ks.m0)
     kmax = max(ks.k)
-    support = sorted(base, key=lambda a: (sum(a), a))
-    negative = [a for a in support if base[a] < 0.0]
+    negative = [a for a in base if base[a] < 0.0]
 
     def candidates(t0, eps):
         if not negative:
@@ -714,12 +701,12 @@ def _recipe_negative_coefficient(fn, claim, cfg, rng):
         # collapse the multivariate support onto one variable: weights encode
         # each active slot in base (degree+1) so collapsed exponents stay
         # distinct, then evaluate every slot on powers of one node vector
-        degree = max(sum(a) for a in support)
+        degree = max(sum(a) for a in base)
         weights = [0] * ks.m
-        active = sorted({q for a in support for q, e in enumerate(a, start=1) if e})
+        active = sorted({q for a in base for q, e in enumerate(a, start=1) if e})
         for rank_, q in enumerate(active):
             weights[q - 1] = (degree + 1) ** rank_
-        exps = sorted({sum(w * e for w, e in zip(weights, a)) for a in support} | {0})
+        exps = sorted({sum(w * e for w, e in zip(weights, a)) for a in base} | {0})
         block = len(exps) + 2
         copies = cfg.l + 1
         scale = min(1.0, dom.rho_eff) * min(1.0, 8.0 * t0 / dom.rho_eff)
@@ -757,25 +744,16 @@ def _recipe_negative_coefficient(fn, claim, cfg, rng):
 def _recipe_offset(fn, claim, cfg, rng, want_negative_offset: bool):
     """Witnesses for a bad constant offset next to a positive slope."""
     ks, dom = cfg.k, cfg.dom
-    const, base, linear, _ = _decompose(fn, ks.m0)
+    _, _, linear, _ = _decompose(fn, ks.m0)
     pos = [q for q in sorted(linear) if linear[q] > 0.0]
     p = pos[0]
     c = linear[p]
     k_p = ks.k[p - 1]
 
-    def base_value(s: float) -> float:
-        total = const
-        for alpha, coef in base.items():
-            term = coef
-            for e in alpha:
-                if e:
-                    term *= s**e
-            total += term
-        return total
-
     def candidates(t0, eps):
         s = t0 / 4.0
-        g = base_value(s)
+        # f with the free slots at s and the constrained ones at 0
+        g = float(fn(*(s if q <= ks.m0 else 0.0 for q in range(1, ks.m + 1))))
         out = []
         if want_negative_offset or g < 0.0:
             if g >= 0.0:
@@ -905,7 +883,7 @@ def falsify(
     _check_claim(claim, fn, cfg)
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    threads = _thread_count(threads)
+    _check_threads(threads)
     started = time.perf_counter()
 
     verdict: PreserverVerdict | None = None
@@ -954,8 +932,7 @@ def falsify(
         except (ConfigError, DomainViolation):
             return None
 
-    results = _run_indexed(worker, cfg.trials, threads)
-    witnesses = [w for w in results if w is not None]
+    witnesses = [w for w in map(worker, range(cfg.trials)) if w is not None]
     total = attempts + cfg.trials
     if witnesses:
         label = f"witness found by random search ({len(witnesses)} of {cfg.trials} trials)"
@@ -1050,13 +1027,12 @@ _SUITE = [
 
 def lemma_suite(cfg: TrialConfig, threads: int | None = None) -> VerdictReport:
     """Run the structural property batches that back the constructions."""
-    threads = _thread_count(threads)
+    _check_threads(threads)
     started = time.perf_counter()
     failures = 0
     parts = []
     for name, batch in _SUITE:
-        results = _run_indexed(lambda i, b=batch: b(cfg, i), cfg.trials, threads)
-        bad = sum(1 for ok in results if not ok)
+        bad = sum(1 for i in range(cfg.trials) if not batch(cfg, i))
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

@@ -63,9 +63,23 @@ def test_fn_json_round_trips():
         Affine(-1.0, 1.0),
         Series(2, {(1, 0): 1.0, (0, 2): -0.5}),
         SplitForm(3, Series(2, {(1, 1): 0.25}), 2.0, 3),
+        Series(1, {(1,): 2.0}, degree=4),
+        SplitForm(3, Series(2, {(1, 0): 0.5}), 1.0, 3),
+        Constant(0.0),
     ]
     for f in examples:
         assert fn_from_json_dict(f.to_json_dict()) == f
+        assert fn_from_json_dict(f.to_json_dict()).to_json_dict() == f.to_json_dict()
+
+
+def test_to_json_dict_returns_a_fresh_dict():
+    f = SplitForm(2, Series(1, {(1,): 1.0}), 0.5, 2)
+    before = f.to_json_dict()
+    blob = f.to_json_dict()
+    blob["c"] = 9.0
+    blob["base"]["terms"].clear()
+    assert f.to_json_dict() == before
+    assert f == fn_from_json_dict(before)
 
 
 def test_fn_from_json_rejects_unknown_type():
@@ -99,9 +113,14 @@ def test_apply_affine_shifts_and_scales():
     assert inertia(out) == Inertia(1, 0, 1)
 
 
+def _reference(f, xs):
+    """sum_alpha c_alpha * prod_p x_p**alpha_p by a plain Python loop."""
+    return sum(c * math.prod(x**e for x, e in zip(xs, alpha)) for alpha, c in f.terms)
+
+
 def test_apply_entrywise_matches_pointwise_evaluation():
     rng = np.random.default_rng(5)
-    f = Series(2, {(1, 0): 0.5, (1, 1): 2.0, (0, 2): -1.0})
+    f = Series(2, {(1, 0): 0.5, (1, 1): 2.0, (0, 2): -1.0, (0, 0): 0.25, (3, 1): 0.75})
     for _ in range(20):
         n = int(rng.integers(1, 6))
         g1, g2 = rng.standard_normal((2, n, n))
@@ -110,8 +129,27 @@ def test_apply_entrywise_matches_pointwise_evaluation():
         out = apply_entrywise(f, (a, b), TWO_SIDED)
         for i in range(n):
             for j in range(n):
-                want = evaluate(f, (a.entries[i, j], b.entries[i, j]), TWO_SIDED)
+                want = _reference(f, (float(a.entries[i, j]), float(b.entries[i, j])))
                 assert abs(out.entries[i, j] - want) < 1e-12
+                assert abs(evaluate(f, (a.entries[i, j], b.entries[i, j]), TWO_SIDED) - want) < 1e-12
+
+
+def test_evaluator_on_stacks_and_points():
+    rng = np.random.default_rng(11)
+    f = Series(2, {(0, 0): -0.5, (2, 0): 1.5, (1, 2): -2.0, (0, 3): 0.25})
+    x, y = rng.standard_normal((2, 4, 3, 3))
+    stack = f(x, y)
+    assert stack.shape == (4, 3, 3)
+    for b in range(4):
+        assert np.array_equal(stack[b], f(x[b], y[b]))
+    point = f(0.5, -2.0)
+    assert np.shape(point) == ()
+    assert abs(float(point) - _reference(f, (0.5, -2.0))) < 1e-12
+    assert float(Constant(3.0, arity=2)(0.5, 0.25)) == 3.0
+    with pytest.raises(ConfigError):
+        f(x, y[0])
+    with pytest.raises(ConfigError):
+        f(x)
 
 
 def test_apply_arity_mismatch():

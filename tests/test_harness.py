@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,17 @@ def test_report_bytes_identical_across_thread_counts():
     a = dumps(verify_forward("exact", fn, cfg, threads=1).to_json_dict())
     b = dumps(verify_forward("exact", fn, cfg, threads=4).to_json_dict())
     assert a == b
+    # the count has no effect, but it is still validated
+    for bad in (0, -1, 1.5):
+        with pytest.raises(ConfigError):
+            verify_forward("exact", fn, cfg, threads=bad)
+
+
+def test_json_floats_are_shortest_round_trip_and_finite():
+    assert dumps({"x": 0.1}) == '{"x":0.1}'
+    assert dumps({"a": [1, 2.0]}, indent=2) == '{\n  "a": [\n    1,\n    2.0\n  ]\n}'
+    with pytest.raises(ValueError):
+        dumps([math.inf])
 
 
 def test_falsify_reports_are_deterministic():

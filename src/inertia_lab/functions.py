@@ -254,7 +254,7 @@ def fn_from_json_dict(d: dict) -> FunctionSpec:
         if kind == "split":
             return SplitForm(base=fn_from_json_dict(body.pop("base")), **body)
         return _FN_TYPES[kind](**body)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} spec: {exc}") from None
     except (KeyError, AttributeError) as exc:
         raise ConfigError(f"bad {kind} spec: missing {exc}") from None
@@ -409,6 +409,11 @@ def _decompose(f: FunctionSpec, m0: int):
     return const, base, linear, bad
 
 
+def _constrained_slots(linear: dict[int, float], bad: list, m0: int) -> list[int]:
+    """The constrained slots (1-based, ascending) that f depends on."""
+    return sorted(set(linear) | {p for a, _, _ in bad for p, e in enumerate(a, 1) if e and p > m0})
+
+
 def _regime_covered(ks: AdmissibleK, l: int) -> bool:
     if l == 0 or ks.all_zero:
         return True
@@ -432,8 +437,10 @@ def classify(
     slot, image required to have at most ``l`` (``l=0`` means PSD).  The same
     rules cover closure-domain claims.  ``mode="exact"``: image required to
     have exactly ``l`` negatives.  ``mode="inertia"``: full inertia must be
-    preserved.  Raises :class:`RegimeNotCovered` for (k, l) combinations the
-    classification does not decide.
+    preserved.  A violating function is reported by its first offender; where
+    a slot may carry a slope, every mode checks the offenders of
+    :func:`_offender` first.  Raises :class:`RegimeNotCovered` for (k, l)
+    combinations the classification does not decide.
     """
     ks = k if isinstance(k, AdmissibleK) else AdmissibleK(k)
     if not isinstance(l, int) or isinstance(l, bool) or l < 0:
@@ -450,12 +457,10 @@ def classify(
         kstar = ks.k[0]
         if mode == "exact" and l != kstar:
             raise ConfigError(f"exact claims need l == k, got l={l}, k={kstar}")
-        if mode == "inertia":
-            return _classify_inertia(f, ks)
-        if kstar == 0:
+        if mode == "exact" and kstar == 0:
             # exactly-PSD image on PSD inputs is the l = 0 bounded regime
             return _classify_bounded(f, ks, 0)
-        return _classify_exact(f, ks, l)
+        return _classify_rigid(f, ks, l, mode)
 
     if not _regime_covered(ks, l):
         kmin = ks.min_positive
@@ -466,66 +471,52 @@ def classify(
     return _classify_bounded(f, ks, l)
 
 
-def _classify_inertia(f: FunctionSpec, ks: AdmissibleK) -> PreserverVerdict:
-    const, base, linear, bad = _decompose(f, m0=0)
+def _offender(linear: dict[int, float], bad: list) -> tuple[str, str] | None:
+    """The first offender every claim rejects, as (clause, detail), or None.
+
+    In order: a term that is not a pure slope on one constrained slot, the
+    first negative slope, slopes on two or more slots.
+    """
     if bad:
         alpha, c, reason = bad[0]
-        return PreserverVerdict(False, "inertia", reason, f"term {alpha} with coefficient {c:g}")
+        return reason, f"term {alpha} with coefficient {c:g}"
+    for slot, c in sorted(linear.items()):
+        if c < 0.0:
+            return "negative-linear-coefficient", f"slope {c:g} on slot {slot}"
     if len(linear) > 1:
-        return PreserverVerdict(
-            False, "inertia", "multiple-linear-variables", f"slots {sorted(linear)}"
-        )
-    if not linear:
-        return PreserverVerdict(False, "inertia", "constant-map", f"f is constant {const:g}")
-    (slot, c), = linear.items()
-    if c <= 0.0:
-        return PreserverVerdict(
-            False, "inertia", "negative-linear-coefficient", f"slope {c:g} on slot {slot}"
-        )
-    if const != 0.0:
-        return PreserverVerdict(False, "inertia", "nonzero-offset", f"offset {const:g}")
-    return PreserverVerdict(True, "inertia", "homothety", f"f = {c:g} * x_{slot}")
+        return "multiple-linear-variables", f"slots {sorted(linear)}"
+    return None
 
 
-def _classify_exact(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerdict:
-    kstar = ks.k[0]
-    const, base, linear, bad = _decompose(f, m0=ks.m0)
-    # base terms live on unconstrained slots; exact claims have none (m0 = 0),
-    # so anything in `base` is impossible here by construction
-    assert not base
-    if bad:
-        alpha, c, reason = bad[0]
-        return PreserverVerdict(False, "exact", reason, f"term {alpha} with coefficient {c:g}")
-    if len(linear) > 1:
-        return PreserverVerdict(
-            False, "exact", "multiple-linear-variables", f"slots {sorted(linear)}"
-        )
+def _classify_rigid(f: FunctionSpec, ks: AdmissibleK, l: int, mode: str) -> PreserverVerdict:
+    """Exact and inertia claims: f must be one positive slope and nothing else.
+
+    Every slot is constrained here (m0 = 0), so there are no base terms.
+    """
+    const, _, linear, bad = _decompose(f, m0=0)
+    offender = _offender(linear, bad)
+    if offender:
+        return PreserverVerdict(False, mode, *offender)
     if not linear:
-        if const < 0.0 and kstar == 1 and l == 1:
+        if mode == "exact" and const < 0.0 and ks.k[0] == l == 1:
             return PreserverVerdict(
-                True, "exact", "negative-constant", f"f = {const:g} pins one negative eigenvalue"
+                True, mode, "negative-constant", f"f = {const:g} pins one negative eigenvalue"
             )
-        return PreserverVerdict(False, "exact", "constant-map", f"f is constant {const:g}")
+        return PreserverVerdict(False, mode, "constant-map", f"f is constant {const:g}")
     (slot, c), = linear.items()
-    if c <= 0.0:
-        return PreserverVerdict(
-            False, "exact", "negative-linear-coefficient", f"slope {c:g} on slot {slot}"
-        )
     if const != 0.0:
-        return PreserverVerdict(False, "exact", "nonzero-offset", f"offset {const:g}")
-    return PreserverVerdict(True, "exact", "homothety", f"f = {c:g} * x_{slot}")
+        return PreserverVerdict(False, mode, "nonzero-offset", f"offset {const:g}")
+    return PreserverVerdict(True, mode, "homothety", f"f = {c:g} * x_{slot}")
 
 
 def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerdict:
     const, base, linear, bad = _decompose(f, m0=ks.m0)
+    negative_base = next((f"coefficient {c:g} on {a}" for a, c in base.items() if c < 0.0), None)
 
     if l == 0:
         # image must be PSD: no dependence on constrained slots at all,
         # and every coefficient (constant included) nonnegative
-        if linear or bad:
-            slots = sorted(set(linear) | {p for a, _, _ in bad for p, e in enumerate(a, 1) if e and p > ks.m0})
-        else:
-            slots = []
+        slots = _constrained_slots(linear, bad, ks.m0)
         if slots:
             return PreserverVerdict(
                 False, "bounded", "constrained-dependence",
@@ -535,51 +526,29 @@ def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerd
             return PreserverVerdict(
                 False, "bounded", "negative-coefficient", f"constant term {const:g}"
             )
-        for alpha, c in base.items():
-            if c < 0.0:
-                return PreserverVerdict(
-                    False, "bounded", "negative-coefficient",
-                    f"coefficient {c:g} on {alpha}",
-                )
+        if negative_base:
+            return PreserverVerdict(False, "bounded", "negative-coefficient", negative_base)
         return PreserverVerdict(True, "bounded", "series-nonnegative", "")
 
     if ks.all_zero:
         # PSD inputs, at most l >= 1 negatives allowed: the constant is free
-        for alpha, c in base.items():
-            if c < 0.0:
-                return PreserverVerdict(
-                    False, "bounded", "negative-coefficient",
-                    f"coefficient {c:g} on {alpha}",
-                )
+        if negative_base:
+            return PreserverVerdict(False, "bounded", "negative-coefficient", negative_base)
         if not base:
             clause = "negative-constant" if const < 0.0 else "constant"
             return PreserverVerdict(True, "bounded", clause, f"f = {const:g}")
         return PreserverVerdict(True, "bounded", "series-nonnegative", "")
 
     # some slot is genuinely constrained
-    if bad:
-        alpha, c, reason = bad[0]
-        return PreserverVerdict(False, "bounded", reason, f"term {alpha} with coefficient {c:g}")
-    for slot in sorted(linear):
-        if linear[slot] < 0.0:
-            return PreserverVerdict(
-                False, "bounded", "negative-linear-coefficient",
-                f"slope {linear[slot]:g} on slot {slot}",
-            )
-    positive_slots = [p for p in sorted(linear) if linear[p] > 0.0]
-    if len(positive_slots) > 1:
-        return PreserverVerdict(
-            False, "bounded", "multiple-linear-variables", f"slots {positive_slots}"
-        )
-    for alpha, c in base.items():
-        if c < 0.0:
-            return PreserverVerdict(
-                False, "bounded", "nonmonotone-base", f"coefficient {c:g} on {alpha}"
-            )
-    if not positive_slots:
+    offender = _offender(linear, bad)
+    if offender:
+        return PreserverVerdict(False, "bounded", *offender)
+    if negative_base:
+        return PreserverVerdict(False, "bounded", "nonmonotone-base", negative_base)
+    if not linear:
         clause = "base-only" if base else ("negative-constant" if const < 0.0 else "constant")
         return PreserverVerdict(True, "bounded", clause, "no slope on constrained slots")
-    slot = positive_slots[0]
+    (slot, _), = linear.items()
     k_slot = ks.k[slot - 1]
     if l < k_slot:
         return PreserverVerdict(

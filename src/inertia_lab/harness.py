@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .functions import (
     AdmissibleK,
     FunctionSpec,
     PreserverVerdict,
+    _constrained_slots,
     _decompose,
     apply_entrywise,
     classify,
@@ -61,6 +63,7 @@ from .linalg import (
     TolerancePolicy,
     eig_sym,
     inertia,
+    zero_threshold,
 )
 
 CLAIMS = ("inertia", "exact", "closure", "bounded", "lift")
@@ -458,9 +461,20 @@ def verify_forward(
 # ---------------------------------------------------------------------------
 # witness recipes
 # ---------------------------------------------------------------------------
+#
+# A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples at the
+# entry scale t0 (and the open_positive shift eps); the caller validates
+# every candidate and halves both scales until one is a witness.
 
 def _ones(n: int, v: float) -> SymMatrix:
     return SymMatrix(np.full((n, n), v))
+
+
+def _shifted(core: SymMatrix, dom: DomainSpec, eps: float) -> SymMatrix:
+    """``core + eps * ones`` over open_positive, where zero entries are out of domain."""
+    if dom.kind != "open_positive":
+        return core
+    return SymMatrix(core.entries + eps * np.ones((core.n, core.n)))
 
 
 def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> SymMatrix:
@@ -487,339 +501,246 @@ def _pad_with_identity(core: SymMatrix, n: int, t0: float, dom: DomainSpec, eps:
         raise ConfigError("cannot pad downwards")
     if core.n == n:
         return core
-    out = direct_sum([core, SymMatrix(t0 * np.eye(n - core.n))])
-    if dom.kind == "open_positive":
-        out = SymMatrix(out.entries + eps * np.ones((n, n)))
-    return out
+    return _shifted(direct_sum([core, SymMatrix(t0 * np.eye(n - core.n))]), dom, eps)
 
 
 def _fill_slots(
-    builder: Callable[[int], SymMatrix],
-    target_slot: int,
-    target_mat: SymMatrix,
+    n: int,
+    placed: dict[int, SymMatrix],
+    free: SymMatrix,
     ks: AdmissibleK,
     dom: DomainSpec,
     t0: float,
     eps: float,
 ) -> tuple[SymMatrix, ...]:
-    """Place target_mat in its slot, member fillers everywhere else."""
-    n = target_mat.n
-    mats = []
-    for q, k_q in enumerate(ks.k, start=1):
-        if q == target_slot:
-            mats.append(target_mat)
-        elif k_q == 0:
-            mats.append(builder(n))
-        else:
-            mats.append(_member_filler(n, k_q, dom, t0, eps))
-    return tuple(mats)
+    """One size-n matrix per slot.
+
+    Slot q gets ``placed[q]`` where given, else ``free`` when it is
+    unconstrained, else a member filler with exactly k_q negatives.
+    """
+    return tuple(
+        placed[q] if q in placed else free if k_q == 0 else _member_filler(n, k_q, dom, t0, eps)
+        for q, k_q in enumerate(ks.k, start=1)
+    )
 
 
-def _first_bad_slot(fn: FunctionSpec, m0: int) -> int:
-    _, _, _, bad = _decompose(fn, m0)
-    alpha, _, _ = bad[0]
-    for p, e in enumerate(alpha, start=1):
-        if e and p > m0:
-            return p
-    raise ConfigError("no constrained variable in the offending term")
-
-
-def _recipe_nonlinear(fn, claim, cfg, rng):
+def _recipe_nonlinear(fn, cfg, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     _, _, _, bad = _decompose(fn, ks.m0)
     alpha = bad[0][0]
-    p = _first_bad_slot(fn, ks.m0)
+    p = next(q for q, e in enumerate(alpha, start=1) if e and q > ks.m0)
     k_p = ks.k[p - 1]
-
-    def candidates(t0, eps):
-        if k_p >= 2:
-            size = 2 * k_p - 1
-            zero = SymMatrix(np.zeros((size, size)))
-            core = block_pair(zero, vandermonde_psd(k_p, t0))
-            if dom.one_sided:
-                core = SymMatrix(core.entries + eps * np.ones((core.n, core.n)))
-        else:
-            a2, b2 = two_by_two_pair(t0)
-            core = block_pair(a2, b2)
-        n = core.n
-        mats = []
-        for q, k_q in enumerate(ks.k, start=1):
-            if q == p or (alpha[q - 1] >= 1 and k_q == k_p):
-                # every slot the offending term touches gets the same core,
-                # so its structure survives the entrywise product
-                mats.append(core)
-            elif k_q == 0:
-                mats.append(_ones(n, t0))
-            else:
-                mats.append(_member_filler(n, k_q, dom, t0, eps))
-        return [tuple(mats)]
-
-    return candidates
+    if k_p >= 2:
+        size = 2 * k_p - 1
+        zero = SymMatrix(np.zeros((size, size)))
+        core = block_pair(zero, vandermonde_psd(k_p, t0))
+        if dom.one_sided:
+            core = SymMatrix(core.entries + eps * np.ones((core.n, core.n)))
+    else:
+        a2, b2 = two_by_two_pair(t0)
+        core = block_pair(a2, b2)
+    # every slot the offending term touches gets the same core, so its
+    # structure survives the entrywise product
+    placed = {
+        q: core for q, k_q in enumerate(ks.k, start=1) if q == p or (alpha[q - 1] and k_q == k_p)
+    }
+    return [_fill_slots(core.n, placed, _ones(core.n, t0), ks, dom, t0, eps)]
 
 
-def _recipe_negative_linear(fn, claim, cfg, rng):
+def _recipe_negative_linear(fn, cfg, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     _, _, linear, _ = _decompose(fn, ks.m0)
     p = min(q for q, c in linear.items() if c < 0.0)
     k_p = ks.k[p - 1]
-
-    def candidates(t0, eps):
-        pad = cfg.l + 3
-        if not dom.one_sided:
-            diag = np.concatenate([-t0 * np.ones(k_p), t0 * np.ones(pad)])
-            core = SymMatrix(np.diag(diag))
-        else:
-            core = embed_with_negatives(
-                t0, 2 * t0, k_p,
-                eps if dom.kind == "open_positive" else 0.0,
-                SymMatrix(t0 * np.eye(pad)),
-            )
-        return [_fill_slots(lambda n: _ones(n, t0), p, core, ks, dom, t0, eps)]
-
-    return candidates
+    pad = cfg.l + 3
+    if not dom.one_sided:
+        diag = np.concatenate([-t0 * np.ones(k_p), t0 * np.ones(pad)])
+        core = SymMatrix(np.diag(diag))
+    else:
+        core = embed_with_negatives(
+            t0, 2 * t0, k_p,
+            eps if dom.kind == "open_positive" else 0.0,
+            SymMatrix(t0 * np.eye(pad)),
+        )
+    return [_fill_slots(core.n, {p: core}, _ones(core.n, t0), ks, dom, t0, eps)]
 
 
-def _recipe_multiple_linear(fn, claim, cfg, rng):
-    ks, dom = cfg.k, cfg.dom
-    const, base, linear, _ = _decompose(fn, ks.m0)
-    pos = [q for q in sorted(linear) if linear[q] > 0.0]
-    min_c = min(linear[q] for q in pos)
-    sum_c = sum(abs(c) for c in linear.values())
-    constrained = [q for q in range(ks.m0 + 1, ks.m + 1)]
-
-    def candidates(t0, eps):
-        blocks = {q: ks.k[q - 1] + 1 for q in constrained}
-        n = sum(blocks.values())
-        offsets = {}
-        at = 0
-        for q in constrained:
-            offsets[q] = at
-            at += blocks[q]
-        eta = t0 * min_c / (4.0 * max(sum_c, min_c))
-        mats = []
-        for q, k_q in enumerate(ks.k, start=1):
-            if k_q == 0:
-                mats.append(_ones(n, eps / 4 if eps > 0 else t0 / 16))
-                continue
-            if not dom.one_sided:
-                ent = np.zeros((n, n))
-                o = offsets[q]
-                ent[o : o + k_q, o : o + k_q] = -t0 * np.eye(k_q)
-                mats.append(SymMatrix(ent))
-            else:
-                parts = []
-                for r in constrained:
-                    if r == q:
-                        parts.append(equicorrelation(k_q, 4 * t0, 8 * t0))
-                    else:
-                        parts.append(SymMatrix(eta * np.eye(blocks[r])))
-                core = direct_sum(parts)
-                if dom.kind == "open_positive":
-                    core = SymMatrix(core.entries + (eps / 8) * np.ones((n, n)))
-                mats.append(core)
-        return [tuple(mats)]
-
-    return candidates
-
-
-def _recipe_constrained_dependence(fn, claim, cfg, rng):
-    ks, dom = cfg.k, cfg.dom
-    _, _, linear, bad = _decompose(fn, ks.m0)
-    touched = set(linear)
-    for alpha, _, _ in bad:
-        for q, e in enumerate(alpha, start=1):
-            if e and q > ks.m0:
-                touched.add(q)
-    p = min(touched)
-    k_p = ks.k[p - 1]
-    constrained = list(range(ks.m0 + 1, ks.m + 1))
-
-    def candidates(t0, eps):
-        out = []
-        if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
-            # smallest possible witness: a tuple of 1x1 matrices
-            tiny = tuple(
-                SymMatrix([[-t0]]) if q in constrained else SymMatrix([[t0]])
-                for q in range(1, ks.m + 1)
-            )
-            out.append(tiny)
-        kmax = max(ks.k[q - 1] for q in constrained)
-        n = 2 + max(k_p, kmax + 1)
-        # two spreads for the probe pair: a mild one and a wide one, since
-        # which separates f(a) from f(b) depends on the function's shape
-        for a, b in ((2 * t0, 3 * t0), (t0 / 2, 6 * t0)):
-            mats = []
-            for q, k_q in enumerate(ks.k, start=1):
-                if q == p:
-                    parts = [SymMatrix([[a, b], [b, a]])]
-                    if k_p >= 2:
-                        parts.append(equicorrelation(k_p - 1, t0, 2 * t0))
-                    pad = n - sum(x.n for x in parts)
-                    if pad:
-                        parts.append(SymMatrix(t0 * np.eye(pad)))
-                    core = direct_sum(parts)
-                elif k_q >= 1:
-                    inner = [equicorrelation(k_q, t0, 2 * t0)]
-                    pad = (n - 1) - (k_q + 1)
-                    if pad:
-                        inner.append(SymMatrix(t0 * np.eye(pad)))
-                    small = direct_sum(inner)
-                    partition = [[0, 1]] + [[i] for i in range(2, n)]
-                    core = inflate(small, partition)
-                else:
-                    mats.append(_ones(n, a))
-                    continue
-                if dom.kind == "open_positive":
-                    core = SymMatrix(core.entries + eps * np.ones((n, n)))
-                mats.append(core)
-            out.append(tuple(mats))
-        return out
-
-    return candidates
-
-
-def _recipe_negative_coefficient(fn, claim, cfg, rng):
-    ks, dom = cfg.k, cfg.dom
-    const, base, linear, _ = _decompose(fn, ks.m0)
-    kmax = max(ks.k)
-    negative = [a for a in base if base[a] < 0.0]
-
-    def candidates(t0, eps):
-        if not negative:
-            # l == 0 with a negative constant: any small PSD-ish tuple works,
-            # the image hugs const * ones which has a negative direction
-            n = max(2, kmax + 2)
-            mats = []
-            for k_q in ks.k:
-                if k_q == 0:
-                    mats.append(_ones(n, t0 / 8))
-                else:
-                    mats.append(_member_filler(n, k_q, dom, t0 / 8, eps / 8))
-            return [tuple(mats)]
-
-        target = negative[0]
-        # collapse the multivariate support onto one variable: weights encode
-        # each active slot in base (degree+1) so collapsed exponents stay
-        # distinct, then evaluate every slot on powers of one node vector
-        degree = max(sum(a) for a in base)
-        weights = [0] * ks.m
-        active = sorted({q for a in base for q, e in enumerate(a, start=1) if e})
-        for rank_, q in enumerate(active):
-            weights[q - 1] = (degree + 1) ** rank_
-        exps = sorted({sum(w * e for w, e in zip(weights, a)) for a in base} | {0})
-        block = len(exps) + 2
-        copies = cfg.l + 1
-        scale = min(1.0, dom.rho_eff) * min(1.0, 8.0 * t0 / dom.rho_eff)
-        nodes = scale * (0.35 + 0.5 * (np.arange(block) + 0.5) / block)
-        e_t = sum(w * e for w, e in zip(weights, target))
-        eta = abs(base[target]) * float(np.min(nodes)) ** (2 * e_t) / 64.0
-        eta = min(max(eta, 1e-12 * t0), t0)
-        shift = min(eps, eta) / 4.0
-        n = max(block * copies, kmax + 2)
-        mats = []
-        for q, k_q in enumerate(ks.k, start=1):
-            if k_q >= 1:
-                mats.append(_member_filler(n, k_q, dom, eta, shift))
-                continue
-            w = weights[q - 1]
-            if w == 0:
-                mats.append(_ones(n, min(t0, scale) / 8))
-                continue
-            col = nodes**w
-            grid = np.outer(col, col)
-            ent = np.zeros((n, n))
-            for c in range(copies):
-                o = c * block
-                ent[o : o + block, o : o + block] = grid
-            for j in range(block * copies, n):
-                ent[j, j] = eta
-            if dom.kind == "open_positive":
-                ent = ent + shift * np.ones((n, n))
-            mats.append(SymMatrix(ent))
-        return [tuple(mats)]
-
-    return candidates
-
-
-def _recipe_offset(fn, claim, cfg, rng, want_negative_offset: bool):
-    """Witnesses for a bad constant offset next to a positive slope."""
+def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     _, _, linear, _ = _decompose(fn, ks.m0)
-    pos = [q for q in sorted(linear) if linear[q] > 0.0]
-    p = pos[0]
-    c = linear[p]
-    k_p = ks.k[p - 1]
-
-    def candidates(t0, eps):
-        s = t0 / 4.0
-        # f with the free slots at s and the constrained ones at 0
-        g = float(fn(*(s if q <= ks.m0 else 0.0 for q in range(1, ks.m + 1))))
-        out = []
-        if want_negative_offset or g < 0.0:
-            if g >= 0.0:
-                return []
-            delta = min(t0, abs(g) / (2.0 * c))
-            if not dom.one_sided:
-                core = ones_spike(k_p, delta, min(eps, delta / 2.0))
-            else:
-                core = equicorrelation(k_p, delta / 2.0, delta)
-            kmax = max(ks.k)
-            n = max(core.n, kmax + 2)
-            core = _pad_with_identity(core, n, t0, dom, eps / 4)
-            out.append(_fill_slots(lambda nn: _ones(nn, s), p, core, ks, dom, t0, eps))
-            return out
-        # positive offset against an exact/inertia claim
+    # the classifier reports this clause only once every slope is positive
+    min_c = min(linear.values())
+    constrained = range(ks.m0 + 1, ks.m + 1)
+    blocks = {q: ks.k[q - 1] + 1 for q in constrained}
+    n = sum(blocks.values())
+    offsets = {}
+    at = 0
+    for q in constrained:
+        offsets[q] = at
+        at += blocks[q]
+    eta = t0 * min_c / (4.0 * sum(linear.values()))
+    placed = {}
+    for q in constrained:
+        k_q = ks.k[q - 1]
         if not dom.one_sided:
-            t_small = min(t0, max(1, k_p) * g / (2.0 * c))
-            core = SymMatrix(-t_small * np.eye(max(k_p, 1)))
+            ent = np.zeros((n, n))
+            o = offsets[q]
+            ent[o : o + k_q, o : o + k_q] = -t0 * np.eye(k_q)
+            placed[q] = SymMatrix(ent)
         else:
-            delta = min(t0 / 5.0, g / (2.0 * c))
-            t_shift = 0.02 / max(k_p, 1)
-            core = SymMatrix(delta * ones_pencil(max(k_p, 1), t_shift).entries)
-        out.append(_fill_slots(lambda nn: _ones(nn, s), p, core, ks, dom, t0, eps))
-        return out
+            parts = [
+                equicorrelation(k_q, 4 * t0, 8 * t0) if r == q else SymMatrix(eta * np.eye(blocks[r]))
+                for r in constrained
+            ]
+            placed[q] = _shifted(direct_sum(parts), dom, eps / 8)
+    return [_fill_slots(n, placed, _ones(n, eps / 4 if eps > 0 else t0 / 16), ks, dom, t0, eps)]
 
-    return candidates
 
-
-def _recipe_constant_map(fn, claim, cfg, rng):
+def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
-    kstar = max(ks.k)
-
-    def candidates(t0, eps):
-        if not dom.one_sided and kstar == 1:
-            core = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 1.0]]))
-        else:
-            n = kstar + 2 if dom.one_sided else max(kstar + 1, 2)
-            core = sample_with_inertia(n, kstar, dom, rng, cfg.tol)
-        mats = tuple(
-            core if ks.k[q - 1] == kstar else _member_filler(core.n, ks.k[q - 1], dom, t0, eps)
+    _, _, linear, bad = _decompose(fn, ks.m0)
+    p = _constrained_slots(linear, bad, ks.m0)[0]
+    k_p = ks.k[p - 1]
+    constrained = list(range(ks.m0 + 1, ks.m + 1))
+    out = []
+    if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
+        # smallest possible witness: a tuple of 1x1 matrices
+        tiny = tuple(
+            SymMatrix([[-t0]]) if q in constrained else SymMatrix([[t0]])
             for q in range(1, ks.m + 1)
         )
-        return [mats]
+        out.append(tiny)
+    kmax = max(ks.k[q - 1] for q in constrained)
+    n = 2 + max(k_p, kmax + 1)
+    # two spreads for the probe pair: a mild one and a wide one, since
+    # which separates f(a) from f(b) depends on the function's shape
+    for a, b in ((2 * t0, 3 * t0), (t0 / 2, 6 * t0)):
+        placed = {}
+        for q in constrained:
+            k_q = ks.k[q - 1]
+            if q == p:
+                parts = [SymMatrix([[a, b], [b, a]])]
+                if k_p >= 2:
+                    parts.append(equicorrelation(k_p - 1, t0, 2 * t0))
+                pad = n - sum(x.n for x in parts)
+                if pad:
+                    parts.append(SymMatrix(t0 * np.eye(pad)))
+                core = direct_sum(parts)
+            else:
+                inner = [equicorrelation(k_q, t0, 2 * t0)]
+                pad = (n - 1) - (k_q + 1)
+                if pad:
+                    inner.append(SymMatrix(t0 * np.eye(pad)))
+                partition = [[0, 1]] + [[i] for i in range(2, n)]
+                core = inflate(direct_sum(inner), partition)
+            placed[q] = _shifted(core, dom, eps)
+        out.append(_fill_slots(n, placed, _ones(n, a), ks, dom, t0, eps))
+    return out
 
-    return candidates
+
+def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
+    ks, dom = cfg.k, cfg.dom
+    _, base, _, _ = _decompose(fn, ks.m0)
+    kmax = max(ks.k)
+    negative = [a for a in base if base[a] < 0.0]
+    if not negative:
+        # l == 0 with a negative constant: any small PSD-ish tuple works,
+        # the image hugs const * ones which has a negative direction
+        n = max(2, kmax + 2)
+        return [_fill_slots(n, {}, _ones(n, t0 / 8), ks, dom, t0 / 8, eps / 8)]
+
+    target = negative[0]
+    # collapse the multivariate support onto one variable: weights encode
+    # each active slot in base (degree+1) so collapsed exponents stay
+    # distinct, then evaluate every slot on powers of one node vector
+    degree = max(sum(a) for a in base)
+    weights = [0] * ks.m
+    active = sorted({q for a in base for q, e in enumerate(a, start=1) if e})
+    for rank_, q in enumerate(active):
+        weights[q - 1] = (degree + 1) ** rank_
+    exps = sorted({sum(w * e for w, e in zip(weights, a)) for a in base} | {0})
+    block = len(exps) + 2
+    copies = cfg.l + 1
+    scale = min(1.0, dom.rho_eff) * min(1.0, 8.0 * t0 / dom.rho_eff)
+    nodes = scale * (0.35 + 0.5 * (np.arange(block) + 0.5) / block)
+    e_t = sum(w * e for w, e in zip(weights, target))
+    eta = abs(base[target]) * float(np.min(nodes)) ** (2 * e_t) / 64.0
+    eta = min(max(eta, 1e-12 * t0), t0)
+    shift = min(eps, eta) / 4.0
+    n = max(block * copies, kmax + 2)
+    placed = {}
+    for q in active:
+        col = nodes ** weights[q - 1]
+        grid = np.outer(col, col)
+        ent = np.zeros((n, n))
+        for c in range(copies):
+            o = c * block
+            ent[o : o + block, o : o + block] = grid
+        for j in range(block * copies, n):
+            ent[j, j] = eta
+        placed[q] = _shifted(SymMatrix(ent), dom, shift)
+    return [_fill_slots(n, placed, _ones(n, min(t0, scale) / 8), ks, dom, eta, shift)]
 
 
-def _recipe_budget(fn, claim, cfg, rng):
+def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
+    """Witnesses for a bad constant offset next to a positive slope.
+
+    A negative base value g is exposed by small negatives on the slope's
+    slot.  A nonnegative g (exact and inertia claims) is exposed by
+    negatives that the offset cancels, unless ``negative_only`` is set, in
+    which case there is no candidate.
+    """
+    ks, dom = cfg.k, cfg.dom
+    _, _, linear, _ = _decompose(fn, ks.m0)
+    (p, c), = linear.items()
+    k_p = ks.k[p - 1]
+    s = t0 / 4.0
+    # f with the free slots at s and the constrained ones at 0
+    g = float(fn(*(s if q <= ks.m0 else 0.0 for q in range(1, ks.m + 1))))
+    if g < 0.0:
+        delta = min(t0, abs(g) / (2.0 * c))
+        if not dom.one_sided:
+            core = ones_spike(k_p, delta, min(eps, delta / 2.0))
+        else:
+            core = equicorrelation(k_p, delta / 2.0, delta)
+        core = _pad_with_identity(core, max(core.n, max(ks.k) + 2), t0, dom, eps / 4)
+    elif negative_only:
+        return []
+    elif not dom.one_sided:
+        t_small = min(t0, max(1, k_p) * g / (2.0 * c))
+        core = SymMatrix(-t_small * np.eye(max(k_p, 1)))
+    else:
+        delta = min(t0 / 5.0, g / (2.0 * c))
+        t_shift = 0.02 / max(k_p, 1)
+        core = SymMatrix(delta * ones_pencil(max(k_p, 1), t_shift).entries)
+    return [_fill_slots(core.n, {p: core}, _ones(core.n, s), ks, dom, t0, eps)]
+
+
+def _recipe_constant_map(fn, cfg, rng, t0, eps):
+    ks, dom = cfg.k, cfg.dom
+    kstar = max(ks.k)
+    if not dom.one_sided and kstar == 1:
+        core = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+    else:
+        n = kstar + 2 if dom.one_sided else max(kstar + 1, 2)
+        core = sample_with_inertia(n, kstar, dom, rng, cfg.tol)
+    placed = {q: core for q, k_q in enumerate(ks.k, start=1) if k_q == kstar}
+    return [_fill_slots(core.n, placed, _ones(core.n, t0), ks, dom, t0, eps)]
+
+
+def _recipe_budget(fn, cfg, rng, t0, eps):
     """Slope on a slot whose negativity exceeds the claimed budget l."""
     ks, dom = cfg.k, cfg.dom
     _, _, linear, _ = _decompose(fn, ks.m0)
-    p = [q for q in sorted(linear) if linear[q] > 0.0][0]
+    (p, _), = linear.items()
     k_p = ks.k[p - 1]
-
-    def candidates(t0, eps):
-        if not dom.one_sided:
-            n0 = k_p + 1
-            core = SymMatrix(-t0 * (np.eye(n0) - np.ones((n0, n0)) / n0))
-        else:
-            core = equicorrelation(k_p, t0, 2 * t0)
-        kmax = max(ks.k)
-        n = max(core.n, kmax + 2)
-        core = _pad_with_identity(core, n, t0, dom, eps / 4)
-        return [_fill_slots(lambda nn: _ones(nn, t0 / 4), p, core, ks, dom, t0, eps)]
-
-    return candidates
+    if not dom.one_sided:
+        n0 = k_p + 1
+        core = SymMatrix(-t0 * (np.eye(n0) - np.ones((n0, n0)) / n0))
+    else:
+        core = equicorrelation(k_p, t0, 2 * t0)
+    core = _pad_with_identity(core, max(core.n, max(ks.k) + 2), t0, dom, eps / 4)
+    return [_fill_slots(core.n, {p: core}, _ones(core.n, t0 / 4), ks, dom, t0, eps)]
 
 
 _RECIPES: dict[str, Callable] = {
@@ -830,8 +751,8 @@ _RECIPES: dict[str, Callable] = {
     "constrained-dependence": _recipe_constrained_dependence,
     "negative-coefficient": _recipe_negative_coefficient,
     "nonmonotone-base": _recipe_negative_coefficient,
-    "negative-offset": lambda fn, claim, cfg, rng: _recipe_offset(fn, claim, cfg, rng, True),
-    "nonzero-offset": lambda fn, claim, cfg, rng: _recipe_offset(fn, claim, cfg, rng, False),
+    "negative-offset": partial(_recipe_offset, negative_only=True),
+    "nonzero-offset": _recipe_offset,
     "constant-map": _recipe_constant_map,
     "l-less-than-k": _recipe_budget,
 }
@@ -841,17 +762,16 @@ def _recipe_witness(
     clause: str, claim: str, fn: FunctionSpec, cfg: TrialConfig
 ) -> tuple[Witness | None, int]:
     """Build and validate recipe candidates, halving scales on failure."""
-    maker = _RECIPES.get(clause)
-    if maker is None:
+    recipe = _RECIPES.get(clause)
+    if recipe is None:
         return None, 0
     rng = _trial_rng(cfg.seed, 2**63 + 1)
-    candidates = maker(fn, claim, cfg, rng)
     t0 = cfg.dom.rho_eff / 8.0
     eps = cfg.dom.rho_eff / 16.0
     attempts = 0
     for _ in range(RECIPE_HALVINGS):
         try:
-            tuples = candidates(t0, eps)
+            tuples = recipe(fn, cfg, rng, t0, eps)
         except (ConfigError, SamplingError, DomainViolation):
             tuples = []
         for mats in tuples:
@@ -1003,7 +923,7 @@ def _suite_pinned(cfg: TrialConfig, i: int) -> bool:
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
     out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
     lam, _ = eig_sym(out, cfg.tol)
-    neg = [x for x in lam if x < -cfg.tol.rel_zero * max(1.0, out.fro)]
+    neg = [x for x in lam if x < -zero_threshold(out, cfg.tol)]
     return len(neg) == k and all(abs(x - (a - b)) <= 1e-9 * max(1.0, abs(a - b)) for x in neg)
 
 

@@ -55,7 +55,10 @@ class TolerancePolicy:
         unknown = set(d) - {"rel_zero", "eig_convergence"}
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        kwargs = {k: float(v) for k, v in d.items()}
+        try:
+            kwargs = {k: float(v) for k, v in d.items()}
+        except (TypeError, ValueError):
+            raise ConfigError(f"tolerance values must be numbers, got {d!r}") from None
         return cls(**kwargs)
 
 
@@ -158,8 +161,8 @@ class SymMatrix:
 
     Construction symmetrizes the input by averaging with its transpose and
     mirroring the upper triangle, so the stored array is bitwise symmetric.
-    The entry array is frozen (non-writeable) so instances can be shared
-    across threads.
+    The entry array is frozen (non-writeable), so an instance never changes
+    after construction.
     """
 
     __slots__ = ("_a", "_fro")
@@ -286,38 +289,37 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
     # if every pivot is below `skip`, the total off-diagonal mass is below `stop`
     skip = stop / (2.0 * n)
 
-    converged = False
-    for _sweep in range(MAX_SWEEPS):
+    for sweep in range(MAX_SWEEPS + 1):
         off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
         if off <= stop:
-            converged = True
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _rotate(a, qmat, p, q)
-    else:
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off > stop:
+        if sweep == MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi did not converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal mass {off:.3e}, target {stop:.3e})"
             )
-        converged = True
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > skip:
+                    _rotate(a, qmat, p, q)
 
-    assert converged
     lam = np.diag(a).copy()
     order = np.argsort(lam, kind="stable")
     return lam[order], qmat[:, order]
 
 
+def zero_threshold(A: SymMatrix, tol: TolerancePolicy) -> float:
+    """Eigenvalues of ``A`` with |lam| <= this count as zero: rel_zero * max(1, ||A||_F)."""
+    return tol.rel_zero * max(1.0, A.fro)
+
+
 def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
     """Count (negative, zero, positive) eigenvalues of ``A``.
 
-    An eigenvalue is treated as zero when |lam| <= rel_zero * max(1, ||A||_F).
+    An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
     """
     lam, _ = eig_sym(A, tol)
-    thresh = tol.rel_zero * max(1.0, A.fro)
+    thresh = zero_threshold(A, tol)
     n_neg = int(np.sum(lam < -thresh))
     n_pos = int(np.sum(lam > thresh))
     return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)

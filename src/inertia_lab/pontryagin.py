@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import DEFAULT_TOL, SymMatrix, TolerancePolicy, eig_sym, inertia
+from .linalg import DEFAULT_TOL, SymMatrix, TolerancePolicy, eig_sym, inertia, zero_threshold
 
 
 def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
@@ -45,7 +45,7 @@ def gram_realize(
     if not isinstance(k, int) or k < 0:
         raise ConfigError("k must be a nonnegative int")
     lam, q = eig_sym(A, tol)
-    thresh = tol.rel_zero * max(1.0, A.fro)
+    thresh = zero_threshold(A, tol)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
     other_idx = [i for i, v in enumerate(lam) if v >= -thresh]
     r = len(neg_idx)

@@ -91,6 +91,34 @@ def test_apply_flags_domain_violations():
     assert "domain" in err.lower() or "entry" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": "x"}'],
+        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": null}'],
+        ["apply", "--fn", '{"type":"constant","value":"x"}', "--matrix", "[[1.0]]"],
+        [
+            "apply",
+            "--fn",
+            '{"type":"series","arity":1,"terms":[{"alpha":[1],"coeff":"x"}]}',
+            "--matrix",
+            "[[1.0]]",
+        ],
+    ],
+)
+def test_non_numeric_json_values_are_config_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_eigensolve_that_does_not_converge_exits_one(monkeypatch):
+    monkeypatch.setattr("inertia_lab.linalg.MAX_SWEEPS", 0)
+    code, out, err = run_cli(["inertia", "--matrix", "[[1,2],[2,1]]"])
+    assert code == 1
+    assert "did not converge" in err
+
+
 def test_construct_pencil_base_round_trips():
     code, out, err = run_cli(["construct", "pencil-base"])
     assert code == 0

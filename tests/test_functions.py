@@ -292,6 +292,37 @@ def test_classify_multiple_slopes_rejected():
     assert not v.conforms and v.clause == "multiple-linear-variables"
 
 
+@pytest.mark.parametrize(
+    "fn, k, l, mode, conforms, clause",
+    [
+        (Series(2, {(1, 1): 1.0}), [1, 1], 1, "bounded", False, "mixed-term"),
+        (Series(1, {(1,): -1.0}), [1], 1, "exact", False, "negative-linear-coefficient"),
+        (Series(1, {(1,): -1.0}), [1], 1, "bounded", False, "negative-linear-coefficient"),
+        # several slopes, one of them negative: the negative slope is reported
+        # before the count of slopes, in every mode
+        (Series(2, {(1, 0): -1.0, (0, 1): -1.0}), [1, 1], 1, "exact", False, "negative-linear-coefficient"),
+        (Series(2, {(1, 0): -1.0, (0, 1): 1.0}), [1, 1], 1, "exact", False, "negative-linear-coefficient"),
+        (Series(2, {(1, 0): 1.0, (0, 1): -1.0}), [1, 1], 1, "bounded", False, "negative-linear-coefficient"),
+        (Homothety(2.0), [1], 1, "inertia", True, "homothety"),
+        (Constant(1.0), [1], 1, "inertia", False, "constant-map"),
+        (Affine(0.5, 1.0), [1], 1, "inertia", False, "nonzero-offset"),
+        (Constant(-1.0), [0], 0, "bounded", False, "negative-coefficient"),
+        (Series(1, {(1,): 1.0, (2,): -0.5}), [0], 0, "bounded", False, "negative-coefficient"),
+        (Series(1, {(1,): 1.0, (2,): -0.5}), [0], 1, "bounded", False, "negative-coefficient"),
+        (Constant(1.0), [0], 1, "bounded", True, "constant"),
+        (Constant(-1.0), [0], 1, "bounded", True, "negative-constant"),
+        (Constant(1.0), [1], 1, "bounded", True, "constant"),
+        (Constant(-1.0), [1], 1, "bounded", True, "negative-constant"),
+        (Series(2, {(1, 0): 1.0}), [0, 1], 1, "bounded", True, "base-only"),
+        (Homothety(1.0), [1], 1, "bounded", True, "homothety"),
+        (Series(1, {(0,): 1.0, (2,): 0.5}), [0], 1, "bounded", True, "series-nonnegative"),
+    ],
+)
+def test_classify_clause_table(fn, k, l, mode, conforms, clause):
+    v = classify(fn, AdmissibleK(k), l, TWO_SIDED, mode=mode)
+    assert (v.conforms, v.mode, v.clause) == (conforms, mode, clause)
+
+
 def test_verdict_json_shape():
     v = classify(Homothety(2.0), AdmissibleK([1]), 1, TWO_SIDED, mode="exact")
     d = v.to_json_dict()

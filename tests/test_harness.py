@@ -13,6 +13,7 @@ from inertia_lab.functions import (
     Constant,
     Homothety,
     Series,
+    SplitForm,
     apply_entrywise,
 )
 from inertia_lab.harness import (
@@ -163,6 +164,42 @@ def test_falsify_finds_offset_witness_and_it_revalidates():
     assert w.revalidate("exact", cfg)
     got = inertia(apply_entrywise(Affine(1.0, 1.0), list(w.mats), cfg.dom))
     assert got.n_neg != 1
+
+
+# one (claim, fn, k, l) per recipe clause: the shapes of the falsify benchmark
+RECIPE_CASES = {
+    "nonlinear-term": ("exact", Series(1, {(2,): 1.0}), [1], 1),
+    "mixed-term": ("bounded", Series(2, {(1, 1): 1.0}), [1, 1], 1),
+    "negative-linear-coefficient": ("exact", Series(1, {(1,): -1.0}), [1], 1),
+    "multiple-linear-variables": ("bounded", Series(2, {(1, 0): 1.0, (0, 1): 1.0}), [1, 1], 1),
+    "constrained-dependence": ("bounded", Series(2, {(0, 1): 1.0}), [0, 1], 0),
+    "negative-coefficient": ("bounded", Series(1, {(1,): 1.0, (2,): -0.5}), [0], 0),
+    "nonmonotone-base": ("bounded", SplitForm(2, Series(1, {(1,): 1.0, (3,): -0.2}), 1.0, 2), [0, 2], 2),
+    "negative-offset": ("bounded", Affine(-0.5, 1.0), [2], 2),
+    "nonzero-offset": ("exact", Affine(0.5, 1.0), [1], 1),
+    "constant-map": ("exact", Constant(1.0), [2], 2),
+    "l-less-than-k": ("bounded", Homothety(1.0), [3], 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["two_sided", "open_positive", "closed_left"])
+@pytest.mark.parametrize("clause", list(RECIPE_CASES))
+def test_every_recipe_finds_a_witness_that_revalidates(clause, kind):
+    claim, fn, k, l = RECIPE_CASES[clause]
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=6, seed=5)
+    rep = falsify(claim, fn, cfg, strategy="recipe")
+    assert rep.label == f"witness found via recipe for clause '{clause}'"
+    assert [w.clause for w in rep.witnesses] == [clause]
+    assert rep.witnesses[0].revalidate(claim, cfg)
+
+
+def test_falsify_exact_claim_with_only_negative_slopes():
+    # two slopes, both negative: reported as a negative slope, whose recipe applies
+    fn = Series(2, {(1, 0): -1.0, (0, 1): -1.0})
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1, 1)), 1, trials=5, seed=0)
+    rep = falsify("exact", fn, cfg, strategy="recipe")
+    assert rep.label == "witness found via recipe for clause 'negative-linear-coefficient'"
+    assert rep.witnesses[0].revalidate("exact", cfg)
 
 
 def test_falsify_conforming_function_is_vacuous():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inertia_lab import linalg
 from inertia_lab.errors import (
     AsymmetryError,
     ConfigError,
+    ConvergenceError,
     DomainViolation,
 )
 from inertia_lab.linalg import (
@@ -70,6 +72,15 @@ def test_eig_diagonal_is_exact():
     a = sym(np.diag([3.0, -1.0, 2.0]))
     lam, _ = eig_sym(a)
     assert list(lam) == [-1.0, 2.0, 3.0]
+
+
+def test_eig_raises_when_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceError):
+        eig_sym(sym([[1.0, 2.0], [2.0, 1.0]]))
+    # an already diagonal matrix needs no sweep
+    lam, _ = eig_sym(sym([[2.0, 0.0], [0.0, -1.0]]))
+    assert lam.tolist() == [-1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------

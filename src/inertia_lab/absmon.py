@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, positive_float, positive_int
 from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
@@ -92,14 +92,9 @@ def forward_difference_test(
     """
     axes = _check_box(box)
     m = len(axes)
-    if not isinstance(order, int) or order < 1:
-        raise ConfigError("order must be a positive int")
+    positive_int(order, "order")
     width = min(hi - lo for lo, hi in axes)
-    if step is None:
-        step = width / 64.0
-    step = float(step)
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ConfigError("step must be a positive finite float")
+    step = positive_float(width / 64.0 if step is None else step, "step")
 
     counts = []
     for lo, hi in axes:
@@ -221,13 +216,10 @@ def maclaurin_estimate(
     heuristic error (O(step) for smooth non-polynomial functions, rounding
     level for polynomials of total degree <= order).
     """
-    if not isinstance(arity, int) or arity < 1:
-        raise ConfigError("arity must be a positive int")
+    positive_int(arity, "arity")
     if not isinstance(order, int) or order < 0:
         raise ConfigError("order must be a nonnegative int")
-    step = float(step)
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ConfigError("step must be a positive finite float")
+    step = positive_float(step, "step")
     if (order + 1) ** arity > _MAX_LATTICE:
         raise ConfigError("order/arity combination needs too many lattice points")
 
@@ -252,9 +244,7 @@ def boundary_extrapolation(f, step: float = 1e-2, levels: int = 6) -> dict:
     extrapolation over the points step * 2^-i."""
     if not isinstance(levels, int) or levels < 2:
         raise ConfigError("levels must be an int >= 2")
-    step = float(step)
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ConfigError("step must be a positive finite float")
+    step = positive_float(step, "step")
     fn = _as_grid_fn(f, 1)
     pts = np.array([step * 2.0**-i for i in range(levels)])
     vals = fn(pts)

@@ -133,10 +133,6 @@ def _fn_arg(text: str):
     return fn_from_json_dict(value)
 
 
-def _rows(arr) -> list[list[float]]:
-    return [[float(x) for x in row] for row in arr]
-
-
 def _emit(obj, indent: int | None = 2) -> None:
     sys.stdout.write(_json.dumps(obj, indent=indent) + "\n")
 
@@ -155,7 +151,7 @@ def _cmd_inertia(args) -> int:
     out = inertia(a, tol).to_json_dict()
     if args.eigenvalues:
         lam, _ = eig_sym(a, tol)
-        out["eigenvalues"] = [float(x) for x in lam]
+        out["eigenvalues"] = lam.tolist()
     _emit(out, indent=None)
     return EXIT_OK
 
@@ -185,7 +181,7 @@ def _cmd_construct(args) -> int:
 
 def _partition_arg(text: str) -> list[list[int]]:
     value = _load_json_arg(text)
-    if not isinstance(value, list):
+    if not (isinstance(value, list) and all(isinstance(block, list) for block in value)):
         raise ConfigError("partition must be a JSON list of index blocks")
     return value
 
@@ -216,17 +212,9 @@ def _write_csv(report: VerdictReport, path: str) -> None:
         writer.writerow(report.csv_row())
 
 
-def _finish_report(report: VerdictReport, out_json: str | None, out_csv: str | None) -> None:
-    payload = report.to_json_dict()
-    if out_json:
-        _json.dump_path(payload, out_json, indent=2)
-    if out_csv:
-        _write_csv(report, out_csv)
-    _emit(payload)
-    print(report.summary_line(), file=sys.stderr)
-
-
-def _run_spec(args, *, suite: bool) -> dict:
+def _cmd_run(args) -> int:
+    """verify, falsify and suite: read the run config, run, write the report."""
+    suite = args.command == "suite"
     spec = _load_json_arg(args.config)
     if not isinstance(spec, dict):
         raise ConfigError("run config must be a JSON object")
@@ -243,49 +231,29 @@ def _run_spec(args, *, suite: bool) -> dict:
             raise ConfigError('run config must name a "theorem" claim')
         if "fn" not in spec:
             raise ConfigError('run config must carry an "fn" object')
-    return spec
-
-
-def _cmd_verify(args) -> int:
-    spec = _run_spec(args, suite=False)
     cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
-    fn = fn_from_json_dict(spec["fn"])
     threads = args.threads if args.threads is not None else spec.get("threads")
-    report = verify_forward(spec["theorem"], fn, cfg, threads)
-    _finish_report(
-        report,
-        args.out_json or spec.get("out_json"),
-        args.out_csv or spec.get("out_csv"),
-    )
+    if suite:
+        report = lemma_suite(cfg, threads)
+    else:
+        fn = fn_from_json_dict(spec["fn"])
+        if args.command == "verify":
+            report = verify_forward(spec["theorem"], fn, cfg, threads)
+        else:
+            strategy = args.strategy or spec.get("strategy", "auto")
+            report = falsify(spec["theorem"], fn, cfg, threads, strategy=strategy)
+    payload = report.to_json_dict()
+    out_json = args.out_json or spec.get("out_json")
+    out_csv = args.out_csv or spec.get("out_csv")
+    if out_json:
+        _json.dump_path(payload, out_json, indent=2)
+    if out_csv:
+        _write_csv(report, out_csv)
+    _emit(payload)
+    print(report.summary_line(), file=sys.stderr)
+    if args.command == "falsify":
+        return EXIT_OK if report.failures > 0 else EXIT_NEGATIVE
     return EXIT_OK if report.trials > 0 and report.failures == 0 else EXIT_NEGATIVE
-
-
-def _cmd_falsify(args) -> int:
-    spec = _run_spec(args, suite=False)
-    cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
-    fn = fn_from_json_dict(spec["fn"])
-    threads = args.threads if args.threads is not None else spec.get("threads")
-    strategy = args.strategy or spec.get("strategy", "auto")
-    report = falsify(spec["theorem"], fn, cfg, threads, strategy=strategy)
-    _finish_report(
-        report,
-        args.out_json or spec.get("out_json"),
-        args.out_csv or spec.get("out_csv"),
-    )
-    return EXIT_OK if report.failures > 0 else EXIT_NEGATIVE
-
-
-def _cmd_suite(args) -> int:
-    spec = _run_spec(args, suite=True)
-    cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
-    threads = args.threads if args.threads is not None else spec.get("threads")
-    report = lemma_suite(cfg, threads)
-    _finish_report(
-        report,
-        args.out_json or spec.get("out_json"),
-        args.out_csv or spec.get("out_csv"),
-    )
-    return EXIT_OK if report.failures == 0 else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +266,7 @@ def _cmd_factor(args) -> int:
     vectors, (plus, minus), err = gram_realize(a, args.k, tol)
     _emit(
         {
-            "vectors": _rows(vectors),
+            "vectors": vectors.tolist(),
             "signature": {"plus": plus, "minus": minus},
             "error": float(err),
         }
@@ -405,28 +373,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_apply)
 
     c = sub.add_parser("construct", help="build one of the named matrices")
+    c.set_defaults(func=_cmd_construct)
     csub = c.add_subparsers(dest="what", required=True)
 
     q = csub.add_parser("pencil-base", help="the fixed 3x3 with one negative eigenvalue")
-    q.set_defaults(func=_cmd_construct, builder=lambda a: pencil_base())
+    q.set_defaults(builder=lambda a: pencil_base())
 
     q = csub.add_parser("ones-pencil", help="k copies of the base plus t * ones")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--t", type=float, required=True)
-    q.set_defaults(func=_cmd_construct, builder=lambda a: ones_pencil(a.k, a.t))
+    q.set_defaults(builder=lambda a: ones_pencil(a.k, a.t))
 
     q = csub.add_parser("equicorrelation", help="(a-b) Id + b * ones, size k+1")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--a", type=float, required=True)
     q.add_argument("--b", type=float, required=True)
-    q.set_defaults(func=_cmd_construct, builder=lambda a: equicorrelation(a.k, a.a, a.b))
+    q.set_defaults(builder=lambda a: equicorrelation(a.k, a.a, a.b))
 
     q = csub.add_parser("vandermonde", help="rank-k moment matrix on positive nodes")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--t0", type=float, required=True)
     q.add_argument("--nodes", default=None, help="JSON list of 2k-1 distinct positive nodes")
     q.set_defaults(
-        func=_cmd_construct,
         builder=lambda a: vandermonde_psd(
             a.k, a.t0, None if a.nodes is None else _load_json_arg(a.nodes)
         ),
@@ -435,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q = csub.add_parser("two-by-two", help="the 2x2 pair whose gap is t0 * ones")
     q.add_argument("--t0", type=float, required=True)
     q.set_defaults(
-        func=_cmd_construct,
         builder=lambda a: (lambda pair: {"a": pair[0].to_json_dict(), "b": pair[1].to_json_dict()})(
             two_by_two_pair(a.t0)
         ),
@@ -445,25 +412,19 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--delta", type=float, required=True)
     q.add_argument("--epsilon", type=float, required=True)
-    q.set_defaults(func=_cmd_construct, builder=lambda a: ones_spike(a.k, a.delta, a.epsilon))
+    q.set_defaults(builder=lambda a: ones_spike(a.k, a.delta, a.epsilon))
 
     q = csub.add_parser("block-pair", help="[[A, B], [B, A]]")
     q.add_argument("--a", required=True, help="matrix JSON")
     q.add_argument("--b", required=True, help="matrix JSON")
-    q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: block_pair(_matrix_arg(a.a), _matrix_arg(a.b)),
-    )
+    q.set_defaults(builder=lambda a: block_pair(_matrix_arg(a.a), _matrix_arg(a.b)))
 
     q = csub.add_parser("replicated", help="(-t0 Id_k) direct-sum (l+2 copies of A)")
     q.add_argument("--matrix", required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--t0", type=float, required=True)
-    q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: replicated_block(_matrix_arg(a.matrix), a.k, a.l, a.t0),
-    )
+    q.set_defaults(builder=lambda a: replicated_block(_matrix_arg(a.matrix), a.k, a.l, a.t0))
 
     q = csub.add_parser("embed", help="equicorrelation block next to a PSD block")
     q.add_argument("--a", type=float, required=True)
@@ -472,53 +433,42 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--epsilon", type=float, required=True)
     q.add_argument("--block", required=True, help="PSD matrix JSON")
     q.set_defaults(
-        func=_cmd_construct,
         builder=lambda a: embed_with_negatives(a.a, a.b, a.k, a.epsilon, _matrix_arg(a.block)),
     )
 
     q = csub.add_parser("inflate", help="duplicate coordinates along a partition")
     q.add_argument("--matrix", required=True)
     q.add_argument("--partition", required=True, help="JSON list of index blocks")
-    q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: inflate(_matrix_arg(a.matrix), _partition_arg(a.partition)),
-    )
+    q.set_defaults(builder=lambda a: inflate(_matrix_arg(a.matrix), _partition_arg(a.partition)))
 
     q = csub.add_parser("weight", help="0/1 block-indicator matrix of a partition")
     q.add_argument("--partition", required=True)
     q.add_argument("--n", type=int, required=True)
     q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: {"rows": _rows(weight_matrix(_partition_arg(a.partition), a.n))},
+        builder=lambda a: {"rows": weight_matrix(_partition_arg(a.partition), a.n).tolist()},
     )
 
     q = csub.add_parser("lift", help="replicate the last coordinate up to size N")
     q.add_argument("--matrix", required=True)
     q.add_argument("--size", type=int, required=True)
-    q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: lift_finite(_matrix_arg(a.matrix), a.size),
-    )
+    q.set_defaults(builder=lambda a: lift_finite(_matrix_arg(a.matrix), a.size))
 
     q = csub.add_parser("basis", help="ones vector completed to an orthogonal basis")
     q.add_argument("--size", type=int, required=True)
-    q.set_defaults(
-        func=_cmd_construct,
-        builder=lambda a: {"rows": _rows(ones_orthogonal_basis(a.size))},
-    )
+    q.set_defaults(builder=lambda a: {"rows": ones_orthogonal_basis(a.size).tolist()})
 
     p = sub.add_parser("verify", help="sample members and check a claim forward")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("falsify", help="search for a witness against a claim")
     _add_run_flags(p)
     p.add_argument("--strategy", choices=["auto", "recipe", "random"], default=None)
-    p.set_defaults(func=_cmd_falsify)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("suite", help="run the structural property batches")
     _add_run_flags(p)
-    p.set_defaults(func=_cmd_suite)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("pontryagin", help="Gram factorizations with minus directions")
     psub = p.add_subparsers(dest="action", required=True)
@@ -562,10 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _err(exc)
-        return EXIT_CONFIG
-    except (RegimeNotCovered, SamplingError) as exc:
+    except (ConfigError, RegimeNotCovered, SamplingError, OSError) as exc:
         _err(exc)
         return EXIT_CONFIG
     except AsymmetryError as exc:
@@ -577,9 +524,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         _err(exc)
         return EXIT_NEGATIVE
-    except OSError as exc:
-        _err(exc)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

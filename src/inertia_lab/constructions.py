@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, positive_float, positive_int
 from .linalg import SymMatrix, direct_sum, inertia
 
 __all__ = [
@@ -53,12 +53,10 @@ def block_pair(A: SymMatrix, B: SymMatrix) -> SymMatrix:
 
 def replicated_block(A: SymMatrix, k: int, l: int, t0: float) -> SymMatrix:
     """(-t0 Id_k) (+) A^(+(l+2)): k pinned negatives plus l+2 copies of A."""
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive int")
+    positive_int(k, "k")
     if not isinstance(l, int) or l < 0:
         raise ConfigError("l must be a nonnegative int")
-    if not (t0 > 0.0 and math.isfinite(t0)):
-        raise ConfigError("t0 must be a positive finite float")
+    t0 = positive_float(t0, "t0")
     blocks = [SymMatrix(-t0 * np.eye(k))]
     blocks.extend([A] * (l + 2))
     return direct_sum(blocks)
@@ -71,14 +69,14 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     entrywise squaring pushes the rank up to min(2k-1, k(k+1)/2).  Defaults to
     equispaced nodes u_i = (i + 1) / (2k) in (0, 1).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive int")
-    if not (t0 > 0.0 and math.isfinite(t0)):
-        raise ConfigError("t0 must be a positive finite float")
-    size = 2 * k - 1
+    size = 2 * positive_int(k, "k") - 1
+    t0 = positive_float(t0, "t0")
     if u is None:
         u = [(i + 1) / (2 * k) for i in range(size)]
-    u_arr = np.array([float(v) for v in u])
+    try:
+        u_arr = np.array(u, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"u must be a list of {size} numbers") from None
     if u_arr.shape != (size,):
         raise ConfigError(f"u must have {size} components")
     if not np.all(u_arr > 0.0) or len(set(u_arr.tolist())) != size:
@@ -97,8 +95,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
     (entrywise powers) is positive definite for every j >= 2: its determinant
     expands to t0^(2j) * (10^j - 9^j - 8^j + 6^j + 6^j - 5^j) > 0.
     """
-    if not (t0 > 0.0 and math.isfinite(t0)):
-        raise ConfigError("t0 must be a positive finite float")
+    t0 = positive_float(t0, "t0")
     a = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 4.0]]))
     b = SymMatrix(t0 * np.array([[2.0, 3.0], [3.0, 5.0]]))
     return a, b
@@ -107,8 +104,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
 def ones_orthogonal_basis(size: int) -> np.ndarray:
     """Rows: the all-ones vector followed by the classical ones-orthogonal
     completion v_j = (1, ..., 1, -(j-1), 0, ..., 0) with ||v_j||^2 = (j-1)j."""
-    if not isinstance(size, int) or size < 1:
-        raise ConfigError("size must be a positive int")
+    positive_int(size, "size")
     basis = np.zeros((size, size))
     basis[0] = 1.0
     for j in range(2, size + 1):
@@ -124,13 +120,9 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     -epsilon * (j-1) * j on the ones-orthogonal completion vectors, so the
     inertia is (k, 0, 1).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive int")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ConfigError("delta must be a positive finite float")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ConfigError("epsilon must be a positive finite float")
-    n = k + 1
+    n = positive_int(k, "k") + 1
+    delta = positive_float(delta, "delta")
+    epsilon = positive_float(epsilon, "epsilon")
     basis = ones_orthogonal_basis(n)
     out = delta * np.ones((n, n))
     for j in range(1, n):
@@ -146,8 +138,7 @@ def equicorrelation(k: int, a: float, b: float) -> SymMatrix:
     multiplicity k, so the matrix has exactly k negative eigenvalues while
     all entries stay nonnegative.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive int")
+    positive_int(k, "k")
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 <= a < b):
@@ -216,12 +207,9 @@ def inflate(A: SymMatrix, partition: Sequence[Sequence[int]]) -> SymMatrix:
     rank, so the counts of negative and positive eigenvalues are preserved
     and only zeros are added.
     """
-    blocks_flat = [i for block in partition for i in block]
-    n = len(blocks_flat)
-    blocks = _check_partition(partition, n)
-    if len(blocks) != A.n:
-        raise ConfigError(f"partition has {len(blocks)} blocks, matrix has size {A.n}")
-    w = weight_matrix(blocks, n)
+    w = weight_matrix(partition, sum(len(block) for block in partition))
+    if w.shape[1] != A.n:
+        raise ConfigError(f"partition has {w.shape[1]} blocks, matrix has size {A.n}")
     return SymMatrix(w @ A.entries @ w.T)
 
 
@@ -249,8 +237,7 @@ def ones_pencil(k: int, t: float) -> SymMatrix:
     k - 1 negative eigenvalues (one fewer than the unshifted direct sum), a
     count that is independent of the magnitude of t beyond the threshold.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError("k must be a positive int")
+    positive_int(k, "k")
     t = float(t)
     if not math.isfinite(t):
         raise ConfigError("t must be finite")

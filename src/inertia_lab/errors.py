@@ -5,6 +5,8 @@ The CLI maps these onto process exit codes; see ``inertia_lab.cli``.
 
 from __future__ import annotations
 
+import math
+
 
 class InertiaLabError(Exception):
     """Base class for all package-specific errors."""
@@ -47,3 +49,18 @@ class RegimeNotCovered(InertiaLabError):
 
 class SamplingError(InertiaLabError):
     """No matrix with the requested inertia/domain could be produced."""
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` itself; :class:`ConfigError` unless it is an int >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive int")
+    return value
+
+
+def positive_float(value, what: str) -> float:
+    """``float(value)``; :class:`ConfigError` unless it is positive and finite."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be a positive finite float")
+    return value

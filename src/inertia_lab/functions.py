@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, RegimeNotCovered
+from .errors import ConfigError, DomainViolation, RegimeNotCovered, positive_float, positive_int
 from .linalg import DomainSpec, SymMatrix
 
 CLASSIFY_MODES = ("bounded", "exact", "inertia")
@@ -71,21 +71,9 @@ def _canonical_terms(arity: int, coeffs) -> tuple[tuple[tuple[int, ...], float],
     return terms
 
 
-def _check_arity(arity) -> None:
-    if not isinstance(arity, int) or arity < 1:
-        raise ConfigError("arity must be a positive int")
-
-
 def _check_slot(slot, lo: int, hi: int) -> None:
     if not isinstance(slot, int) or not lo <= slot <= hi:
         raise ConfigError(f"slot must lie in {lo}..{hi}, got {slot!r}")
-
-
-def _positive(value, what: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{what} must be a positive finite float")
-    return value
 
 
 def _unit(slot: int, arity: int) -> tuple[int, ...]:
@@ -163,15 +151,15 @@ def Constant(value: float, arity: int = 1) -> FunctionSpec:
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError("constant value must be finite")
-    _check_arity(arity)
+    positive_int(arity, "arity")
     form = {"type": "constant", "value": value, "arity": arity}
     return _spec(arity, [((0,) * arity, value)], form)
 
 
 def Homothety(c: float, slot: int = 1, arity: int = 1) -> FunctionSpec:
     """f(x) = c * x_slot with c > 0 (slot is 1-based)."""
-    c = _positive(c, "homothety ratio")
-    _check_arity(arity)
+    c = positive_float(c, "homothety ratio")
+    positive_int(arity, "arity")
     _check_slot(slot, 1, arity)
     form = {"type": "homothety", "c": c, "slot": slot, "arity": arity}
     return _spec(arity, [(_unit(slot, arity), c)], form)
@@ -182,8 +170,8 @@ def Affine(offset: float, c: float, slot: int = 1, arity: int = 1) -> FunctionSp
     offset = float(offset)
     if not math.isfinite(offset):
         raise ConfigError("affine offset must be finite")
-    c = _positive(c, "affine slope")
-    _check_arity(arity)
+    c = positive_float(c, "affine slope")
+    positive_int(arity, "arity")
     _check_slot(slot, 1, arity)
     form = {"type": "affine", "offset": offset, "c": c, "slot": slot, "arity": arity}
     return _spec(arity, [((0,) * arity, offset), (_unit(slot, arity), c)], form)
@@ -195,7 +183,7 @@ def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
     Repeated multi-indices are merged.  ``degree`` bounds the total degree of
     the support; it defaults to the largest |alpha| present.
     """
-    _check_arity(arity)
+    positive_int(arity, "arity")
     terms = _canonical_terms(arity, coeffs)
     max_deg = max((sum(a) for a, _ in terms), default=0)
     if degree is None:
@@ -215,7 +203,7 @@ def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
 
 def SplitForm(arity: int, base: FunctionSpec, c: float, slot: int) -> FunctionSpec:
     """f(x) = base(x_1, ..., x_m0) + c * x_slot with c >= 0 and slot > m0."""
-    _check_arity(arity)
+    positive_int(arity, "arity")
     if not isinstance(base, FunctionSpec) or base.to_json_dict()["type"] != "series":
         raise ConfigError("split-form base must be a Series")
     c = float(c)

@@ -10,16 +10,18 @@ Claim vocabulary (the ``theorem`` field of run configs and reports):
 * ``bounded`` -- on tuples with exactly k_p negatives per slot, the image has
   at most l negatives; l = 0 means the image must be PSD.
 * ``lift``    -- the image negativity count is unchanged when every slot is
-  lifted by replicating its last coordinate (checked at sizes n, n+3, n+7).
+  lifted by replicating its last coordinate (compared at n+3 and n+7 against n).
 
 ``verify_forward`` first runs the syntactic classifier; a non-conforming
 function yields a vacuous report (nothing is verified).  ``falsify`` goes the
 other way: it uses the violated clause to pick a witness recipe, validates
 every candidate numerically (membership, domain, and the violation itself),
-and falls back to seeded random search when no recipe applies.  Trials run
-one after another in index order, so reports are deterministic for a fixed
-seed.  The ``threads`` argument of the entry points is validated and has no
-other effect.
+and falls back to seeded random search when no recipe applies.  Forward
+verification and random search run the same trial: sample a member tuple from
+the trial's own stream, apply ``fn`` and judge the image.  Trials run one
+after another in index order, so reports are deterministic for a fixed seed.
+The ``threads`` argument of the entry points is validated and has no other
+effect.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bools, which are ints to Python
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
@@ -109,18 +116,18 @@ class TrialConfig:
     tol: TolerancePolicy = field(default_factory=TolerancePolicy)
 
     def __post_init__(self):
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 0:
+        if not _is_int(self.l) or self.l < 0:
             raise ConfigError(f"l must be a nonnegative int, got {self.l!r}")
-        if not isinstance(self.trials, int) or not 1 <= self.trials <= 10_000_000:
+        if not _is_int(self.trials) or not 1 <= self.trials <= 10_000_000:
             raise ConfigError("trials must be an int in 1..10_000_000")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be an int in [0, 2^64)")
         kmax = max(self.k.k)
         floor = kmax + 1 if (self.dom.one_sided and kmax >= 1) else max(1, kmax)
         if self.n_range is None:
             object.__setattr__(self, "n_range", (floor + 1, floor + 6))
         lo, hi = self.n_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
             raise ConfigError(f"bad n_range {self.n_range!r}")
         if lo < floor:
             raise ConfigError(
@@ -177,6 +184,13 @@ def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * sgn
 
 
+def _random_partition(n: int, s: int, rng: np.random.Generator) -> list[list[int]]:
+    """range(n) cut at s - 1 random places into s consecutive blocks."""
+    cuts = sorted(rng.choice(np.arange(1, n), size=s - 1, replace=False).tolist()) if s > 1 else []
+    bounds = [0, *cuts, n]
+    return [list(range(bounds[j], bounds[j + 1])) for j in range(s)]
+
+
 def sample_with_inertia(
     n: int,
     k: int,
@@ -229,10 +243,7 @@ def sample_with_inertia(
             elif rng.uniform() < 0.35 and n >= k + 2:
                 s = int(rng.integers(k + 1, n))
                 core = sample_with_inertia(s, k, dom, rng, tol)
-                cuts = sorted(rng.choice(np.arange(1, n), size=s - 1, replace=False).tolist())
-                bounds = [0] + [int(c) for c in cuts] + [n]
-                partition = [list(range(bounds[i], bounds[i + 1])) for i in range(s)]
-                cand = inflate(core, partition)
+                cand = inflate(core, _random_partition(n, s, rng))
             else:
                 nb = n - k - 1
                 v = rng.uniform(0.3, 1.0, size=(nb, nb))
@@ -356,6 +367,31 @@ def _violation(claim: str, l: int, out: Inertia, ref: Inertia | None) -> bool:
     raise ConfigError(f"no violation predicate for claim {claim!r}")
 
 
+def _judge(
+    claim: str,
+    fn: FunctionSpec,
+    mats: tuple[SymMatrix, ...],
+    cfg: TrialConfig,
+    clause: str,
+    ref: Inertia | None,
+) -> Witness | None:
+    """Apply ``fn`` to a member tuple and count the image; a Witness on violation.
+
+    ``ref`` is the first slot's inertia (used by the inertia claim).  A lift
+    claim compares the image count at size n with the counts at n+3 and n+7,
+    and its witness is the lifted tuple.
+    """
+    out = inertia(apply_entrywise(fn, mats, cfg.dom), cfg.tol)
+    if claim != "lift":
+        return Witness(mats, fn, out, clause) if _violation(claim, cfg.l, out, ref) else None
+    for extra in (3, 7):
+        lifted = tuple(lift_finite(m, mats[0].n + extra) for m in mats)
+        up = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol)
+        if up.n_neg != out.n_neg:
+            return Witness(lifted, fn, up, clause)
+    return None
+
+
 def _make_witness(
     claim: str,
     fn: FunctionSpec,
@@ -363,7 +399,7 @@ def _make_witness(
     cfg: TrialConfig,
     clause: str,
 ) -> Witness | None:
-    """Validate a candidate tuple end to end; None when it is no witness."""
+    """Check each slot's domain and inertia, then judge; None when it is no witness."""
     mats = tuple(mats)
     if len(mats) != cfg.k.m:
         return None
@@ -371,18 +407,26 @@ def _make_witness(
     for p, (m, k_p) in enumerate(zip(mats, cfg.k.k), start=1):
         cfg.dom.check_matrix(m, slot=p)
         ine = inertia(m, cfg.tol)
-        if claim == "closure":
-            if ine.n_neg > k_p:
-                return None
-        elif ine.n_neg != k_p:
+        if ine.n_neg > k_p or (claim != "closure" and ine.n_neg != k_p):
             return None
         if p == 1:
             ref = ine
-    image = apply_entrywise(fn, mats, cfg.dom)
-    out = inertia(image, cfg.tol)
-    if _violation(claim, cfg.l, out, ref):
-        return Witness(mats, fn, out, clause)
-    return None
+    return _judge(claim, fn, mats, cfg, clause, ref)
+
+
+def _trial(
+    claim: str, fn: FunctionSpec, cfg: TrialConfig, i: int, clause: str, closure: bool
+) -> Witness | None:
+    """Trial i: sample a member tuple from stream i and judge it.
+
+    The sampled slots are not counted again: ``sample_with_inertia`` has
+    already checked their domain and negative count at ``cfg.tol``.
+    """
+    rng = _trial_rng(cfg.seed, i)
+    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+    mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, cfg.tol, closure=closure)
+    ref = inertia(mats[0], cfg.tol) if claim == "inertia" else None
+    return _judge(claim, fn, mats, cfg, clause, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +440,13 @@ def _check_claim(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> None:
         raise ConfigError(f"function arity {fn.arity} does not match k arity {cfg.k.m}")
     if claim == "inertia" and cfg.k.m != 1:
         raise ConfigError("the inertia claim is single-variable")
+
+
+def _verdict(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> PreserverVerdict | None:
+    """The classifier's verdict; None for lift, which every function satisfies."""
+    if claim == "lift":
+        return None
+    return classify(fn, cfg.k, cfg.l, cfg.dom, mode=_CLAIM_TO_MODE[claim])
 
 
 def verify_forward(
@@ -413,39 +464,20 @@ def verify_forward(
     _check_threads(threads)
     started = time.perf_counter()
 
-    if claim != "lift":
-        verdict = classify(fn, cfg.k, cfg.l, cfg.dom, mode=_CLAIM_TO_MODE[claim])
-        if not verdict.conforms:
-            return VerdictReport(
-                claim, "verify", fn, cfg, 0, 0, [],
-                label=(
-                    f"vacuous: function violates clause '{verdict.clause}'"
-                    f" ({verdict.detail}); nothing verified"
-                ),
-                runtime_ms=1000.0 * (time.perf_counter() - started),
-            )
+    verdict = _verdict(claim, fn, cfg)
+    if verdict is not None and not verdict.conforms:
+        return VerdictReport(
+            claim, "verify", fn, cfg, 0, 0, [],
+            label=(
+                f"vacuous: function violates clause '{verdict.clause}'"
+                f" ({verdict.detail}); nothing verified"
+            ),
+            runtime_ms=1000.0 * (time.perf_counter() - started),
+        )
 
-    lo, hi = cfg.n_range
-
-    def worker(i: int):
-        rng = _trial_rng(cfg.seed, i)
-        n = int(rng.integers(lo, hi + 1))
-        mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, cfg.tol, closure=(claim == "closure"))
-        if claim == "lift":
-            base = inertia(apply_entrywise(fn, mats, cfg.dom), cfg.tol).n_neg
-            for extra in (0, 3, 7):
-                lifted = tuple(lift_finite(m, n + extra) for m in mats)
-                out = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol)
-                if out.n_neg != base:
-                    return Witness(lifted, fn, out, "lift-transfer-mismatch")
-            return None
-        ref = inertia(mats[0], cfg.tol) if claim == "inertia" else None
-        out = inertia(apply_entrywise(fn, mats, cfg.dom), cfg.tol)
-        if _violation(claim, cfg.l, out, ref):
-            return Witness(mats, fn, out, f"verify-failure:{claim}")
-        return None
-
-    witnesses = [w for w in map(worker, range(cfg.trials)) if w is not None]
+    clause = "lift-transfer-mismatch" if claim == "lift" else f"verify-failure:{claim}"
+    found = (_trial(claim, fn, cfg, i, clause, claim == "closure") for i in range(cfg.trials))
+    witnesses = [w for w in found if w is not None]
     failures = len(witnesses)
     label = (
         f"pass: {cfg.trials} trials, 0 failures"
@@ -552,16 +584,8 @@ def _recipe_negative_linear(fn, cfg, rng, t0, eps):
     _, _, linear, _ = _decompose(fn, ks.m0)
     p = min(q for q, c in linear.items() if c < 0.0)
     k_p = ks.k[p - 1]
-    pad = cfg.l + 3
-    if not dom.one_sided:
-        diag = np.concatenate([-t0 * np.ones(k_p), t0 * np.ones(pad)])
-        core = SymMatrix(np.diag(diag))
-    else:
-        core = embed_with_negatives(
-            t0, 2 * t0, k_p,
-            eps if dom.kind == "open_positive" else 0.0,
-            SymMatrix(t0 * np.eye(pad)),
-        )
+    # a pad block of size l + 3 on every domain kind
+    core = _member_filler(k_p + cfg.l + 3 + dom.one_sided, k_p, dom, t0, eps)
     return [_fill_slots(core.n, {p: core}, _ones(core.n, t0), ks, dom, t0, eps)]
 
 
@@ -806,10 +830,7 @@ def falsify(
     _check_threads(threads)
     started = time.perf_counter()
 
-    verdict: PreserverVerdict | None = None
-    if claim != "lift":
-        verdict = classify(fn, cfg.k, cfg.l, cfg.dom, mode=_CLAIM_TO_MODE[claim])
-
+    verdict = _verdict(claim, fn, cfg)
     if (verdict is None or verdict.conforms) and strategy != "random":
         clause = verdict.clause if verdict is not None else "universal-identity"
         return VerdictReport(
@@ -840,19 +861,10 @@ def falsify(
                 runtime_ms=1000.0 * (time.perf_counter() - started),
             )
 
+    # random search samples exactly k_p negatives per slot, also under closure
     clause = verdict.clause if verdict is not None else "random-search"
-    lo, hi = cfg.n_range
-
-    def worker(i: int):
-        rng = _trial_rng(cfg.seed, i)
-        n = int(rng.integers(lo, hi + 1))
-        try:
-            mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, cfg.tol)
-            return _make_witness(claim, fn, mats, cfg, clause)
-        except (ConfigError, DomainViolation):
-            return None
-
-    witnesses = [w for w in map(worker, range(cfg.trials)) if w is not None]
+    found = (_trial(claim, fn, cfg, i, clause, False) for i in range(cfg.trials))
+    witnesses = [w for w in found if w is not None]
     total = attempts + cfg.trials
     if witnesses:
         label = f"witness found by random search ({len(witnesses)} of {cfg.trials} trials)"
@@ -871,8 +883,7 @@ def falsify(
 # lemma suite
 # ---------------------------------------------------------------------------
 
-def _suite_block_identity(cfg: TrialConfig, i: int) -> bool:
-    rng = _trial_rng(cfg.seed, (1 << 40) + i)
+def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     n = int(rng.integers(1, 7))
     scale = cfg.dom.rho_eff / 2.0
     a = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
@@ -885,8 +896,7 @@ def _suite_block_identity(cfg: TrialConfig, i: int) -> bool:
     )
 
 
-def _suite_rank_one(cfg: TrialConfig, i: int) -> bool:
-    rng = _trial_rng(cfg.seed, (2 << 40) + i)
+def _suite_rank_one(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     n = int(rng.integers(2, 11))
     k = int(rng.integers(0, n + 1))
     dom = DomainSpec("two_sided", math.inf)
@@ -899,22 +909,17 @@ def _suite_rank_one(cfg: TrialConfig, i: int) -> bool:
     return up in (k - 1, k) and down in (k, k + 1)
 
 
-def _suite_inflation(cfg: TrialConfig, i: int) -> bool:
-    rng = _trial_rng(cfg.seed, (3 << 40) + i)
+def _suite_inflation(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     s = int(rng.integers(1, 6))
     n = s + int(rng.integers(0, 6))
     g = rng.uniform(-1.0, 1.0, size=(s, s))
     a = SymMatrix(g + g.T)
-    cuts = sorted(rng.choice(np.arange(1, n), size=s - 1, replace=False).tolist()) if s > 1 else []
-    bounds = [0] + [int(c) for c in cuts] + [n]
-    partition = [list(range(bounds[j], bounds[j + 1])) for j in range(s)]
     before = inertia(a, cfg.tol)
-    after = inertia(inflate(a, partition), cfg.tol)
+    after = inertia(inflate(a, _random_partition(n, s, rng)), cfg.tol)
     return (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
 
 
-def _suite_pinned(cfg: TrialConfig, i: int) -> bool:
-    rng = _trial_rng(cfg.seed, (4 << 40) + i)
+def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     k = int(rng.integers(1, 5))
     a = rng.uniform(0.0, 0.3)
     b = a + rng.uniform(0.1, 0.5)
@@ -927,8 +932,7 @@ def _suite_pinned(cfg: TrialConfig, i: int) -> bool:
     return len(neg) == k and all(abs(x - (a - b)) <= 1e-9 * max(1.0, abs(a - b)) for x in neg)
 
 
-def _suite_pencil(cfg: TrialConfig, i: int) -> bool:
-    rng = _trial_rng(cfg.seed, (5 << 40) + i)
+def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     k = int(rng.integers(1, 5))
     t = float(rng.uniform(1.05, 10.0))
     if inertia(pencil_base(), cfg.tol) != Inertia(1, 0, 2):
@@ -951,8 +955,11 @@ def lemma_suite(cfg: TrialConfig, threads: int | None = None) -> VerdictReport:
     started = time.perf_counter()
     failures = 0
     parts = []
-    for name, batch in _SUITE:
-        bad = sum(1 for i in range(cfg.trials) if not batch(cfg, i))
+    # batch j draws trial i from stream (j << 40) + i, apart from every
+    # verify and falsify stream
+    for j, (name, batch) in enumerate(_SUITE, start=1):
+        streams = (_trial_rng(cfg.seed, (j << 40) + i) for i in range(cfg.trials))
+        bad = sum(1 for rng in streams if not batch(cfg, rng))
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

@@ -102,25 +102,24 @@ class DomainSpec:
     def one_sided(self) -> bool:
         return self.kind != "two_sided"
 
-    def contains(self, x: float) -> bool:
-        if not math.isfinite(x):
-            return False
+    def _inside(self, x) -> np.ndarray:
+        """Elementwise membership of the entries of ``x`` (any shape)."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "two_sided":
-            return -self.rho < x < self.rho
-        if self.kind == "open_positive":
-            return 0.0 < x < self.rho
-        return 0.0 <= x < self.rho
+            above = x > -self.rho
+        elif self.kind == "open_positive":
+            above = x > 0.0
+        else:
+            above = x >= 0.0
+        return np.isfinite(x) & above & (x < self.rho)
+
+    def contains(self, x: float) -> bool:
+        return bool(self._inside(x))
 
     def check_matrix(self, A: "SymMatrix", slot: int = 1) -> None:
         """Raise :class:`DomainViolation` at the first out-of-domain entry."""
         ent = A.entries
-        ok = np.isfinite(ent)
-        if self.kind == "two_sided":
-            ok &= np.abs(ent) < self.rho
-        elif self.kind == "open_positive":
-            ok &= (ent > 0.0) & (ent < self.rho)
-        else:
-            ok &= (ent >= 0.0) & (ent < self.rho)
+        ok = self._inside(ent)
         if bool(ok.all()):
             return
         bad = np.argwhere(~ok)
@@ -206,7 +205,7 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
     def to_rows(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": self.to_rows()}

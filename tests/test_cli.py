@@ -112,6 +112,26 @@ def test_non_numeric_json_values_are_config_errors(argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "inflate", "--matrix", "[[1.0, 2.0], [2.0, 1.0]]", "--partition", "[[0,1],2]"],
+        ["construct", "inflate", "--matrix", "[[1.0]]", "--partition", "[0,1]"],
+        ["construct", "weight", "--n", "3", "--partition", "[[0,1],2]"],
+        ["construct", "weight", "--n", "2", "--partition", "[0,1]"],
+        ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", '["x",1,2]'],
+        ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", '{"a":1}'],
+        ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", "3"],
+        ["verify", json.dumps(dict(VERIFY_SPEC, config=dict(VERIFY_SPEC["config"], trials=True)))],
+    ],
+)
+def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert "inertia-lab: error:" in err
+
+
 def test_eigensolve_that_does_not_converge_exits_one(monkeypatch):
     monkeypatch.setattr("inertia_lab.linalg.MAX_SWEEPS", 0)
     code, out, err = run_cli(["inertia", "--matrix", "[[1,2],[2,1]]"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inertia_lab import harness
 from inertia_lab._json import dumps
 from inertia_lab.errors import ConfigError, SamplingError
 from inertia_lab.functions import (
@@ -123,6 +124,10 @@ def test_trial_config_validates_ranges():
         TrialConfig(dom, AdmissibleK((1,)), 1, trials=0)
     with pytest.raises(ConfigError):
         TrialConfig(dom, AdmissibleK((1,)), 1, seed=-1)
+    # JSON true is a bool, not a count
+    for bad in ({"trials": True}, {"seed": False}, {"n_range": (True, 3)}, {"n_range": (2, True)}):
+        with pytest.raises(ConfigError):
+            TrialConfig(dom, AdmissibleK((1,)), 1, **bad)
 
 
 def test_verify_homothety_has_no_failures():
@@ -225,6 +230,23 @@ def test_falsify_random_strategy_skips_recipes():
     # a constant map always lands at exactly one negative eigenvalue, never two
     assert rep.failures >= 1
     assert inertia(apply_entrywise(Constant(-5.0), list(rep.witnesses[0].mats), cfg.dom)).n_neg == 1
+
+
+def test_random_search_on_a_lift_claim_checks_the_lift(monkeypatch):
+    calls = []
+    real = harness.lift_finite
+
+    def spy(m, size):
+        calls.append((m.n, size))
+        return real(m, size)
+
+    monkeypatch.setattr(harness, "lift_finite", spy)
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=5, seed=2)
+    rep = falsify("lift", Series(1, {(2,): 1.0}), cfg, strategy="random")
+    assert rep.failures == 0
+    # one slot, lifted to n + 3 and n + 7 in every trial
+    assert len(calls) == 2 * cfg.trials
+    assert all(size - n in (3, 7) for n, size in calls)
 
 
 def test_falsify_rejects_unknown_strategy():

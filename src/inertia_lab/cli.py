@@ -62,6 +62,7 @@ from .linalg import (
     TolerancePolicy,
     eig_sym,
     inertia,
+    spectrum_inertia,
     sym,
 )
 from .pontryagin import (
@@ -148,10 +149,12 @@ def _err(message) -> None:
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
     tol = _tol_arg(args.tolerance)
-    out = inertia(a, tol).to_json_dict()
     if args.eigenvalues:
+        # one solve gives both the counts and the printed spectrum
         lam, _ = eig_sym(a, tol)
-        out["eigenvalues"] = lam.tolist()
+        out = {**spectrum_inertia(a, lam, tol).to_json_dict(), "eigenvalues": lam.tolist()}
+    else:
+        out = inertia(a, tol).to_json_dict()
     _emit(out, indent=None)
     return EXIT_OK
 
@@ -231,6 +234,9 @@ def _cmd_run(args) -> int:
             raise ConfigError('run config must name a "theorem" claim')
         if "fn" not in spec:
             raise ConfigError('run config must carry an "fn" object')
+    for key in ("out_json", "out_csv"):
+        if key in spec and not (isinstance(spec[key], str) and spec[key]):
+            raise ConfigError(f'run config "{key}" must be a nonempty path string')
     cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
     threads = args.threads if args.threads is not None else spec.get("threads")
     if suite:

@@ -10,6 +10,7 @@ claims.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,9 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
         raise ConfigError(f"u must be a list of {size} numbers") from None
     if u_arr.shape != (size,):
         raise ConfigError(f"u must have {size} components")
+    # numpy would parse the string "0.1" as a node
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in u):
+        raise ConfigError(f"u must be a list of {size} numbers")
     if not np.all(u_arr > 0.0) or len(set(u_arr.tolist())) != size:
         raise ConfigError("u must consist of distinct positive values")
     out = np.zeros((size, size))

@@ -52,8 +52,8 @@ class SamplingError(InertiaLabError):
 
 
 def positive_int(value, what: str) -> int:
-    """``value`` itself; :class:`ConfigError` unless it is an int >= 1."""
-    if not isinstance(value, int) or value < 1:
+    """``value`` itself; :class:`ConfigError` unless it is an int >= 1 (bools are not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{what} must be a positive int")
     return value
 

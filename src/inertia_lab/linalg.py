@@ -29,9 +29,10 @@ DOMAIN_KINDS = ("two_sided", "open_positive", "closed_left")
 class TolerancePolicy:
     """Numerical thresholds used by the eigensolver and inertia counting.
 
-    ``rel_zero`` decides when an eigenvalue counts as zero, relative to
-    ``max(1, ||A||_F)``.  ``eig_convergence`` is the relative off-diagonal
-    Frobenius mass below which the Jacobi iteration stops.
+    Both are relative to ``||A||_F`` alone, so no positive scaling of A
+    changes a count.  ``rel_zero`` decides when an eigenvalue counts as zero:
+    |lam| <= rel_zero * ||A||_F.  ``eig_convergence`` is the off-diagonal
+    Frobenius mass, over ``||A||_F``, below which the Jacobi iteration stops.
     """
 
     rel_zero: float = 1e-9
@@ -158,8 +159,9 @@ class DomainSpec:
 class SymMatrix:
     """Immutable real symmetric matrix.
 
-    Construction symmetrizes the input by averaging with its transpose and
-    mirroring the upper triangle, so the stored array is bitwise symmetric.
+    Construction symmetrizes the input by averaging it with its transpose;
+    IEEE addition commutes, so the stored array is bitwise symmetric, and
+    adding +0.0 stores every zero as +0.0.
     The entry array is frozen (non-writeable), so an instance never changes
     after construction.
     """
@@ -174,9 +176,7 @@ class SymMatrix:
             raise ConfigError("matrices must have at least one row")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
-        a = 0.5 * (a + a.T)
-        upper = np.triu(a)
-        a = upper + np.triu(a, 1).T
+        a = 0.5 * (a + a.T) + 0.0
         a.flags.writeable = False
         self._a = a
         self._fro = float(np.sqrt(np.sum(a * a)))
@@ -283,8 +283,8 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
     if n == 1:
         return np.array([a[0, 0]]), qmat
 
-    scale = max(1.0, A.fro)
-    stop = tol.eig_convergence * scale
+    # the zero matrix stops at once: its off-diagonal mass is 0 <= 0
+    stop = tol.eig_convergence * A.fro
     # if every pivot is below `skip`, the total off-diagonal mass is below `stop`
     skip = stop / (2.0 * n)
 
@@ -308,8 +308,19 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
 
 
 def zero_threshold(A: SymMatrix, tol: TolerancePolicy) -> float:
-    """Eigenvalues of ``A`` with |lam| <= this count as zero: rel_zero * max(1, ||A||_F)."""
-    return tol.rel_zero * max(1.0, A.fro)
+    """Eigenvalues of ``A`` with |lam| <= this count as zero: rel_zero * ||A||_F.
+
+    Purely relative, so inertia(c * A) == inertia(A) for every c > 0.
+    """
+    return tol.rel_zero * A.fro
+
+
+def spectrum_inertia(A: SymMatrix, lam: np.ndarray, tol: TolerancePolicy) -> Inertia:
+    """The sign counts of ``lam``, the spectrum of ``A``, against :func:`zero_threshold`."""
+    thresh = zero_threshold(A, tol)
+    n_neg = int(np.sum(lam < -thresh))
+    n_pos = int(np.sum(lam > thresh))
+    return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)
 
 
 def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
@@ -317,11 +328,7 @@ def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
 
     An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
     """
-    lam, _ = eig_sym(A, tol)
-    thresh = zero_threshold(A, tol)
-    n_neg = int(np.sum(lam < -thresh))
-    n_pos = int(np.sum(lam > thresh))
-    return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)
+    return spectrum_inertia(A, eig_sym(A, tol)[0], tol)
 
 
 def rank(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> int:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from inertia_lab import cli, linalg
 from inertia_lab.cli import main
 from inertia_lab.constructions import pencil_base
 from inertia_lab.linalg import SymMatrix
@@ -40,6 +41,22 @@ def test_inertia_compact_output():
     code, out, err = run_cli(["inertia", "--matrix", "[[1,2],[2,1]]"])
     assert code == 0
     assert out == '{"neg":1,"zero":0,"pos":1}\n'
+
+
+def test_inertia_with_eigenvalues_runs_one_eigensolve(monkeypatch):
+    solves = []
+    real = linalg.eig_sym
+
+    def spy(*args, **kwargs):
+        solves.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_sym", spy)
+    monkeypatch.setattr(cli, "eig_sym", spy)
+    code, out, err = run_cli(["inertia", "--eigenvalues", "--matrix", "[[1,2],[2,1]]"])
+    assert code == 0
+    assert out == '{"neg":1,"zero":0,"pos":1,"eigenvalues":[-1.0,3.0]}\n'
+    assert solves == [2]
 
 
 def test_inertia_rejects_asymmetric_matrix():
@@ -123,6 +140,8 @@ def test_non_numeric_json_values_are_config_errors(argv):
         ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", '{"a":1}'],
         ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", "3"],
         ["verify", json.dumps(dict(VERIFY_SPEC, config=dict(VERIFY_SPEC["config"], trials=True)))],
+        ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", '["0.1", 0.5, 0.9]'],
+        ["apply", "--fn", '{"type":"homothety","c":1,"arity":true}', "--matrix", "[[1.0]]"],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
@@ -130,6 +149,18 @@ def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
     assert code == 2
     assert out == ""
     assert "inertia-lab: error:" in err
+
+
+@pytest.mark.parametrize("key,value", [("out_csv", 7), ("out_json", ["x"]), ("out_json", "")])
+def test_report_paths_are_checked_before_the_run(monkeypatch, key, value):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("inertia_lab.cli.verify_forward", no_run)
+    code, out, err = run_cli(["verify", json.dumps(dict(VERIFY_SPEC, **{key: value}))])
+    assert code == 2
+    assert out == ""
+    assert key in err
 
 
 def test_eigensolve_that_does_not_converge_exits_one(monkeypatch):

@@ -41,32 +41,32 @@ def test_sampler_hits_requested_inertia(kind, k):
     rng = _rng(17 * k + len(kind))
     n = k + 2
     for _ in range(10):
-        m = sample_with_inertia(n, k, dom, rng, TOL)
+        m = sample_with_inertia(n, k, dom, rng)
         assert m.n == n
         assert inertia(m).n_neg == k
         assert is_member(m, k, dom, TOL, closure=False)
 
 
 def test_sampler_unbounded_domain():
-    m = sample_with_inertia(4, 2, DomainSpec("two_sided", float("inf")), _rng(5), TOL)
+    m = sample_with_inertia(4, 2, DomainSpec("two_sided", float("inf")), _rng(5))
     assert inertia(m).n_neg == 2
 
 
 def test_one_sided_square_case_is_impossible():
     # entries >= 0 force a nonnegative trace, so all-negative spectra are out
     with pytest.raises(SamplingError):
-        sample_with_inertia(3, 3, DomainSpec("open_positive", 1.0), _rng(0), TOL)
+        sample_with_inertia(3, 3, DomainSpec("open_positive", 1.0), _rng(0))
 
 
 def test_two_sided_allows_negative_definite():
-    m = sample_with_inertia(3, 3, DomainSpec("two_sided", 1.0), _rng(1), TOL)
+    m = sample_with_inertia(3, 3, DomainSpec("two_sided", 1.0), _rng(1))
     assert inertia(m) == inertia(m).__class__(3, 0, 0)
 
 
 def test_tuple_sampler_respects_each_slot():
     ks = AdmissibleK((0, 1, 2))
     dom = DomainSpec("two_sided", 1.0)
-    mats = sample_member_tuple(ks, 4, dom, _rng(2), TOL)
+    mats = sample_member_tuple(ks, 4, dom, _rng(2))
     assert [inertia(m).n_neg for m in mats] == [0, 1, 2]
 
 
@@ -76,7 +76,7 @@ def test_tuple_sampler_closure_stays_at_or_below():
     rng = _rng(3)
     seen = set()
     for _ in range(20):
-        mats = sample_member_tuple(ks, 5, dom, rng, TOL, closure=True)
+        mats = sample_member_tuple(ks, 5, dom, rng, closure=True)
         assert inertia(mats[0]).n_neg == 0
         j = inertia(mats[1]).n_neg
         assert 0 <= j <= 3
@@ -187,11 +187,21 @@ RECIPE_CASES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["two_sided", "open_positive", "closed_left"])
+KINDS = ["two_sided", "open_positive", "closed_left"]
+
+# the cases at rho = 1 keep their plain kind as id
+RECIPE_DOMAINS = [
+    pytest.param(kind, rho, id=kind if rho == 1.0 else f"{kind}-rho={rho:g}")
+    for rho in (1.0, 1e12)
+    for kind in KINDS
+]
+
+
+@pytest.mark.parametrize("kind,rho", RECIPE_DOMAINS)
 @pytest.mark.parametrize("clause", list(RECIPE_CASES))
-def test_every_recipe_finds_a_witness_that_revalidates(clause, kind):
+def test_every_recipe_finds_a_witness_that_revalidates(clause, kind, rho):
     claim, fn, k, l = RECIPE_CASES[clause]
-    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=6, seed=5)
+    cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
     rep = falsify(claim, fn, cfg, strategy="recipe")
     assert rep.label == f"witness found via recipe for clause '{clause}'"
     assert [w.clause for w in rep.witnesses] == [clause]
@@ -318,7 +328,42 @@ def test_csv_row_has_runtime_column():
 )
 def test_sampler_property_two_sided(k, seed):
     dom = DomainSpec("two_sided", 2.0)
-    m = sample_with_inertia(k + 2, k, dom, _rng(seed), TOL)
+    m = sample_with_inertia(k + 2, k, dom, _rng(seed))
     tri = inertia(m)
     assert tri.n_neg == k
     assert float(np.abs(m.entries).max()) < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the sampler builds members: nothing counts them at run time, so test here
+# ---------------------------------------------------------------------------
+
+def _eigvalsh_negatives(m) -> int:
+    lam = np.linalg.eigvalsh(m.entries)
+    return int(np.sum(lam < -1e-9 * float(np.linalg.norm(m.entries))))
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12, math.inf])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_sampler_output_is_a_member_at_every_scale(kind, rho, seed):
+    dom = DomainSpec(kind, rho)
+    rng = _rng(seed)
+    for n in range(1, 9):
+        for k in range(n + 1 - dom.one_sided):
+            m = sample_with_inertia(n, k, dom, rng)
+            assert m.n == n
+            dom.check_matrix(m)
+            assert _eigvalsh_negatives(m) == k, (n, k)
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1e12])
+def test_verify_and_falsify_at_extreme_scales(rho):
+    cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((2,)), 2, trials=30, seed=7)
+    rep = verify_forward("exact", Homothety(2.0), cfg)
+    assert rep.label == "pass: 30 trials, 0 failures"
+    fn = Series(1, {(2,): 1.0})
+    rep = falsify("exact", fn, cfg)
+    assert rep.label == "witness found via recipe for clause 'nonlinear-term'"
+    assert rep.witnesses[0].revalidate("exact", cfg)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inertia_lab import linalg
+from inertia_lab.constructions import block_pair, inflate
 from inertia_lab.errors import (
     AsymmetryError,
     ConfigError,
     ConvergenceError,
     DomainViolation,
 )
+from inertia_lab.harness import _random_partition
 from inertia_lab.linalg import (
     DEFAULT_TOL,
     DomainSpec,
@@ -151,6 +153,20 @@ def test_symmatrix_is_immutable():
 def test_symmatrix_symmetrizes_construction_input():
     a = SymMatrix(np.array([[1.0, 2.0], [4.0, 1.0]]))
     assert a.entries[0, 1] == a.entries[1, 0] == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+def test_symmatrix_matches_the_mirrored_average_bitwise(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 301, size=(n, n))
+    a[rng.uniform(size=(n, n)) < 0.3] = 0.0
+    a *= rng.choice([-1.0, 1.0], size=(n, n))  # signed zeros
+    avg = 0.5 * (a + a.T)
+    mirrored = np.triu(avg) + np.triu(avg, 1).T
+    with np.errstate(over="ignore"):  # ||A||_F may overflow; only entries are compared
+        got = SymMatrix(a).entries
+    assert got.tobytes() == mirrored.tobytes()
 
 
 def test_symmatrix_equality_and_hash():
@@ -301,3 +317,69 @@ def test_negation_swaps_inertia(seed):
     ine = inertia(a)
     neg = inertia(SymMatrix(-a.entries))
     assert (ine.n_neg, ine.n_zero, ine.n_pos) == (neg.n_pos, neg.n_zero, neg.n_neg)
+
+
+# ---------------------------------------------------------------------------
+# the zero rule is scale-free
+# ---------------------------------------------------------------------------
+
+def _pinned(rng, k: int, s: int, n: int) -> tuple[SymMatrix, Inertia]:
+    """Q diag(lam) Q^T with k of its s eigenvalues negative and |lam| in
+    [0.1, 1], inflated to size n (n - s exact zeros), and its inertia."""
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)))
+    signs = np.where(np.arange(s) < k, -1.0, 1.0)
+    core = SymMatrix((q * (signs * rng.uniform(0.1, 1.0, size=s))) @ q.T)
+    return inflate(core, _random_partition(n, s, rng)), Inertia(k, n - s, s - k)
+
+
+def _scaled(a: SymMatrix, c: float) -> SymMatrix:
+    return SymMatrix(c * a.entries)
+
+
+PINNED = st.tuples(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+).map(lambda t: (t[0], t[0] + t[1], t[2]))
+
+SCALES = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+
+
+# overflow, division by zero and NaNs raise; underflow to zero is expected
+STRICT = dict(over="raise", divide="raise", invalid="raise")
+
+
+@settings(max_examples=80, deadline=None)
+@given(PINNED, SCALES)
+def test_inertia_is_scale_free_from_1e_minus_150_to_1e150(sizes, c):
+    s, n, seed = sizes
+    rng = np.random.default_rng(seed)
+    a, want = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
+    with np.errstate(**STRICT):
+        assert inertia(a) == want
+        assert inertia(_scaled(a, c)) == want
+        # the eigensolver's stop is relative too: the spectrum scales with A
+        lam = eig_sym(_scaled(a, c))[0] / c
+    assert np.max(np.abs(lam - np.linalg.eigvalsh(a.entries))) <= 1e-12 * a.fro
+
+
+def test_tiny_matrix_keeps_its_negative_eigenvalue():
+    a = SymMatrix(1e-10 * np.diag([-1.0, 1.0, 2.0]))
+    assert inertia(a) == Inertia(1, 0, 2)
+    assert inertia(SymMatrix(np.zeros((3, 3)))) == Inertia(0, 3, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(PINNED, SCALES)
+def test_negation_swap_and_block_pair_identity_are_scale_free(sizes, c):
+    s, n, seed = sizes
+    rng = np.random.default_rng(seed)
+    p, p_in = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
+    m, m_in = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
+    # [[A, B], [B, A]] with A + B = P and A - B = M carries both inertias
+    half_sum = _scaled(SymMatrix(p.entries + m.entries), 0.5 * c)
+    half_gap = _scaled(SymMatrix(p.entries - m.entries), 0.5 * c)
+    with np.errstate(**STRICT):
+        assert inertia(_scaled(p, -c)) == Inertia(p_in.n_pos, p_in.n_zero, p_in.n_neg)
+        pair = inertia(block_pair(half_sum, half_gap))
+    assert pair == Inertia(*(x + y for x, y in zip(p_in, m_in)))

@@ -149,12 +149,10 @@ def _err(message) -> None:
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
     tol = _tol_arg(args.tolerance)
+    lam, _ = eig_sym(a, tol)
+    out = spectrum_inertia(a, lam, tol).to_json_dict()
     if args.eigenvalues:
-        # one solve gives both the counts and the printed spectrum
-        lam, _ = eig_sym(a, tol)
-        out = {**spectrum_inertia(a, lam, tol).to_json_dict(), "eigenvalues": lam.tolist()}
-    else:
-        out = inertia(a, tol).to_json_dict()
+        out["eigenvalues"] = lam.tolist()
     _emit(out, indent=None)
     return EXIT_OK
 
@@ -234,9 +232,12 @@ def _cmd_run(args) -> int:
             raise ConfigError('run config must name a "theorem" claim')
         if "fn" not in spec:
             raise ConfigError('run config must carry an "fn" object')
-    for key in ("out_json", "out_csv"):
-        if key in spec and not (isinstance(spec[key], str) and spec[key]):
-            raise ConfigError(f'run config "{key}" must be a nonempty path string')
+    # a flag overrides the config value; null or an absent key means no file
+    out_json = args.out_json or spec.get("out_json")
+    out_csv = args.out_csv or spec.get("out_csv")
+    for key, path in (("out_json", out_json), ("out_csv", out_csv)):
+        if path is not None and not (isinstance(path, str) and path):
+            raise ConfigError(f'run config "{key}" must be a nonempty path string or null')
     cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
     threads = args.threads if args.threads is not None else spec.get("threads")
     if suite:
@@ -249,11 +250,9 @@ def _cmd_run(args) -> int:
             strategy = args.strategy or spec.get("strategy", "auto")
             report = falsify(spec["theorem"], fn, cfg, threads, strategy=strategy)
     payload = report.to_json_dict()
-    out_json = args.out_json or spec.get("out_json")
-    out_csv = args.out_csv or spec.get("out_csv")
-    if out_json:
+    if out_json is not None:
         _json.dump_path(payload, out_json, indent=2)
-    if out_csv:
+    if out_csv is not None:
         _write_csv(report, out_csv)
     _emit(payload)
     print(report.summary_line(), file=sys.stderr)

@@ -74,15 +74,13 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     t0 = positive_float(t0, "t0")
     if u is None:
         u = [(i + 1) / (2 * k) for i in range(size)]
-    try:
-        u_arr = np.array(u, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"u must be a list of {size} numbers") from None
-    if u_arr.shape != (size,):
-        raise ConfigError(f"u must have {size} components")
-    # numpy would parse the string "0.1" as a node
-    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in u):
+    if not (
+        isinstance(u, (list, tuple, np.ndarray))
+        and len(u) == size
+        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in u)
+    ):
         raise ConfigError(f"u must be a list of {size} numbers")
+    u_arr = np.array(u, dtype=float)
     if not np.all(u_arr > 0.0) or len(set(u_arr.tolist())) != size:
         raise ConfigError("u must consist of distinct positive values")
     out = np.zeros((size, size))

@@ -192,7 +192,8 @@ def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generato
     """Random matrix with exactly k negative eigenvalues and entries in dom.
 
     Every branch fixes the inertia and the entry range by construction, so
-    one candidate is built and returned without being counted or checked.
+    one candidate is built and returned without being counted or checked;
+    ``DomainSpec`` bounds rho so that this holds in floating point too.
     Over a two-sided domain the sample is Q diag(lam) Q^T with |lam| in
     [0.2, 1], rescaled to a peak entry below 0.85 rho.  Over one-sided
     domains entries must be nonnegative, so a matrix with all-negative
@@ -287,6 +288,9 @@ class Witness:
         return checked is not None and checked.observed == self.observed
 
 
+CSV_FIELDS = ["theorem", "mode", "trials", "failures", "witnesses", "label", "runtime_ms"]
+
+
 @dataclass
 class VerdictReport:
     claim: str
@@ -322,18 +326,10 @@ class VerdictReport:
         )
 
     def csv_row(self) -> dict:
-        return {
-            "theorem": self.claim,
-            "mode": self.mode,
-            "trials": self.trials,
-            "failures": self.failures,
-            "witnesses": len(self.witnesses),
-            "label": self.label,
-            "runtime_ms": f"{self.runtime_ms:.3f}",
-        }
-
-
-CSV_FIELDS = ["theorem", "mode", "trials", "failures", "witnesses", "label", "runtime_ms"]
+        return dict(zip(CSV_FIELDS, (
+            self.claim, self.mode, self.trials, self.failures, len(self.witnesses),
+            self.label, f"{self.runtime_ms:.3f}",
+)))
 
 
 def _violation(claim: str, l: int, out: Inertia, ref: Inertia | None) -> bool:
@@ -811,35 +807,29 @@ def falsify(
     _check_threads(threads)
     started = time.perf_counter()
 
+    def report(trials: int, witnesses: list[Witness], label: str) -> VerdictReport:
+        return VerdictReport(
+            claim, "falsify", fn, cfg, trials, len(witnesses), witnesses[:WITNESS_CAP],
+            label=label, runtime_ms=1000.0 * (time.perf_counter() - started),
+        )
+
     verdict = _verdict(claim, fn, cfg)
     if (verdict is None or verdict.conforms) and strategy != "random":
         clause = verdict.clause if verdict is not None else "universal-identity"
-        return VerdictReport(
-            claim, "falsify", fn, cfg, 0, 0, [],
-            label=(
-                f"conforms (clause '{clause}'): no witness exists for this claim; "
-                "nothing searched"
-            ),
-            runtime_ms=1000.0 * (time.perf_counter() - started),
-        )
+        label = f"conforms (clause '{clause}'): no witness exists for this claim; nothing searched"
+        return report(0, [], label)
 
     attempts = 0
     if verdict is not None and not verdict.conforms and strategy in ("auto", "recipe"):
         witness, attempts = _recipe_witness(verdict.clause, claim, fn, cfg)
         if witness is not None:
-            return VerdictReport(
-                claim, "falsify", fn, cfg, attempts, 1, [witness],
-                label=f"witness found via recipe for clause '{verdict.clause}'",
-                runtime_ms=1000.0 * (time.perf_counter() - started),
+            return report(
+                attempts, [witness], f"witness found via recipe for clause '{verdict.clause}'"
             )
         if strategy == "recipe":
-            return VerdictReport(
-                claim, "falsify", fn, cfg, attempts, 0, [],
-                label=(
-                    f"no witness from recipe for clause '{verdict.clause}' "
-                    f"after {attempts} candidates"
-                ),
-                runtime_ms=1000.0 * (time.perf_counter() - started),
+            return report(
+                attempts, [],
+                f"no witness from recipe for clause '{verdict.clause}' after {attempts} candidates",
             )
 
     # random search samples exactly k_p negatives per slot, also under closure
@@ -854,10 +844,7 @@ def falsify(
             f"no witness found: {attempts} recipe candidates and "
             f"{cfg.trials} random trials exhausted"
         )
-    return VerdictReport(
-        claim, "falsify", fn, cfg, total, len(witnesses), witnesses[:WITNESS_CAP],
-        label=label, runtime_ms=1000.0 * (time.perf_counter() - started),
-    )
+    return report(total, witnesses, label)
 
 
 # ---------------------------------------------------------------------------

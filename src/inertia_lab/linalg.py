@@ -24,6 +24,9 @@ ASYMMETRY_TOL = 1e-12
 
 DOMAIN_KINDS = ("two_sided", "open_positive", "closed_left")
 
+#: bounds on a finite domain radius: squared entries of members stay normal doubles
+RHO_MIN, RHO_MAX = 1e-150, 1e150
+
 
 @dataclass(frozen=True)
 class TolerancePolicy:
@@ -82,7 +85,8 @@ class DomainSpec:
     """Entry domain for matrix entries: an interval with a scale ``rho``.
 
     ``two_sided`` is the open interval (-rho, rho); ``open_positive`` is
-    (0, rho); ``closed_left`` is [0, rho).  ``rho`` may be ``inf``.
+    (0, rho); ``closed_left`` is [0, rho).  ``rho`` is ``inf`` or lies in
+    [``RHO_MIN``, ``RHO_MAX``].
     """
 
     kind: str = "two_sided"
@@ -91,8 +95,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.kind not in DOMAIN_KINDS:
             raise ConfigError(f"unknown domain kind {self.kind!r}")
-        if not (self.rho > 0.0):
-            raise ConfigError("rho must be positive (possibly inf)")
+        if not (self.rho == math.inf or RHO_MIN <= self.rho <= RHO_MAX):
+            raise ConfigError(f"rho must be inf or lie in [{RHO_MIN:g}, {RHO_MAX:g}]")
 
     @property
     def rho_eff(self) -> float:
@@ -156,6 +160,11 @@ class DomainSpec:
         return cls(kind=d.get("kind", "two_sided"), rho=rho_f)
 
 
+def _binade(a: np.ndarray) -> int:
+    """The e with max |a_ij| in [2^(e-1), 2^e); 0 for the zero matrix."""
+    return math.frexp(float(np.max(np.abs(a))))[1]
+
+
 class SymMatrix:
     """Immutable real symmetric matrix.
 
@@ -179,7 +188,9 @@ class SymMatrix:
         a = 0.5 * (a + a.T) + 0.0
         a.flags.writeable = False
         self._a = a
-        self._fro = float(np.sqrt(np.sum(a * a)))
+        # summed over a / 2^e (exact), the squares neither overflow nor underflow
+        e = _binade(a)
+        self._fro = math.ldexp(float(np.sqrt(np.sum(np.ldexp(a, -e) ** 2))), e)
 
     @property
     def n(self) -> int:
@@ -226,7 +237,7 @@ class SymMatrix:
             raise ConfigError(f"rows shape {a.shape} does not match n={n}")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+        scale = float(np.max(np.abs(a)))
         gap = float(np.max(np.abs(a - a.T)))
         if gap > ASYMMETRY_TOL * scale:
             raise AsymmetryError(
@@ -278,13 +289,15 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
     Raises :class:`ConvergenceError` after ``MAX_SWEEPS`` sweeps.
     """
     n = A.n
-    a = A.entries.copy()
     qmat = np.eye(n)
     if n == 1:
-        return np.array([a[0, 0]]), qmat
+        return A.entries[0].copy(), qmat
 
-    # the zero matrix stops at once: its off-diagonal mass is 0 <= 0
-    stop = tol.eig_convergence * A.fro
+    # Jacobi runs on A / 2^e: exact, the same rotations, and no overflow or
+    # underflow in the off-diagonal mass.  The zero matrix stops at once.
+    e = _binade(A.entries)
+    a = np.ldexp(A.entries, -e)
+    stop = tol.eig_convergence * math.ldexp(A.fro, -e)
     # if every pivot is below `skip`, the total off-diagonal mass is below `stop`
     skip = stop / (2.0 * n)
 
@@ -302,7 +315,7 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
                 if abs(a[p, q]) > skip:
                     _rotate(a, qmat, p, q)
 
-    lam = np.diag(a).copy()
+    lam = np.ldexp(np.diag(a), e)
     order = np.argsort(lam, kind="stable")
     return lam[order], qmat[:, order]
 

@@ -59,6 +59,15 @@ def test_inertia_with_eigenvalues_runs_one_eigensolve(monkeypatch):
     assert solves == [2]
 
 
+def test_asymmetry_is_judged_relative_to_the_entries():
+    code, out, err = run_cli(["inertia", "--matrix", "[[1e-13,2e-13],[3e-13,1e-13]]"])
+    assert code == 3
+    assert "asymmetric" in err
+    code, out, err = run_cli(["inertia", "--matrix", "[[1e-13,2e-13],[2e-13,1e-13]]"])
+    assert code == 0
+    assert out == '{"neg":1,"zero":0,"pos":1}\n'
+
+
 def test_inertia_rejects_asymmetric_matrix():
     code, out, err = run_cli(["inertia", "--matrix", "[[1,2],[3,4]]"])
     assert code == 3
@@ -161,6 +170,28 @@ def test_report_paths_are_checked_before_the_run(monkeypatch, key, value):
     assert code == 2
     assert out == ""
     assert key in err
+
+
+def test_null_report_paths_mean_no_file_and_flags_override_the_config(tmp_path):
+    code, out, err = run_cli(["verify", json.dumps(dict(VERIFY_SPEC, out_json=None, out_csv=None))])
+    assert code == 0
+    oj = tmp_path / "report.json"
+    code, out, err = run_cli(
+        ["verify", json.dumps(dict(VERIFY_SPEC, out_json=7)), "--out-json", str(oj)]
+    )
+    assert code == 0
+    assert json.loads(oj.read_text())["trials"] == 20
+
+
+@pytest.mark.parametrize("rho", [1e160, 1e-170])
+def test_verify_refuses_a_radius_outside_the_counted_range(rho):
+    # squares of entries near rho would overflow or underflow, so the sampled
+    # slots could no longer be trusted to carry the inertia they were built with
+    config = dict(VERIFY_SPEC["config"], domain={"kind": "two_sided", "rho": rho})
+    code, out, err = run_cli(["verify", json.dumps(dict(VERIFY_SPEC, config=config))])
+    assert code == 2
+    assert out == ""
+    assert "rho" in err
 
 
 def test_eigensolve_that_does_not_converge_exits_one(monkeypatch):

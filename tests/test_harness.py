@@ -343,7 +343,7 @@ def _eigvalsh_negatives(m) -> int:
     return int(np.sum(lam < -1e-9 * float(np.linalg.norm(m.entries))))
 
 
-@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12, math.inf])
+@pytest.mark.parametrize("rho", [1e-150, 1e-12, 1.0, 1e12, 1e150, math.inf])
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -358,7 +358,7 @@ def test_sampler_output_is_a_member_at_every_scale(kind, rho, seed):
             assert _eigvalsh_negatives(m) == k, (n, k)
 
 
-@pytest.mark.parametrize("rho", [1e-12, 1e12])
+@pytest.mark.parametrize("rho", [1e-150, 1e-12, 1e12, 1e150])
 def test_verify_and_falsify_at_extreme_scales(rho):
     cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((2,)), 2, trials=30, seed=7)
     rep = verify_forward("exact", Homothety(2.0), cfg)

@@ -232,6 +232,17 @@ def test_domain_json_round_trip_with_infinite_radius():
     assert DomainSpec.from_json_dict(d) == dom
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, -math.inf, 1e-151, 1e151])
+def test_domain_radius_must_be_inf_or_within_range(rho):
+    with pytest.raises(ConfigError):
+        DomainSpec("two_sided", rho)
+
+
+def test_domain_radius_range_is_closed():
+    assert DomainSpec("two_sided", linalg.RHO_MIN).rho == 1e-150
+    assert DomainSpec("closed_left", linalg.RHO_MAX).rho == 1e150
+
+
 def test_tolerance_policy_validation():
     with pytest.raises(ConfigError):
         TolerancePolicy(rel_zero=0.5)
@@ -342,7 +353,7 @@ PINNED = st.tuples(
     st.integers(min_value=0, max_value=2**32 - 1),
 ).map(lambda t: (t[0], t[0] + t[1], t[2]))
 
-SCALES = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+SCALES = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
 
 
 # overflow, division by zero and NaNs raise; underflow to zero is expected
@@ -351,7 +362,7 @@ STRICT = dict(over="raise", divide="raise", invalid="raise")
 
 @settings(max_examples=80, deadline=None)
 @given(PINNED, SCALES)
-def test_inertia_is_scale_free_from_1e_minus_150_to_1e150(sizes, c):
+def test_inertia_is_scale_free_from_1e_minus_300_to_1e300(sizes, c):
     s, n, seed = sizes
     rng = np.random.default_rng(seed)
     a, want = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
@@ -361,6 +372,17 @@ def test_inertia_is_scale_free_from_1e_minus_150_to_1e150(sizes, c):
         # the eigensolver's stop is relative too: the spectrum scales with A
         lam = eig_sym(_scaled(a, c))[0] / c
     assert np.max(np.abs(lam - np.linalg.eigvalsh(a.entries))) <= 1e-12 * a.fro
+
+
+def test_counts_at_the_ends_of_the_double_range():
+    with np.errstate(**STRICT):
+        big = SymMatrix(1e160 * np.diag([-1.0, 1.0, 2.0]))
+        assert big.fro == pytest.approx(1e160 * math.sqrt(6.0))
+        assert inertia(big) == Inertia(1, 0, 2)
+        # eigenvalues -1, 3, 3 (times 1e-170): the off-diagonal 2e-170 squares to 0
+        small = SymMatrix(1e-170 * np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+        assert inertia(small) == Inertia(1, 0, 2)
+        assert eig_sym(small)[0] / 1e-170 == pytest.approx([-1.0, 3.0, 3.0])
 
 
 def test_tiny_matrix_keeps_its_negative_eigenvalue():

@@ -26,6 +26,10 @@ from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
 
+#: a difference counts as negative below -SLACK_REL * max|f| over the lattice,
+#: so f and c * f get the same verdict for every c > 0
+SLACK_REL = 1e-10
+
 _BUILTINS: dict[str, Callable] = {
     "exp": np.exp,
     "sin": np.sin,
@@ -83,7 +87,6 @@ def forward_difference_test(
     order: int = 6,
     step: float | None = None,
     include_zeroth: bool = False,
-    slack_rel: float = 1e-10,
 ) -> dict:
     """Check nonnegativity of all forward differences with 1 <= |alpha| <= order.
 
@@ -114,7 +117,7 @@ def forward_difference_test(
     values = _as_grid_fn(f, m)(*grids)
     if not np.all(np.isfinite(values)):
         raise ConfigError("function returned non-finite values on the lattice")
-    slack = slack_rel * max(1.0, float(np.max(np.abs(values))))
+    slack = SLACK_REL * float(np.max(np.abs(values)))
 
     lowest = 0 if include_zeroth else 1
     worst = None

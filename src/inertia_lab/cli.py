@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
-import os
 import sys
 
 from . import _json
@@ -45,6 +45,7 @@ from .errors import (
     DomainViolation,
     RegimeNotCovered,
     SamplingError,
+    positive_int,
 )
 from .functions import apply_entrywise, fn_from_json_dict
 from .harness import (
@@ -76,8 +77,6 @@ EXIT_NEGATIVE = 1
 EXIT_CONFIG = 2
 EXIT_ASYMMETRY = 3
 EXIT_DOMAIN = 4
-
-SEED_ENV = "INERTIA_LAB_SEED"
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ def _err(message) -> None:
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
     tol = _tol_arg(args.tolerance)
-    lam, _ = eig_sym(a, tol)
+    lam, _ = eig_sym(a)
     out = spectrum_inertia(a, lam, tol).to_json_dict()
     if args.eigenvalues:
         out["eigenvalues"] = lam.tolist()
@@ -191,21 +190,6 @@ def _partition_arg(text: str) -> list[list[int]]:
 # harness commands
 # ---------------------------------------------------------------------------
 
-def _resolve_seed(args, cfg: TrialConfig) -> TrialConfig:
-    seed = None
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-    elif getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if seed is None:
-        return cfg
-    return dataclasses.replace(cfg, seed=seed)
-
-
 def _write_csv(report: VerdictReport, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
@@ -219,7 +203,7 @@ def _cmd_run(args) -> int:
     spec = _load_json_arg(args.config)
     if not isinstance(spec, dict):
         raise ConfigError("run config must be a JSON object")
-    allowed = {"config", "threads", "out_json", "out_csv"}
+    allowed = {"config", "out_json", "out_csv"}
     if not suite:
         allowed |= {"theorem", "fn", "strategy"}
     unknown = set(spec) - allowed
@@ -238,17 +222,20 @@ def _cmd_run(args) -> int:
     for key, path in (("out_json", out_json), ("out_csv", out_csv)):
         if path is not None and not (isinstance(path, str) and path):
             raise ConfigError(f'run config "{key}" must be a nonempty path string or null')
-    cfg = _resolve_seed(args, TrialConfig.from_json_dict(spec["config"]))
-    threads = args.threads if args.threads is not None else spec.get("threads")
+    if args.threads is not None:
+        positive_int(args.threads, "threads")
+    cfg = TrialConfig.from_json_dict(spec["config"])
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if suite:
-        report = lemma_suite(cfg, threads)
+        report = lemma_suite(cfg)
     else:
         fn = fn_from_json_dict(spec["fn"])
         if args.command == "verify":
-            report = verify_forward(spec["theorem"], fn, cfg, threads)
+            report = verify_forward(spec["theorem"], fn, cfg)
         else:
             strategy = args.strategy or spec.get("strategy", "auto")
-            report = falsify(spec["theorem"], fn, cfg, threads, strategy=strategy)
+            report = falsify(spec["theorem"], fn, cfg, strategy=strategy)
     payload = report.to_json_dict()
     if out_json is not None:
         _json.dump_path(payload, out_json, indent=2)
@@ -351,7 +338,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-csv", default=None, help="write a one-line CSV summary here")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="inertia-lab",
         description=(

@@ -20,8 +20,6 @@ and falls back to seeded random search when no recipe applies.  Forward
 verification and random search run the same trial: sample a member tuple from
 the trial's own stream, apply ``fn`` and judge the image.  Trials run one
 after another in index order, so reports are deterministic for a fixed seed.
-The ``threads`` argument of the entry points is validated and has no other
-effect.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ WITNESS_CAP = 10
 
 #: scale halvings a recipe may take before giving up
 RECIPE_HALVINGS = 40
-
-
-def _check_threads(threads: int | None) -> None:
-    """Validate ``threads``; trials always run one after another, in index order."""
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
-        raise ConfigError("threads must be a positive int")
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -426,19 +418,13 @@ def _verdict(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> PreserverVerdict
     return classify(fn, cfg.k, cfg.l, cfg.dom, mode=_CLAIM_TO_MODE[claim])
 
 
-def verify_forward(
-    claim: str,
-    fn: FunctionSpec,
-    cfg: TrialConfig,
-    threads: int | None = None,
-) -> VerdictReport:
+def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictReport:
     """Sample members, apply ``fn``, and check the claim on every image.
 
     When the classifier says the function is outside the conforming family,
     the run is vacuous: nothing is sampled and the label says so.
     """
     _check_claim(claim, fn, cfg)
-    _check_threads(threads)
     started = time.perf_counter()
 
     verdict = _verdict(claim, fn, cfg)
@@ -792,7 +778,6 @@ def falsify(
     claim: str,
     fn: FunctionSpec,
     cfg: TrialConfig,
-    threads: int | None = None,
     strategy: str = "auto",
 ) -> VerdictReport:
     """Search for a concrete witness against a claim.
@@ -804,7 +789,6 @@ def falsify(
     _check_claim(claim, fn, cfg)
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    _check_threads(threads)
     started = time.perf_counter()
 
     def report(trials: int, witnesses: list[Witness], label: str) -> VerdictReport:
@@ -895,9 +879,9 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
     out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
-    lam, _ = eig_sym(out, cfg.tol)
+    lam, _ = eig_sym(out)
     # lam ascends, so its first k entries are the negatives
-    pinned = all(abs(x - (a - b)) <= 1e-9 * max(1.0, abs(a - b)) for x in lam[:k])
+    pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
     return spectrum_inertia(out, lam, cfg.tol).n_neg == k and pinned
 
 
@@ -918,9 +902,8 @@ _SUITE = [
 ]
 
 
-def lemma_suite(cfg: TrialConfig, threads: int | None = None) -> VerdictReport:
+def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     """Run the structural property batches that back the constructions."""
-    _check_threads(threads)
     started = time.perf_counter()
     failures = 0
     parts = []

@@ -19,6 +19,11 @@ from .errors import AsymmetryError, ConfigError, ConvergenceError, DomainViolati
 #: hard cap on Jacobi sweeps before giving up
 MAX_SWEEPS = 100
 
+#: Jacobi stops once the off-diagonal Frobenius mass is below this times
+#: ||A||_F.  Its rounding floor is about n * eps, so a tighter stop buys
+#: nothing, and a looser one lets the eigenvalue error reach the zero threshold.
+EIG_CONVERGENCE = 1e-13
+
 #: relative asymmetry beyond which a parsed matrix is rejected instead of averaged
 ASYMMETRY_TOL = 1e-12
 
@@ -30,33 +35,29 @@ RHO_MIN, RHO_MAX = 1e-150, 1e150
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical thresholds used by the eigensolver and inertia counting.
+    """The zero rule of inertia counting.
 
-    Both are relative to ``||A||_F`` alone, so no positive scaling of A
-    changes a count.  ``rel_zero`` decides when an eigenvalue counts as zero:
-    |lam| <= rel_zero * ||A||_F.  ``eig_convergence`` is the off-diagonal
-    Frobenius mass, over ``||A||_F``, below which the Jacobi iteration stops.
+    An eigenvalue counts as zero when |lam| <= rel_zero * ||A||_F.  The
+    threshold is relative to ``||A||_F`` alone, so no positive scaling of A
+    changes a count.  ``rel_zero`` lies in [``EIG_CONVERGENCE``, 1e-2): below
+    the eigensolver's stop, the eigenvalue error could cross the threshold.
     """
 
     rel_zero: float = 1e-9
-    eig_convergence: float = 1e-13
 
     def __post_init__(self):
-        for name in ("rel_zero", "eig_convergence"):
-            v = getattr(self, name)
-            if not (isinstance(v, float) and 0.0 < v < 1e-2):
-                raise ConfigError(f"{name} must be a float in (0, 1e-2), got {v!r}")
-        if self.eig_convergence > self.rel_zero:
-            raise ConfigError("eig_convergence must not exceed rel_zero")
+        v = self.rel_zero
+        if not (isinstance(v, float) and EIG_CONVERGENCE <= v < 1e-2):
+            raise ConfigError(f"rel_zero must be a float in [{EIG_CONVERGENCE:g}, 1e-2), got {v!r}")
 
     def to_json_dict(self) -> dict:
-        return {"rel_zero": self.rel_zero, "eig_convergence": self.eig_convergence}
+        return {"rel_zero": self.rel_zero}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TolerancePolicy":
         if not isinstance(d, dict):
             raise ConfigError("tolerance policy must be a JSON object")
-        unknown = set(d) - {"rel_zero", "eig_convergence"}
+        unknown = set(d) - {"rel_zero"}
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
         try:
@@ -282,11 +283,12 @@ def _rotate(a: np.ndarray, qmat: np.ndarray, p: int, q: int) -> None:
     qmat[:, q] = s * col_p + c * col_q
 
 
-def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
+def eig_sym(A: SymMatrix):
     """Full symmetric eigendecomposition by cyclic Jacobi with threshold sweeps.
 
     Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``.
-    Raises :class:`ConvergenceError` after ``MAX_SWEEPS`` sweeps.
+    Stops once the off-diagonal mass is at most ``EIG_CONVERGENCE * ||A||_F``;
+    raises :class:`ConvergenceError` after ``MAX_SWEEPS`` sweeps.
     """
     n = A.n
     qmat = np.eye(n)
@@ -297,7 +299,7 @@ def eig_sym(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL):
     # underflow in the off-diagonal mass.  The zero matrix stops at once.
     e = _binade(A.entries)
     a = np.ldexp(A.entries, -e)
-    stop = tol.eig_convergence * math.ldexp(A.fro, -e)
+    stop = EIG_CONVERGENCE * math.ldexp(A.fro, -e)
     # if every pivot is below `skip`, the total off-diagonal mass is below `stop`
     skip = stop / (2.0 * n)
 
@@ -341,7 +343,7 @@ def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
 
     An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
     """
-    return spectrum_inertia(A, eig_sym(A, tol)[0], tol)
+    return spectrum_inertia(A, eig_sym(A)[0], tol)
 
 
 def rank(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> int:

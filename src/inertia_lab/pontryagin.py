@@ -44,7 +44,7 @@ def gram_realize(
     """
     if not isinstance(k, int) or k < 0:
         raise ConfigError("k must be a nonnegative int")
-    lam, q = eig_sym(A, tol)
+    lam, q = eig_sym(A)
     thresh = zero_threshold(A, tol)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
     other_idx = [i for i, v in enumerate(lam) if v >= -thresh]
@@ -59,9 +59,8 @@ def gram_realize(
     for col, i in enumerate(neg_idx):
         vectors[:, plus + col] = np.sqrt(-lam[i]) * q[:, i]
     rebuilt = gram_of(vectors, (plus, k))
-    err = float(
-        np.sqrt(np.sum((rebuilt.entries - A.entries) ** 2)) / max(1.0, A.fro)
-    )
+    # the zero matrix is rebuilt exactly
+    err = SymMatrix(rebuilt.entries - A.entries).fro / A.fro if A.fro else 0.0
     return vectors, (plus, k), err
 
 

@@ -61,6 +61,22 @@ def test_include_zeroth_flags_negative_values():
     assert forward_difference_test(lambda x: x - 10.0, [[0.1, 0.9]], order=1)["pass"]
 
 
+@pytest.mark.parametrize("c", [2.0**-40, 2.0**40], ids=["2^-40", "2^40"])
+@pytest.mark.parametrize(
+    "f,box,zeroth,passes",
+    [
+        (lambda x: x - 10.0, [[0.1, 0.9]], True, False),
+        (math.sin, [[0.1, 3.0]], False, False),
+        (math.exp, [[0.1, 0.9]], False, True),
+    ],
+)
+def test_verdict_does_not_depend_on_the_scale_of_f(f, box, zeroth, passes, c):
+    # a power of two scales every value and difference exactly
+    for g in (f, lambda x: c * f(x)):
+        r = forward_difference_test(g, box, order=2, include_zeroth=zeroth)
+        assert r["pass"] is passes
+
+
 def test_forward_difference_rejects_bad_boxes():
     with pytest.raises(ConfigError):
         forward_difference_test(math.exp, [[0.9, 0.1]], order=2)

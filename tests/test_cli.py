@@ -122,6 +122,7 @@ def test_apply_flags_domain_violations():
     [
         ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": "x"}'],
         ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": null}'],
+        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"eig_convergence": 1e-13}'],
         ["apply", "--fn", '{"type":"constant","value":"x"}', "--matrix", "[[1.0]]"],
         [
             "apply",
@@ -335,6 +336,15 @@ def test_report_files_identical_across_thread_counts(tmp_path):
         assert code == 0
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
+    # the flag has no effect but is still checked; the run config has no threads key
+    for argv in (
+        ["verify", json.dumps(VERIFY_SPEC), "--threads", "0"],
+        ["verify", json.dumps(dict(VERIFY_SPEC, threads=1))],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "threads" in err
 
 
 def test_seed_flag_overrides_config_seed():
@@ -344,10 +354,22 @@ def test_seed_flag_overrides_config_seed():
     assert json.loads(base)["config"]["seed"] == 3
 
 
-def test_env_seed_beats_flag(monkeypatch):
+def test_seed_environment_variable_is_ignored(monkeypatch):
     monkeypatch.setenv("INERTIA_LAB_SEED", "123")
-    out = run_cli(["verify", json.dumps(VERIFY_SPEC), "--seed", "99"])[1]
-    assert json.loads(out)["config"]["seed"] == 123
+    flagged = run_cli(["verify", json.dumps(VERIFY_SPEC), "--seed", "99"])[1]
+    assert json.loads(flagged)["config"]["seed"] == 99
+    plain = run_cli(["verify", json.dumps(VERIFY_SPEC)])[1]
+    assert json.loads(plain)["config"]["seed"] == 3
+
+
+def test_parser_is_built_once_and_survives_a_failed_parse():
+    assert cli._build_parser() is cli._build_parser()
+    code, out, err = run_cli(["verify", json.dumps(VERIFY_SPEC), "--seed", "x"])
+    assert code == 2
+    first = run_cli(["verify", json.dumps(VERIFY_SPEC)])
+    second = run_cli(["verify", json.dumps(VERIFY_SPEC)])
+    assert first[0] == 0
+    assert first[1] == second[1]
 
 
 def test_pontryagin_profile_and_stabilization():
@@ -374,6 +396,16 @@ def test_pontryagin_factor_identity_split():
     assert rep["signature"] == {"plus": 1, "minus": 1}
     assert rep["error"] == 0.0
     assert rep["vectors"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_pontryagin_factor_at_extreme_scales(scale):
+    matrix = f"[[2{scale},1{scale}],[1{scale},-3{scale}]]"
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", matrix, "--k", "1"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["signature"] == {"plus": 1, "minus": 1}
+    assert rep["error"] < 1e-10
 
 
 def test_pontryagin_rejects_cap_below_negativity():

@@ -246,8 +246,12 @@ def test_domain_radius_range_is_closed():
 def test_tolerance_policy_validation():
     with pytest.raises(ConfigError):
         TolerancePolicy(rel_zero=0.5)
+    # below the eigensolver's stop, the eigenvalue error could cross the threshold
     with pytest.raises(ConfigError):
-        TolerancePolicy(rel_zero=1e-12, eig_convergence=1e-9)
+        TolerancePolicy(rel_zero=1e-14)
+    assert TolerancePolicy(rel_zero=linalg.EIG_CONVERGENCE).rel_zero == 1e-13
+    with pytest.raises(ConfigError):
+        TolerancePolicy.from_json_dict({"rel_zero": 1e-9, "eig_convergence": 1e-13})
     t = TolerancePolicy()
     assert TolerancePolicy.from_json_dict(t.to_json_dict()) == t
 
@@ -405,3 +409,48 @@ def test_negation_swap_and_block_pair_identity_are_scale_free(sizes, c):
         assert inertia(_scaled(p, -c)) == Inertia(p_in.n_pos, p_in.n_zero, p_in.n_neg)
         pair = inertia(block_pair(half_sum, half_gap))
     assert pair == Inertia(*(x + y for x, y in zip(p_in, m_in)))
+
+
+# sizes (s, n, seed) with n <= 8, and scales c from 1e-150 to 1e150, where
+# every entry and every square of an entry is a normal double
+SMALL_PINNED = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+).map(lambda t: (t[0], t[0] + t[1], t[2]))
+
+MID_SCALES = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMALL_PINNED, MID_SCALES)
+def test_congruence_keeps_the_inertia_from_1e_minus_150_to_1e150(sizes, c):
+    s, n, seed = sizes
+    rng = np.random.default_rng(seed)
+    a, want = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
+    # S = Q diag(d) with d in [0.5, 2]: by Ostrowski every nonzero eigenvalue
+    # of S A S^T is A's times a factor in [0.25, 4], so none comes near zero
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s_mat = q * rng.uniform(0.5, 2.0, size=n)
+    image = s_mat @ a.entries @ s_mat.T
+    with np.errstate(all="raise"):
+        assert inertia(SymMatrix(c * image)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1), MID_SCALES)
+def test_rank_one_updates_interlace_from_1e_minus_150_to_1e150(n, seed, c):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, n + 1))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signs = np.where(np.arange(n) < k, -1.0, 1.0)
+    a = (q * (signs * rng.uniform(0.2, 1.0, size=n))) @ q.T
+    v = rng.standard_normal(n)
+    bump = rng.uniform(0.1, 2.0) * np.outer(v, v)
+    # no eigenvalue of A lies in (-0.2, 0.2), and the update's eigenvalues
+    # interlace A's, so at most one of them can come near zero
+    with np.errstate(all="raise"):
+        up = inertia(SymMatrix(c * (a + bump))).n_neg
+        down = inertia(SymMatrix(c * (a - bump))).n_neg
+    assert up in (k - 1, k)
+    assert down in (k, k + 1)

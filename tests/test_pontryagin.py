@@ -72,6 +72,23 @@ def test_gram_realize_round_trip_on_random_matrices():
         assert err < 1e-8
 
 
+@pytest.mark.parametrize("c", [2.0**660, 2.0**-660], ids=["2^660", "2^-660"])
+def test_gram_error_is_scale_free(c):
+    rng = np.random.default_rng(12)
+    errs = []
+    for _ in range(10):
+        n = int(rng.integers(2, 9))
+        g = rng.standard_normal((n, n))
+        a = SymMatrix(g + g.T)
+        k = inertia(a).n_neg
+        err = gram_realize(a, k)[2]
+        # a power of two scales the factorization and its residual exactly
+        assert gram_realize(SymMatrix(c * a.entries), k)[2] == err
+        errs.append(err)
+    assert max(errs) > 0.0
+    assert gram_realize(SymMatrix(np.zeros((3, 3))), 0)[2] == 0.0
+
+
 def test_profile_of_hollow_ones():
     h = sym(np.ones((4, 4)) - np.eye(4))
     assert leading_negativity_profile(h) == [0, 1, 2, 3]

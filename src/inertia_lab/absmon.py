@@ -26,9 +26,11 @@ from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
 
-#: a difference counts as negative below -SLACK_REL * max|f| over the lattice,
-#: so f and c * f get the same verdict for every c > 0
-SLACK_REL = 1e-10
+#: relative rounding error allowed in each value of f.  The coefficients of an
+#: order-k difference have moduli summing to 2^k, so the difference counts as
+#: negative only below -2^k * SLACK_REL * max|f| over the lattice; f and c * f
+#: get the same verdict for every c > 0
+SLACK_REL = 1e-14
 
 _BUILTINS: dict[str, Callable] = {
     "exp": np.exp,
@@ -117,7 +119,7 @@ def forward_difference_test(
     values = _as_grid_fn(f, m)(*grids)
     if not np.all(np.isfinite(values)):
         raise ConfigError("function returned non-finite values on the lattice")
-    slack = SLACK_REL * float(np.max(np.abs(values)))
+    fmax = float(np.max(np.abs(values)))
 
     lowest = 0 if include_zeroth else 1
     worst = None
@@ -132,7 +134,7 @@ def forward_difference_test(
                 table = np.diff(table, n=e, axis=axis)
         checked += 1
         min_val = float(np.min(table))
-        if min_val < -slack:
+        if min_val < -(2.0**total * SLACK_REL * fmax):
             flat = int(np.argmin(table))
             idx = np.unravel_index(flat, table.shape)
             x = [float(axes_pts[p][i]) for p, i in enumerate(idx)]

@@ -148,7 +148,7 @@ def _err(message) -> None:
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
     tol = _tol_arg(args.tolerance)
-    lam, _ = eig_sym(a)
+    lam, _ = eig_sym(a, vectors=False)
     out = spectrum_inertia(a, lam, tol).to_json_dict()
     if args.eigenvalues:
         out["eigenvalues"] = lam.tolist()

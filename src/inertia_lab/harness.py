@@ -879,7 +879,7 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
     out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
-    lam, _ = eig_sym(out)
+    lam, _ = eig_sym(out, vectors=False)
     # lam ascends, so its first k entries are the negatives
     pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
     return spectrum_inertia(out, lam, cfg.tol).n_neg == k and pinned
@@ -888,8 +888,6 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
 def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     k = int(rng.integers(1, 5))
     t = float(rng.uniform(1.05, 10.0))
-    if inertia(pencil_base(), cfg.tol) != Inertia(1, 0, 2):
-        return False
     return inertia(ones_pencil(k, t), cfg.tol).n_neg == k - 1
 
 
@@ -911,7 +909,10 @@ def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     # verify and falsify stream
     for j, (name, batch) in enumerate(_SUITE, start=1):
         streams = (_trial_rng(cfg.seed, (j << 40) + i) for i in range(cfg.trials))
-        bad = sum(1 for rng in streams if not batch(cfg, rng))
+        if batch is _suite_pencil and inertia(pencil_base(), cfg.tol) != Inertia(1, 0, 2):
+            bad = cfg.trials  # every pencil trial stands on this one fixed matrix
+        else:
+            bad = sum(1 for rng in streams if not batch(cfg, rng))
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

@@ -1,9 +1,11 @@
 """Symmetric matrices, inertia counting, and the basic matrix algebra.
 
 Everything downstream (constructions, the verification harness, the CLI)
-speaks :class:`SymMatrix`.  Eigenvalues come from a hand-written cyclic
-Jacobi sweep so that the whole negativity bookkeeping chain is self-contained
-and deterministic; LAPACK never enters the runtime path.
+speaks :class:`SymMatrix`.  Eigenvalues come from a hand-written Householder
+reduction to tridiagonal form followed by implicit-shift QL (Golub & Van Loan,
+*Matrix Computations*, section 8.3; EISPACK ``tql2``), in elementwise numpy
+only, so the whole negativity bookkeeping chain is self-contained and its
+bytes do not depend on the BLAS build; LAPACK never enters the runtime path.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ import numpy as np
 
 from .errors import AsymmetryError, ConfigError, ConvergenceError, DomainViolation
 
-#: hard cap on Jacobi sweeps before giving up
-MAX_SWEEPS = 100
+#: hard cap on the implicit QL iterations spent on one eigenvalue
+MAX_QL_ITERATIONS = 30
 
-#: Jacobi stops once the off-diagonal Frobenius mass is below this times
-#: ||A||_F.  Its rounding floor is about n * eps, so a tighter stop buys
-#: nothing, and a looser one lets the eigenvalue error reach the zero threshold.
+_EPS = float(np.finfo(float).eps)
+
+#: floor of ``rel_zero``.  The computed spectrum is the exact spectrum of a
+#: matrix within about n * eps * ||A||_F of A (Householder reduction and QL are
+#: backward stable), so every eigenvalue is off by less than this times
+#: ||A||_F for n up to a few hundred; a threshold below it could sit inside
+#: the eigenvalue error.
 EIG_CONVERGENCE = 1e-13
 
 #: relative asymmetry beyond which a parsed matrix is rejected instead of averaged
@@ -40,7 +46,8 @@ class TolerancePolicy:
     An eigenvalue counts as zero when |lam| <= rel_zero * ||A||_F.  The
     threshold is relative to ``||A||_F`` alone, so no positive scaling of A
     changes a count.  ``rel_zero`` lies in [``EIG_CONVERGENCE``, 1e-2): below
-    the eigensolver's stop, the eigenvalue error could cross the threshold.
+    the eigensolver's error bound, a computed eigenvalue could land on the
+    wrong side of the threshold.
     """
 
     rel_zero: float = 1e-9
@@ -253,73 +260,121 @@ def sym(entries) -> SymMatrix:
     return SymMatrix(entries)
 
 
-def _rotate(a: np.ndarray, qmat: np.ndarray, p: int, q: int) -> None:
-    """Apply one two-sided Jacobi rotation annihilating a[p, q]."""
-    apq = a[p, q]
-    app = a[p, p]
-    aqq = a[q, q]
-    theta = (aqq - app) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+def _tridiagonalize(a: np.ndarray, qt: np.ndarray | None, tiny: float) -> tuple[list, list]:
+    """Householder reduction of the symmetric ``a`` (overwritten) to tridiagonal T.
 
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    # closed forms for the pivot entries keep the zero exact
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
+    Returns T's diagonal ``d`` and off-diagonal ``off`` (``off[i]`` couples
+    ``d[i]`` and ``d[i + 1]``; ``off[n - 1] = 0``) and leaves ``qt`` (the
+    identity on entry, or None) holding Q^T, with Q^T A Q = T.  A column
+    whose entries below the subdiagonal have norm at most ``tiny`` is left
+    as it is.
+    """
+    n = a.shape[0]
+    off = [0.0] * n
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        x0 = float(x[0])
+        tail = float(np.sum(x[1:] ** 2))
+        if tail <= tiny * tiny:
+            off[k] = x0
+            continue
+        norm = math.sqrt(x0 * x0 + tail)
+        # H = I - beta v v^T maps x to alpha e_1; the sign of alpha avoids cancellation
+        alpha = -math.copysign(norm, x0)
+        v = x.copy()
+        v[0] -= alpha
+        beta = 1.0 / (norm * (norm + abs(x0)))
+        sub = a[k + 1 :, k + 1 :]
+        p = beta * np.sum(sub * v, axis=1)
+        w = p - (0.5 * beta * float(np.sum(p * v))) * v
+        sub -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
+        if qt is not None:
+            rows = qt[k + 1 :]
+            rows -= np.multiply.outer(beta * v, np.sum(v[:, None] * rows, axis=0))
+        off[k] = alpha
+    off[n - 2] = float(a[n - 1, n - 2])
+    return np.diag(a).tolist(), off
 
-    col_p = qmat[:, p].copy()
-    col_q = qmat[:, q].copy()
-    qmat[:, p] = c * col_p - s * col_q
-    qmat[:, q] = s * col_p + c * col_q
 
+def eig_sym(A: SymMatrix, vectors: bool = True):
+    """Full symmetric eigendecomposition: Householder tridiagonalisation, then implicit QL.
 
-def eig_sym(A: SymMatrix):
-    """Full symmetric eigendecomposition by cyclic Jacobi with threshold sweeps.
-
-    Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``.
-    Stops once the off-diagonal mass is at most ``EIG_CONVERGENCE * ||A||_F``;
-    raises :class:`ConvergenceError` after ``MAX_SWEEPS`` sweeps.
+    Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``;
+    ``Q`` is None with ``vectors=False``, which leaves ``lam`` bit for bit
+    the same.  An off-diagonal entry of T at most ``eps * ||A||_F`` counts as
+    zero, and a 2x2 block is diagonalised in closed form.  Raises
+    :class:`ConvergenceError` when one eigenvalue takes more than
+    ``MAX_QL_ITERATIONS`` QL iterations.
     """
     n = A.n
-    qmat = np.eye(n)
     if n == 1:
-        return A.entries[0].copy(), qmat
+        return A.entries[0].copy(), np.eye(1) if vectors else None
 
-    # Jacobi runs on A / 2^e: exact, the same rotations, and no overflow or
-    # underflow in the off-diagonal mass.  The zero matrix stops at once.
-    e = _binade(A.entries)
-    a = np.ldexp(A.entries, -e)
-    stop = EIG_CONVERGENCE * math.ldexp(A.fro, -e)
-    # if every pivot is below `skip`, the total off-diagonal mass is below `stop`
-    skip = stop / (2.0 * n)
+    # the solver runs on A / 2^e: exact, the same steps for every power-of-two
+    # scaling, and no overflow or underflow
+    ex = _binade(A.entries)
+    qt = np.eye(n) if vectors else None
+    tiny = _EPS * math.ldexp(A.fro, -ex)
+    d, off = _tridiagonalize(np.ldexp(A.entries, -ex), qt, tiny)
 
-    for sweep in range(MAX_SWEEPS + 1):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= stop:
-            break
-        if sweep == MAX_SWEEPS:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {MAX_SWEEPS} sweeps "
-                f"(off-diagonal mass {off:.3e}, target {stop:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _rotate(a, qmat, p, q)
+    # QL with implicit shifts (EISPACK tql2); row i of qt follows column i of Q
+    for l in range(n):
+        for it in range(MAX_QL_ITERATIONS + 1):
+            m = l
+            while m < n - 1 and abs(off[m]) > tiny:
+                m += 1
+            if m == l:
+                break
+            if m == l + 1:
+                # the closed-form Jacobi rotation keeps 2x2 spectra such as
+                # [-1, 3] exact
+                apq, app, aqq = off[l], d[l], d[l + 1]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                d[l], d[l + 1] = app - t * apq, aqq + t * apq
+                off[l] = 0.0
+                if vectors:
+                    qt[l], qt[l + 1] = c * qt[l] - s * qt[l + 1], s * qt[l] + c * qt[l + 1]
+                break
+            if it == MAX_QL_ITERATIONS:
+                raise ConvergenceError(
+                    f"QL did not converge in {MAX_QL_ITERATIONS} iterations "
+                    f"(eigenvalue {l} of {n}, off-diagonal {abs(off[l]):.3e}, target {tiny:.3e})"
+                )
+            g = (d[l + 1] - d[l]) / (2.0 * off[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + off[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f = s * off[i]
+                b = c * off[i]
+                r = math.hypot(f, g)
+                off[i + 1] = r
+                if r == 0.0:
+                    # underflow: T splits at i + 1; iterate again
+                    d[i + 1] -= p
+                    off[m] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if vectors:
+                    qt[i], qt[i + 1] = c * qt[i] - s * qt[i + 1], s * qt[i] + c * qt[i + 1]
+            else:
+                d[l] -= p
+                off[l] = g
+                off[m] = 0.0
 
-    lam = np.ldexp(np.diag(a), e)
+    lam = np.ldexp(np.array(d), ex)
     order = np.argsort(lam, kind="stable")
-    return lam[order], qmat[:, order]
+    return lam[order], qt[order].T if vectors else None
 
 
 def zero_threshold(A: SymMatrix, tol: TolerancePolicy) -> float:
@@ -343,7 +398,7 @@ def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
 
     An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
     """
-    return spectrum_inertia(A, eig_sym(A)[0], tol)
+    return spectrum_inertia(A, eig_sym(A, vectors=False)[0], tol)
 
 
 def rank(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> int:

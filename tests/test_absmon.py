@@ -53,6 +53,20 @@ def test_negated_product_fails():
     assert sum(worst["alpha"]) >= 1
 
 
+def test_high_order_violation_is_not_hidden_by_the_slack():
+    # the 6th difference is -0.01 * 720 * h^6 = -2.7e-11 at the default step
+    # h = 0.0125; one slack for every order, 1e-10 * max|f| = 4.7e-10, hid it
+    def f(x):
+        return 1 + x + x**2 + x**3 + x**4 + x**5 - 0.01 * x**6
+
+    r = forward_difference_test(f, [[0.1, 0.9]], order=6)
+    assert not r["pass"]
+    assert r["worst_violation"]["alpha"] == [6]
+    assert -3e-11 < r["worst_violation"]["value"] < -2e-11
+    # without the negative term every difference is nonnegative up to rounding
+    assert forward_difference_test(lambda x: f(x) + 0.01 * x**6, [[0.1, 0.9]], order=9)["pass"]
+
+
 def test_include_zeroth_flags_negative_values():
     r = forward_difference_test(lambda x: x - 10.0, [[0.1, 0.9]], order=1, include_zeroth=True)
     assert not r["pass"]

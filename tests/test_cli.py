@@ -196,8 +196,9 @@ def test_verify_refuses_a_radius_outside_the_counted_range(rho):
 
 
 def test_eigensolve_that_does_not_converge_exits_one(monkeypatch):
-    monkeypatch.setattr("inertia_lab.linalg.MAX_SWEEPS", 0)
-    code, out, err = run_cli(["inertia", "--matrix", "[[1,2],[2,1]]"])
+    # a 2x2 block is solved in closed form; tridiag(1, 2, 1) needs QL iterations
+    monkeypatch.setattr("inertia_lab.linalg.MAX_QL_ITERATIONS", 0)
+    code, out, err = run_cli(["inertia", "--matrix", "[[2,1,0],[1,2,1],[0,1,2]]"])
     assert code == 1
     assert "did not converge" in err
 

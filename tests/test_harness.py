@@ -25,7 +25,7 @@ from inertia_lab.harness import (
     sample_with_inertia,
     verify_forward,
 )
-from inertia_lab.linalg import DomainSpec, TolerancePolicy, inertia, is_member
+from inertia_lab.linalg import DomainSpec, SymMatrix, TolerancePolicy, inertia, is_member
 
 TOL = TolerancePolicy()
 
@@ -299,6 +299,17 @@ def test_lemma_suite_all_green():
     assert rep.failures == 0, rep.label
     assert rep.trials == 5 * 25
     assert rep.label.count("25/25 ok") == 5
+
+
+def test_lemma_suite_counts_the_pencil_base_once(monkeypatch):
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=6, seed=5)
+    built = []
+    monkeypatch.setattr(harness, "pencil_base", lambda: built.append(1) or SymMatrix(np.eye(3)))
+    rep = lemma_suite(cfg)
+    assert len(built) == 1
+    # a base matrix with the wrong inertia fails every pencil trial
+    assert rep.failures == 6
+    assert rep.label.endswith("pencil-counts: 0/6 ok")
 
 
 def test_csv_row_has_runtime_column():

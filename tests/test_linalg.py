@@ -41,19 +41,52 @@ def random_sym(rng, n, scale=1.0):
 # eigensolver against the LAPACK oracle
 # ---------------------------------------------------------------------------
 
+def _eig_input(rng, trial) -> np.ndarray:
+    """A symmetric test array of one of five shapes, at a scale in [1e-150, 1e150]."""
+    n = int(rng.integers(13, 65)) if trial % 20 == 0 else int(rng.integers(1, 13))
+    shape = trial % 5
+    if shape == 0:  # dense
+        g = rng.standard_normal((n, n))
+        a = g + g.T
+    elif shape == 1:  # repeated eigenvalues, zero among them
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * rng.choice([-1.0, 0.0, 2.0], size=n)) @ q.T
+    elif shape == 2:  # diagonal with repeats and exact zeros
+        a = np.diag(rng.choice([-1.5, 0.0, 1.0, float(rng.standard_normal())], size=n))
+    elif shape == 3:  # already tridiagonal, some couplings exactly zero
+        off = rng.standard_normal(n - 1) * (rng.uniform(size=n - 1) < 0.8)
+        a = np.diag(rng.standard_normal(n)) + np.diag(off, 1) + np.diag(off, -1)
+    else:  # dense with exact zero rows and columns
+        g = rng.standard_normal((n, n))
+        keep = rng.uniform(size=n) < 0.7
+        a = (g + g.T) * np.outer(keep, keep)
+    return a * 10.0 ** rng.uniform(-150.0, 150.0)
+
+
 def test_eig_matches_lapack_on_random_matrices():
     rng = np.random.default_rng(20240811)
     for trial in range(500):
-        n = int(rng.integers(1, 13))
-        a = random_sym(rng, n, scale=float(rng.uniform(0.01, 50.0)))
+        a = SymMatrix(_eig_input(rng, trial))
+        n, fro = a.n, a.fro
         lam, q = eig_sym(a)
         oracle = np.linalg.eigvalsh(a.entries)
-        scale = max(1.0, a.fro)
-        assert np.max(np.abs(lam - oracle)) <= 1e-10 * scale, (trial, n)
-        # reconstruction and orthogonality
-        rebuilt = (q * lam) @ q.T
-        assert np.linalg.norm(rebuilt - a.entries) <= 1e-9 * scale
-        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-10
+        # the floor of rel_zero bounds the eigenvalue error
+        assert np.max(np.abs(lam - oracle)) <= linalg.EIG_CONVERGENCE * fro, (trial, n)
+        if trial % 5 == 2:
+            assert lam.tolist() == sorted(np.diag(a.entries).tolist())
+        # reconstruction and orthogonality, compared on A / ||A||_F
+        if fro:
+            rebuilt = (q * (lam / fro)) @ q.T
+            assert np.linalg.norm(rebuilt - a.entries / fro) <= 1e-13, (trial, n)
+        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13, (trial, n)
+        # bitwise repeatable, and the same steps at every power-of-two scale
+        lam2, q2 = eig_sym(a)
+        assert lam.tobytes() == lam2.tobytes() and q.tobytes() == q2.tobytes()
+        shift = -600 if fro > 1.0 else 600
+        lam3, q3 = eig_sym(SymMatrix(np.ldexp(a.entries, shift)))
+        assert lam3.tobytes() == np.ldexp(lam, shift).tobytes()
+        assert q3.tobytes() == q.tobytes()
+        assert eig_sym(a, vectors=False)[0].tobytes() == lam.tobytes()
 
 
 def test_eig_sorted_ascending():
@@ -77,12 +110,14 @@ def test_eig_diagonal_is_exact():
 
 
 def test_eig_raises_when_sweeps_run_out(monkeypatch):
-    monkeypatch.setattr(linalg, "MAX_SWEEPS", 0)
+    monkeypatch.setattr(linalg, "MAX_QL_ITERATIONS", 0)
     with pytest.raises(ConvergenceError):
-        eig_sym(sym([[1.0, 2.0], [2.0, 1.0]]))
-    # an already diagonal matrix needs no sweep
-    lam, _ = eig_sym(sym([[2.0, 0.0], [0.0, -1.0]]))
-    assert lam.tolist() == [-1.0, 2.0]
+        eig_sym(sym([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
+    # an already diagonal matrix needs no iteration, nor does a 2x2 block
+    lam, _ = eig_sym(sym(np.diag([2.0, -1.0, 0.5])))
+    assert lam.tolist() == [-1.0, 0.5, 2.0]
+    lam, _ = eig_sym(sym([[1.0, 2.0], [2.0, 1.0]]))
+    assert lam.tolist() == [-1.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ class AsymmetryError(InertiaLabError):
 
 
 class ConvergenceError(InertiaLabError):
-    """The eigensolver did not converge within the sweep cap."""
+    """One eigenvalue took more than ``linalg.MAX_QL_ITERATIONS`` implicit QL iterations."""
 
 
 class DomainViolation(InertiaLabError):

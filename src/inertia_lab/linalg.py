@@ -6,6 +6,9 @@ reduction to tridiagonal form followed by implicit-shift QL (Golub & Van Loan,
 *Matrix Computations*, section 8.3; EISPACK ``tql2``), in elementwise numpy
 only, so the whole negativity bookkeeping chain is self-contained and its
 bytes do not depend on the BLAS build; LAPACK never enters the runtime path.
+Eigenvectors are accumulated once per QL sweep: the sweep's Givens rotations
+are multiplied into one small orthogonal block, applied with one
+``np.einsum`` (Lang, SIAM J. Sci. Comput. 19(2), 1998).
 """
 
 from __future__ import annotations
@@ -296,13 +299,42 @@ def _tridiagonalize(a: np.ndarray, qt: np.ndarray | None, tiny: float) -> tuple[
     return np.diag(a).tolist(), off
 
 
+def _apply_givens_chain(qt: np.ndarray, m: int, c: list, s: list, upper: np.ndarray) -> None:
+    """Apply one QL sweep's Givens rotations to rows m-K..m of ``qt`` with one product.
+
+    The sweep applied rotation j = 0, ..., K-1 to rows (i, i+1), i = m-1-j:
+    row i <- c_j row i - s_j row i+1 and row i+1 <- s_j row i + c_j row i+1.
+    Numbered locally by a = K-1-j (rotation a acts on rows a and a+1 and
+    runs after a+1), their product W has the closed form
+    T[a, b] = prod_{p=a}^{b-1} (-s_p) * c'_b for b >= a (c'_K = 1),
+    W[0] = T[0] and W[a+1] = s_a e_a + c_a T[a+1], with no divisions.
+    ``upper`` is a strictly upper triangular mask with at least K+1 rows.
+    """
+    k = len(c)
+    up = upper[: k + 1, : k + 1]
+    c = np.array(c[::-1])
+    s = np.array(s[::-1])
+    # row a of the masked array is 1 up to column a, then -s_a, -s_(a+1), ...
+    w = np.cumprod(np.where(up, np.concatenate(([1.0], -s)), 1.0), axis=1)
+    w[up.T] = 0.0
+    w[:, :k] *= c  # now w = T
+    w[1:] *= c[:, None]
+    w.ravel()[k + 1 :: k + 2] = s  # the subdiagonal: W[a+1, a] = s_a
+    rows = qt[m - k : m + 1]
+    # einsum without ``optimize`` never calls BLAS, so the bytes do not
+    # depend on the BLAS build
+    rows[:] = np.einsum("ij,jk->ik", w, rows)
+
+
 def eig_sym(A: SymMatrix, vectors: bool = True):
     """Full symmetric eigendecomposition: Householder tridiagonalisation, then implicit QL.
 
     Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``;
     ``Q`` is None with ``vectors=False``, which leaves ``lam`` bit for bit
     the same.  An off-diagonal entry of T at most ``eps * ||A||_F`` counts as
-    zero, and a 2x2 block is diagonalised in closed form.  Raises
+    zero, and a 2x2 block is diagonalised in closed form.  The scalar loop
+    records each sweep's rotations and :func:`_apply_givens_chain` applies
+    them to the rows of Q^T as one product.  Raises
     :class:`ConvergenceError` when one eigenvalue takes more than
     ``MAX_QL_ITERATIONS`` QL iterations.
     """
@@ -314,6 +346,7 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
     # scaling, and no overflow or underflow
     ex = _binade(A.entries)
     qt = np.eye(n) if vectors else None
+    upper = np.arange(n)[:, None] < np.arange(n) if vectors else None
     tiny = _EPS * math.ldexp(A.fro, -ex)
     d, off = _tridiagonalize(np.ldexp(A.entries, -ex), qt, tiny)
 
@@ -327,50 +360,52 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
                 break
             if m == l + 1:
                 # the closed-form Jacobi rotation keeps 2x2 spectra such as
-                # [-1, 3] exact
+                # [-1, 3] exact; the next pass finds the block split
                 apq, app, aqq = off[l], d[l], d[l + 1]
                 theta = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
                 c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
                 d[l], d[l + 1] = app - t * apq, aqq + t * apq
                 off[l] = 0.0
-                if vectors:
-                    qt[l], qt[l + 1] = c * qt[l] - s * qt[l + 1], s * qt[l] + c * qt[l + 1]
-                break
-            if it == MAX_QL_ITERATIONS:
-                raise ConvergenceError(
-                    f"QL did not converge in {MAX_QL_ITERATIONS} iterations "
-                    f"(eigenvalue {l} of {n}, off-diagonal {abs(off[l]):.3e}, target {tiny:.3e})"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * off[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + off[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * off[i]
-                b = c * off[i]
-                r = math.hypot(f, g)
-                off[i + 1] = r
-                if r == 0.0:
-                    # underflow: T splits at i + 1; iterate again
-                    d[i + 1] -= p
-                    off[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if vectors:
-                    qt[i], qt[i + 1] = c * qt[i] - s * qt[i + 1], s * qt[i] + c * qt[i + 1]
+                cs, ss = [c], [t * c]
             else:
-                d[l] -= p
-                off[l] = g
-                off[m] = 0.0
+                if it == MAX_QL_ITERATIONS:
+                    raise ConvergenceError(
+                        f"QL did not converge in {MAX_QL_ITERATIONS} iterations "
+                        f"(eigenvalue {l} of {n}, off-diagonal {abs(off[l]):.3e}, target {tiny:.3e})"
+                    )
+                g = (d[l + 1] - d[l]) / (2.0 * off[l])
+                r = math.hypot(g, 1.0)
+                g = d[m] - d[l] + off[l] / (g + math.copysign(r, g))
+                s = c = 1.0
+                p = 0.0
+                cs, ss = [], []
+                for i in range(m - 1, l - 1, -1):
+                    f = s * off[i]
+                    b = c * off[i]
+                    r = math.hypot(f, g)
+                    off[i + 1] = r
+                    if r == 0.0:
+                        # underflow: T splits at i + 1; iterate again
+                        d[i + 1] -= p
+                        off[m] = 0.0
+                        break
+                    s = f / r
+                    c = g / r
+                    g = d[i + 1] - p
+                    r = (d[i] - g) * s + 2.0 * c * b
+                    p = s * r
+                    d[i + 1] = g + p
+                    g = c * r - b
+                    if vectors:
+                        cs.append(c)
+                        ss.append(s)
+                else:
+                    d[l] -= p
+                    off[l] = g
+                    off[m] = 0.0
+            if vectors and cs:
+                _apply_givens_chain(qt, m, cs, ss, upper)
 
     lam = np.ldexp(np.array(d), ex)
     order = np.argsort(lam, kind="stable")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -43,7 +44,8 @@ def random_sym(rng, n, scale=1.0):
 
 def _eig_input(rng, trial) -> np.ndarray:
     """A symmetric test array of one of five shapes, at a scale in [1e-150, 1e150]."""
-    n = int(rng.integers(13, 65)) if trial % 20 == 0 else int(rng.integers(1, 13))
+    # every shape gets sizes above 12, where QL chains are long
+    n = int(rng.integers(13, 65)) if (trial // 5) % 4 == 0 else int(rng.integers(1, 13))
     shape = trial % 5
     if shape == 0:  # dense
         g = rng.standard_normal((n, n))
@@ -118,6 +120,74 @@ def test_eig_raises_when_sweeps_run_out(monkeypatch):
     assert lam.tolist() == [-1.0, 0.5, 2.0]
     lam, _ = eig_sym(sym([[1.0, 2.0], [2.0, 1.0]]))
     assert lam.tolist() == [-1.0, 3.0]
+
+
+def _rotation_pairs(rng, k: int) -> tuple[list, list]:
+    """k random (c, s) with c^2 + s^2 = 1, some with s = +-1 (c = 0) or s = 0."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=k)
+    c, s = np.cos(theta), np.sin(theta)
+    pick = rng.uniform(size=k)
+    c[pick < 0.15], s[pick < 0.15] = 0.0, rng.choice([-1.0, 1.0], size=int(np.sum(pick < 0.15)))
+    c[pick > 0.9], s[pick > 0.9] = 1.0, 0.0
+    return c.tolist(), s.tolist()
+
+
+def test_givens_chain_product_matches_sequential_rotations():
+    rng = np.random.default_rng(5)
+    for k in range(1, 65):
+        c, s = _rotation_pairs(rng, k)
+        # the full chain, then a partial one as left by a split mid-sweep
+        for kk in (k, int(rng.integers(1, k + 1))):
+            m = k + 1
+            qt = rng.standard_normal((k + 4, 9))
+            want = qt.copy()
+            for j in range(kk):
+                i = m - 1 - j
+                lo, hi = want[i].copy(), want[i + 1].copy()
+                want[i], want[i + 1] = c[j] * lo - s[j] * hi, s[j] * lo + c[j] * hi
+            upper = np.arange(k + 4)[:, None] < np.arange(k + 4)
+            linalg._apply_givens_chain(qt, m, c[:kk], s[:kk], upper)
+            assert np.max(np.abs(qt - want)) <= 4 * k * np.finfo(float).eps, (k, kk)
+            untouched = np.r_[0 : m - kk, m + 1 : k + 4]
+            assert qt[untouched].tobytes() == want[untouched].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenvectors_of_tight_clusters_stay_orthogonal(seed):
+    rng = np.random.default_rng(seed)
+    n = 64
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam0 = 1.0 + 1e-12 * rng.standard_normal(n)
+    if seed:  # two clusters, at -1 and at 1
+        lam0[: n // 2] -= 2.0
+    a = SymMatrix((q * lam0) @ q.T)
+    lam, v = eig_sym(a)
+    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13
+    assert np.linalg.norm((v * lam) @ v.T - a.entries) <= 1e-13 * a.fro
+
+
+def _pin_input(n: int) -> np.ndarray:
+    i, j = np.indices((n, n))
+    return ((7 * (i + j) + 3 * i * j) % 17 - 8).astype(float)
+
+
+# sha256 of the eigenvalue bytes, recorded before eigenvectors were accumulated
+# one QL sweep at a time: eigenvector work must not move an eigenvalue bit
+PINNED_SPECTRA = {
+    2: "e71a13d2e4151163fc5a674647b89ffeb82220a0bbf8643d2307886974e0a24e",
+    3: "4b3965a07f55bb43f23c2f638ae0b3c5c9554856ba59a7fa5f12ce87233b6fa4",
+    5: "e6ffe37591b3597816aa63f2b6672de2e1bb1abb52eb716a55eafc30109f2a0d",
+    12: "d4ca88f970251e32a22567478b74fdf8f56cd9ad2de9b34c699a6296a83532f8",
+    24: "df5bfd97c6b9098fa7995796086213de455a349da148f75aab1dc74e694fc252",
+    63: "18a9c4414d524f7b4e6ed75d991bcb6d0a57a2fbeaa08c0513b2ae31d0512f27",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SPECTRA))
+def test_eigenvalue_bytes_are_pinned(n):
+    a = SymMatrix(_pin_input(n))
+    for lam in (eig_sym(a)[0], eig_sym(a, vectors=False)[0]):
+        assert hashlib.sha256(lam.tobytes()).hexdigest() == PINNED_SPECTRA[n]
 
 
 # ---------------------------------------------------------------------------

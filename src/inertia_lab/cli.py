@@ -57,14 +57,11 @@ from .harness import (
     verify_forward,
 )
 from .linalg import (
-    DEFAULT_TOL,
     DomainSpec,
     SymMatrix,
-    TolerancePolicy,
     eig_sym,
     inertia,
     spectrum_inertia,
-    sym,
 )
 from .pontryagin import (
     gram_realize,
@@ -117,15 +114,6 @@ def _domain_arg(text: str | None) -> DomainSpec:
     return DomainSpec.from_json_dict(value)
 
 
-def _tol_arg(text: str | None) -> TolerancePolicy:
-    if text is None:
-        return DEFAULT_TOL
-    value = _load_json_arg(text)
-    if not isinstance(value, dict):
-        raise ConfigError("tolerance argument must be a JSON object")
-    return TolerancePolicy.from_json_dict(value)
-
-
 def _fn_arg(text: str):
     value = _load_json_arg(text)
     if not isinstance(value, dict):
@@ -147,9 +135,8 @@ def _err(message) -> None:
 
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
-    tol = _tol_arg(args.tolerance)
     lam, _ = eig_sym(a, vectors=False)
-    out = spectrum_inertia(a, lam, tol).to_json_dict()
+    out = spectrum_inertia(a, lam).to_json_dict()
     if args.eigenvalues:
         out["eigenvalues"] = lam.tolist()
     _emit(out, indent=None)
@@ -160,9 +147,8 @@ def _cmd_apply(args) -> int:
     fn = _fn_arg(args.fn)
     mats = tuple(_matrix_arg(m) for m in args.matrix)
     dom = _domain_arg(args.domain)
-    tol = _tol_arg(args.tolerance)
     image = apply_entrywise(fn, mats, dom)
-    _emit({"matrix": image.to_json_dict(), "inertia": inertia(image, tol).to_json_dict()})
+    _emit({"matrix": image.to_json_dict(), "inertia": inertia(image).to_json_dict()})
     return EXIT_OK
 
 
@@ -254,8 +240,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_factor(args) -> int:
     a = _matrix_arg(args.matrix)
-    tol = _tol_arg(args.tolerance)
-    vectors, (plus, minus), err = gram_realize(a, args.k, tol)
+    vectors, (plus, minus), err = gram_realize(a, args.k)
     _emit(
         {
             "vectors": vectors.tolist(),
@@ -268,8 +253,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_profile(args) -> int:
     a = _matrix_arg(args.matrix)
-    tol = _tol_arg(args.tolerance)
-    profile = leading_negativity_profile(a, tol)
+    profile = leading_negativity_profile(a)
     out: dict = {"profile": profile}
     if args.k is not None:
         out["stabilization"] = stabilization_index(profile, args.k)
@@ -353,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inertia", help="inertia counts of a symmetric matrix")
     p.add_argument("--matrix", required=True, help="rows list or {n, rows}; inline or @file")
-    p.add_argument("--tolerance", default=None)
     p.add_argument("--eigenvalues", action="store_true", help="include the spectrum")
     p.set_defaults(func=_cmd_inertia)
 
@@ -363,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--matrix", action="append", required=True, help="one per slot, in slot order"
     )
     p.add_argument("--domain", default=None, help="kind name or {kind, rho} JSON")
-    p.add_argument("--tolerance", default=None)
     p.set_defaults(func=_cmd_apply)
 
     c = sub.add_parser("construct", help="build one of the named matrices")
@@ -469,12 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q = psub.add_parser("factor", help="realize A as a signed Gram matrix")
     q.add_argument("--matrix", required=True)
     q.add_argument("--k", type=int, required=True, help="minus directions to allow")
-    q.add_argument("--tolerance", default=None)
     q.set_defaults(func=_cmd_factor)
     q = psub.add_parser("profile", help="negativity of the leading principal blocks")
     q.add_argument("--matrix", required=True)
     q.add_argument("--k", type=int, default=None, help="cap for the stabilization index")
-    q.add_argument("--tolerance", default=None)
     q.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("absmon", help="forward-difference and series diagnostics")

@@ -109,8 +109,6 @@ class FunctionSpec:
     def term_map(self) -> dict[tuple[int, ...], float]:
         return dict(self.terms)
 
-    coeffs = property(term_map)
-
     def to_json_dict(self) -> dict:
         return json.loads(self._form)
 
@@ -323,10 +321,6 @@ class AdmissibleK:
     @property
     def all_zero(self) -> bool:
         return self.m0 == self.m
-
-    @property
-    def k_max(self) -> int:
-        return max(1, max(self.k))
 
     @property
     def min_positive(self) -> int | None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -59,7 +59,6 @@ from .linalg import (
     DomainSpec,
     Inertia,
     SymMatrix,
-    TolerancePolicy,
     eig_sym,
     inertia,
     spectrum_inertia,
@@ -102,7 +101,6 @@ class TrialConfig:
     n_range: tuple[int, int] | None = None
     trials: int = 200
     seed: int = 0
-    tol: TolerancePolicy = field(default_factory=TolerancePolicy)
 
     def __post_init__(self):
         if not _is_int(self.l) or self.l < 0:
@@ -132,14 +130,13 @@ class TrialConfig:
             "n_range": list(self.n_range),
             "trials": self.trials,
             "seed": self.seed,
-            "tolerance": self.tol.to_json_dict(),
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrialConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        allowed = {"domain", "k", "l", "n_range", "trials", "seed", "tolerance"}
+        allowed = {"domain", "k", "l", "n_range", "trials", "seed"}
         unknown = set(d) - allowed
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -157,7 +154,6 @@ class TrialConfig:
             n_range=n_range,
             trials=d.get("trials", 200),
             seed=d.get("seed", 0),
-            tol=TolerancePolicy.from_json_dict(d.get("tolerance", {})),
         )
 
 
@@ -348,12 +344,12 @@ def _judge(
     claim compares the image count at size n with the counts at n+3 and n+7,
     and its witness is the lifted tuple.
     """
-    out = inertia(apply_entrywise(fn, mats, cfg.dom), cfg.tol)
+    out = inertia(apply_entrywise(fn, mats, cfg.dom))
     if claim != "lift":
         return Witness(mats, fn, out, clause) if _violation(claim, cfg.l, out, ref) else None
     for extra in (3, 7):
         lifted = tuple(lift_finite(m, mats[0].n + extra) for m in mats)
-        up = inertia(apply_entrywise(fn, lifted, cfg.dom), cfg.tol)
+        up = inertia(apply_entrywise(fn, lifted, cfg.dom))
         if up.n_neg != out.n_neg:
             return Witness(lifted, fn, up, clause)
     return None
@@ -373,7 +369,7 @@ def _make_witness(
     ref = None
     for p, (m, k_p) in enumerate(zip(mats, cfg.k.k), start=1):
         cfg.dom.check_matrix(m, slot=p)
-        ine = inertia(m, cfg.tol)
+        ine = inertia(m)
         if ine.n_neg > k_p or (claim != "closure" and ine.n_neg != k_p):
             return None
         if p == 1:
@@ -394,7 +390,7 @@ def _trial(
     rng = _trial_rng(cfg.seed, i)
     n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
     mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-    ref = inertia(mats[0], cfg.tol) if claim == "inertia" else None
+    ref = inertia(mats[0]) if claim == "inertia" else None
     return _judge(claim, fn, mats, cfg, clause, ref)
 
 
@@ -840,9 +836,9 @@ def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     scale = cfg.dom.rho_eff / 2.0
     a = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
     b = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
-    lhs = inertia(block_pair(a, b), cfg.tol)
-    plus = inertia(SymMatrix(a.entries + b.entries), cfg.tol)
-    minus = inertia(SymMatrix(a.entries - b.entries), cfg.tol)
+    lhs = inertia(block_pair(a, b))
+    plus = inertia(SymMatrix(a.entries + b.entries))
+    minus = inertia(SymMatrix(a.entries - b.entries))
     return lhs == Inertia(
         plus.n_neg + minus.n_neg, plus.n_zero + minus.n_zero, plus.n_pos + minus.n_pos
     )
@@ -856,8 +852,8 @@ def _suite_rank_one(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     v = rng.standard_normal(n)
     t = rng.uniform(0.1, 2.0)
     bump = SymMatrix(t * np.outer(v, v))
-    up = inertia(SymMatrix(a.entries + bump.entries), cfg.tol).n_neg
-    down = inertia(SymMatrix(a.entries - bump.entries), cfg.tol).n_neg
+    up = inertia(SymMatrix(a.entries + bump.entries)).n_neg
+    down = inertia(SymMatrix(a.entries - bump.entries)).n_neg
     return up in (k - 1, k) and down in (k, k + 1)
 
 
@@ -866,8 +862,8 @@ def _suite_inflation(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     n = s + int(rng.integers(0, 6))
     g = rng.uniform(-1.0, 1.0, size=(s, s))
     a = SymMatrix(g + g.T)
-    before = inertia(a, cfg.tol)
-    after = inertia(inflate(a, _random_partition(n, s, rng)), cfg.tol)
+    before = inertia(a)
+    after = inertia(inflate(a, _random_partition(n, s, rng)))
     return (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
 
 
@@ -882,13 +878,13 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     lam, _ = eig_sym(out, vectors=False)
     # lam ascends, so its first k entries are the negatives
     pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
-    return spectrum_inertia(out, lam, cfg.tol).n_neg == k and pinned
+    return spectrum_inertia(out, lam).n_neg == k and pinned
 
 
 def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     k = int(rng.integers(1, 5))
     t = float(rng.uniform(1.05, 10.0))
-    return inertia(ones_pencil(k, t), cfg.tol).n_neg == k - 1
+    return inertia(ones_pencil(k, t)).n_neg == k - 1
 
 
 _SUITE = [
@@ -909,7 +905,7 @@ def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     # verify and falsify stream
     for j, (name, batch) in enumerate(_SUITE, start=1):
         streams = (_trial_rng(cfg.seed, (j << 40) + i) for i in range(cfg.trials))
-        if batch is _suite_pencil and inertia(pencil_base(), cfg.tol) != Inertia(1, 0, 2):
+        if batch is _suite_pencil and inertia(pencil_base()) != Inertia(1, 0, 2):
             bad = cfg.trials  # every pencil trial stands on this one fixed matrix
         else:
             bad = sum(1 for rng in streams if not batch(cfg, rng))

@@ -26,12 +26,18 @@ MAX_QL_ITERATIONS = 30
 
 _EPS = float(np.finfo(float).eps)
 
-#: floor of ``rel_zero``.  The computed spectrum is the exact spectrum of a
-#: matrix within about n * eps * ||A||_F of A (Householder reduction and QL are
-#: backward stable), so every eigenvalue is off by less than this times
-#: ||A||_F for n up to a few hundred; a threshold below it could sit inside
-#: the eigenvalue error.
+#: bound on the eigensolver's error relative to ||A||_F.  The computed
+#: spectrum is the exact spectrum of a matrix within about n * eps * ||A||_F of
+#: A (Householder reduction and QL are backward stable), so every eigenvalue is
+#: off by less than this times ||A||_F for n up to a few hundred.
 EIG_CONVERGENCE = 1e-13
+
+#: the zero rule of inertia counting: an eigenvalue counts as zero when
+#: |lam| <= REL_ZERO * ||A||_F.  The threshold is relative to ||A||_F alone,
+#: so no positive scaling of A changes a count.  It sits four orders above
+#: EIG_CONVERGENCE, so the solver's error is at most 1e-4 of the threshold:
+#: only an eigenvalue within 0.01% of it can land on the wrong side.
+REL_ZERO = 1e-9
 
 #: relative asymmetry beyond which a parsed matrix is rejected instead of averaged
 ASYMMETRY_TOL = 1e-12
@@ -40,44 +46,6 @@ DOMAIN_KINDS = ("two_sided", "open_positive", "closed_left")
 
 #: bounds on a finite domain radius: squared entries of members stay normal doubles
 RHO_MIN, RHO_MAX = 1e-150, 1e150
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """The zero rule of inertia counting.
-
-    An eigenvalue counts as zero when |lam| <= rel_zero * ||A||_F.  The
-    threshold is relative to ``||A||_F`` alone, so no positive scaling of A
-    changes a count.  ``rel_zero`` lies in [``EIG_CONVERGENCE``, 1e-2): below
-    the eigensolver's error bound, a computed eigenvalue could land on the
-    wrong side of the threshold.
-    """
-
-    rel_zero: float = 1e-9
-
-    def __post_init__(self):
-        v = self.rel_zero
-        if not (isinstance(v, float) and EIG_CONVERGENCE <= v < 1e-2):
-            raise ConfigError(f"rel_zero must be a float in [{EIG_CONVERGENCE:g}, 1e-2), got {v!r}")
-
-    def to_json_dict(self) -> dict:
-        return {"rel_zero": self.rel_zero}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TolerancePolicy":
-        if not isinstance(d, dict):
-            raise ConfigError("tolerance policy must be a JSON object")
-        unknown = set(d) - {"rel_zero"}
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        try:
-            kwargs = {k: float(v) for k, v in d.items()}
-        except (TypeError, ValueError):
-            raise ConfigError(f"tolerance values must be numbers, got {d!r}") from None
-        return cls(**kwargs)
-
-
-DEFAULT_TOL = TolerancePolicy()
 
 
 class Inertia(NamedTuple):
@@ -293,7 +261,7 @@ def _tridiagonalize(a: np.ndarray, qt: np.ndarray | None, tiny: float) -> tuple[
         sub -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
         if qt is not None:
             rows = qt[k + 1 :]
-            rows -= np.multiply.outer(beta * v, np.sum(v[:, None] * rows, axis=0))
+            rows -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, rows))
         off[k] = alpha
     off[n - 2] = float(a[n - 1, n - 2])
     return np.diag(a).tolist(), off
@@ -412,42 +380,36 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
     return lam[order], qt[order].T if vectors else None
 
 
-def zero_threshold(A: SymMatrix, tol: TolerancePolicy) -> float:
-    """Eigenvalues of ``A`` with |lam| <= this count as zero: rel_zero * ||A||_F.
+def zero_threshold(A: SymMatrix) -> float:
+    """Eigenvalues of ``A`` with |lam| <= this count as zero: REL_ZERO * ||A||_F.
 
     Purely relative, so inertia(c * A) == inertia(A) for every c > 0.
     """
-    return tol.rel_zero * A.fro
+    return REL_ZERO * A.fro
 
 
-def spectrum_inertia(A: SymMatrix, lam: np.ndarray, tol: TolerancePolicy) -> Inertia:
+def spectrum_inertia(A: SymMatrix, lam: np.ndarray) -> Inertia:
     """The sign counts of ``lam``, the spectrum of ``A``, against :func:`zero_threshold`."""
-    thresh = zero_threshold(A, tol)
+    thresh = zero_threshold(A)
     n_neg = int(np.sum(lam < -thresh))
     n_pos = int(np.sum(lam > thresh))
     return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)
 
 
-def inertia(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> Inertia:
+def inertia(A: SymMatrix) -> Inertia:
     """Count (negative, zero, positive) eigenvalues of ``A``.
 
     An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
     """
-    return spectrum_inertia(A, eig_sym(A, vectors=False)[0], tol)
+    return spectrum_inertia(A, eig_sym(A, vectors=False)[0])
 
 
-def rank(A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> int:
-    ine = inertia(A, tol)
+def rank(A: SymMatrix) -> int:
+    ine = inertia(A)
     return ine.n_neg + ine.n_pos
 
 
-def is_member(
-    A: SymMatrix,
-    k: int,
-    dom: DomainSpec,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    closure: bool = False,
-) -> bool:
+def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> bool:
     """Membership test: entries inside ``dom`` and exactly ``k`` negative
     eigenvalues (at most ``k`` with ``closure=True``)."""
     if not isinstance(k, int) or k < 0:
@@ -456,16 +418,16 @@ def is_member(
         dom.check_matrix(A)
     except DomainViolation:
         return False
-    n_neg = inertia(A, tol).n_neg
+    n_neg = inertia(A).n_neg
     return n_neg <= k if closure else n_neg == k
 
 
-def loewner_geq(A: SymMatrix, B: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def loewner_geq(A: SymMatrix, B: SymMatrix) -> bool:
     """Loewner comparison A >= B: is A - B positive semidefinite?"""
     if A.n != B.n:
         raise ConfigError("Loewner comparison needs matching sizes")
     diff = SymMatrix(A.entries - B.entries)
-    return inertia(diff, tol).n_neg == 0
+    return inertia(diff).n_neg == 0
 
 
 def schur_product(A: SymMatrix, B: SymMatrix) -> SymMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import DEFAULT_TOL, SymMatrix, TolerancePolicy, eig_sym, inertia, zero_threshold
+from .linalg import SymMatrix, eig_sym, inertia, zero_threshold
 
 
 def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
@@ -32,9 +32,7 @@ def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
     return SymMatrix((v * j_diag) @ v.T)
 
 
-def gram_realize(
-    A: SymMatrix, k: int, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[np.ndarray, tuple[int, int], float]:
+def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], float]:
     """Realize A as a Gram matrix with exactly k minus directions.
 
     Requires n_neg(A) <= k.  Returns ``(vectors, (plus, minus), err)`` where
@@ -45,7 +43,7 @@ def gram_realize(
     if not isinstance(k, int) or k < 0:
         raise ConfigError("k must be a nonnegative int")
     lam, q = eig_sym(A)
-    thresh = zero_threshold(A, tol)
+    thresh = zero_threshold(A)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
     other_idx = [i for i, v in enumerate(lam) if v >= -thresh]
     r = len(neg_idx)
@@ -64,16 +62,14 @@ def gram_realize(
     return vectors, (plus, k), err
 
 
-def leading_negativity_profile(
-    A: SymMatrix, tol: TolerancePolicy = DEFAULT_TOL
-) -> list[int]:
+def leading_negativity_profile(A: SymMatrix) -> list[int]:
     """Negative-eigenvalue counts of the leading principal j x j blocks.
 
     By eigenvalue interlacing the sequence is nondecreasing and ends at
     n_neg(A).
     """
     ent = A.entries
-    return [inertia(SymMatrix(ent[:j, :j]), tol).n_neg for j in range(1, A.n + 1)]
+    return [inertia(SymMatrix(ent[:j, :j])).n_neg for j in range(1, A.n + 1)]
 
 
 def stabilization_index(profile: list[int], k: int) -> int | None:

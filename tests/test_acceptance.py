@@ -35,12 +35,11 @@ from inertia_lab.functions import (
     SplitForm,
     apply_entrywise,
 )
-from inertia_lab.harness import TrialConfig, falsify, lemma_suite, verify_forward
+from inertia_lab.harness import TrialConfig, falsify, verify_forward
 from inertia_lab.linalg import (
     DomainSpec,
     Inertia,
     SymMatrix,
-    TolerancePolicy,
     direct_sum,
     eig_sym,
     inertia,

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import subprocess
 import sys
 
@@ -120,9 +119,6 @@ def test_apply_flags_domain_violations():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": "x"}'],
-        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"rel_zero": null}'],
-        ["inertia", "--matrix", "[[1,2],[2,1]]", "--tolerance", '{"eig_convergence": 1e-13}'],
         ["apply", "--fn", '{"type":"constant","value":"x"}', "--matrix", "[[1.0]]"],
         [
             "apply",
@@ -297,6 +293,40 @@ def test_suite_exits_zero_and_reports_batches():
         "pencil-counts",
     ):
         assert f"{name}: 5/5 ok" in label
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inertia", "--matrix", "[[1,2],[2,1]]"],
+        ["apply", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":1}', "--matrix", "[[1.0]]"],
+        ["pontryagin", "factor", "--matrix", "[[1,2],[2,1]]", "--k", "1"],
+        ["pontryagin", "profile", "--matrix", "[[1,2],[2,1]]"],
+    ],
+)
+def test_the_zero_rule_is_not_a_flag(argv):
+    assert run_cli(argv)[0] == 0
+    code, out, err = run_cli(argv + ["--tolerance", '{"rel_zero": 1e-9}'])
+    assert code == 2
+    assert out == ""
+
+
+def test_the_zero_rule_is_not_a_config_key():
+    config = dict(VERIFY_SPEC["config"], tolerance={"rel_zero": 1e-9})
+    code, out, err = run_cli(["verify", json.dumps(dict(VERIFY_SPEC, config=config))])
+    assert code == 2
+    assert out == ""
+    assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "falsify", "suite"])
+def test_report_config_carries_exactly_the_run_settings(command):
+    spec = {"config": dict(VERIFY_SPEC["config"], trials=2)}
+    if command != "suite":
+        spec.update(theorem=VERIFY_SPEC["theorem"], fn=VERIFY_SPEC["fn"])
+    code, out, err = run_cli([command, json.dumps(spec)])
+    assert code in (0, 1)
+    assert set(json.loads(out)["config"]) == {"fn", "domain", "k", "l", "n_range", "trials", "seed"}
 
 
 def test_run_spec_rejects_unknown_keys():

@@ -30,7 +30,7 @@ TWO_SIDED = DomainSpec()
 
 def test_series_merges_and_drops_terms():
     f = Series(1, [((1,), 1.0), ((1,), 2.0), ((2,), 0.0)])
-    assert f.coeffs == {(1,): 3.0}
+    assert f.term_map() == {(1,): 3.0}
     assert f.degree == 1
 
 
@@ -185,7 +185,7 @@ def test_apply_permutation_equivariance():
 def test_admissible_k_zeros_first():
     ks = AdmissibleK([0, 0, 2, 1])
     assert ks.m == 4 and ks.m0 == 2
-    assert ks.k_max == 2 and ks.min_positive == 1
+    assert ks.min_positive == 1
     with pytest.raises(ConfigError):
         AdmissibleK([1, 0])
 
@@ -193,7 +193,6 @@ def test_admissible_k_zeros_first():
 def test_admissible_k_all_zero_floor():
     ks = AdmissibleK([0, 0])
     assert ks.all_zero
-    assert ks.k_max == 1  # the window floor never collapses below 1
     assert ks.min_positive is None
 
 

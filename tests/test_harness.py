@@ -25,9 +25,7 @@ from inertia_lab.harness import (
     sample_with_inertia,
     verify_forward,
 )
-from inertia_lab.linalg import DomainSpec, SymMatrix, TolerancePolicy, inertia, is_member
-
-TOL = TolerancePolicy()
+from inertia_lab.linalg import DomainSpec, SymMatrix, inertia, is_member
 
 
 def _rng(seed=0):
@@ -44,7 +42,7 @@ def test_sampler_hits_requested_inertia(kind, k):
         m = sample_with_inertia(n, k, dom, rng)
         assert m.n == n
         assert inertia(m).n_neg == k
-        assert is_member(m, k, dom, TOL, closure=False)
+        assert is_member(m, k, dom, closure=False)
 
 
 def test_sampler_unbounded_domain():

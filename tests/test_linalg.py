@@ -16,11 +16,9 @@ from inertia_lab.errors import (
 )
 from inertia_lab.harness import _random_partition
 from inertia_lab.linalg import (
-    DEFAULT_TOL,
     DomainSpec,
     Inertia,
     SymMatrix,
-    TolerancePolicy,
     direct_sum,
     eig_sym,
     hadamard_power,
@@ -72,7 +70,7 @@ def test_eig_matches_lapack_on_random_matrices():
         n, fro = a.n, a.fro
         lam, q = eig_sym(a)
         oracle = np.linalg.eigvalsh(a.entries)
-        # the floor of rel_zero bounds the eigenvalue error
+        # EIG_CONVERGENCE bounds the eigenvalue error
         assert np.max(np.abs(lam - oracle)) <= linalg.EIG_CONVERGENCE * fro, (trial, n)
         if trial % 5 == 2:
             assert lam.tolist() == sorted(np.diag(a.entries).tolist())
@@ -304,7 +302,7 @@ def test_json_dict_strict_keys():
 
 
 # ---------------------------------------------------------------------------
-# domains and tolerances
+# domains
 # ---------------------------------------------------------------------------
 
 def test_domain_membership_two_sided_bounded():
@@ -346,19 +344,6 @@ def test_domain_radius_must_be_inf_or_within_range(rho):
 def test_domain_radius_range_is_closed():
     assert DomainSpec("two_sided", linalg.RHO_MIN).rho == 1e-150
     assert DomainSpec("closed_left", linalg.RHO_MAX).rho == 1e150
-
-
-def test_tolerance_policy_validation():
-    with pytest.raises(ConfigError):
-        TolerancePolicy(rel_zero=0.5)
-    # below the eigensolver's stop, the eigenvalue error could cross the threshold
-    with pytest.raises(ConfigError):
-        TolerancePolicy(rel_zero=1e-14)
-    assert TolerancePolicy(rel_zero=linalg.EIG_CONVERGENCE).rel_zero == 1e-13
-    with pytest.raises(ConfigError):
-        TolerancePolicy.from_json_dict({"rel_zero": 1e-9, "eig_convergence": 1e-13})
-    t = TolerancePolicy()
-    assert TolerancePolicy.from_json_dict(t.to_json_dict()) == t
 
 
 def test_is_member_exact_and_closure():
@@ -492,6 +477,21 @@ def test_counts_at_the_ends_of_the_double_range():
         small = SymMatrix(1e-170 * np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
         assert inertia(small) == Inertia(1, 0, 2)
         assert eig_sym(small)[0] / 1e-170 == pytest.approx([-1.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("e", [-600, 0, 600])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_the_zero_rule_at_its_boundary(e, sign):
+    # ||diag(1, t)||_F rounds to exactly 1 for t this small, so the eigenvalue
+    # t * 2^e lies at ratio times the threshold REL_ZERO * 2^e
+    nonzero = Inertia(1, 0, 1) if sign < 0 else Inertia(0, 0, 2)
+    for ratio, want in ((0.9, Inertia(0, 1, 1)), (1.1, nonzero)):
+        t = sign * ratio * linalg.REL_ZERO
+        a = SymMatrix(np.ldexp(np.diag([1.0, t]), e))
+        assert a.fro == math.ldexp(1.0, e)
+        assert linalg.zero_threshold(a) == linalg.REL_ZERO * a.fro
+        assert eig_sym(a)[0].tolist() == sorted([math.ldexp(1.0, e), math.ldexp(t, e)])
+        assert inertia(a) == want
 
 
 def test_tiny_matrix_keeps_its_negative_eigenvalue():

@@ -274,17 +274,6 @@ def apply_entrywise(
     return SymMatrix(f(*(m.entries for m in mats)))
 
 
-def is_abs_monotone_series(f: FunctionSpec, include_constant: bool = False) -> bool:
-    """Are all (non-constant, unless requested) coefficients nonnegative?"""
-    zero = (0,) * f.arity
-    for alpha, c in f.terms:
-        if alpha == zero and not include_constant:
-            continue
-        if c < 0.0:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # admissible negativity tuples
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ function yields a vacuous report (nothing is verified).  ``falsify`` goes the
 other way: it uses the violated clause to pick a witness recipe, validates
 every candidate numerically (membership, domain, and the violation itself),
 and falls back to seeded random search when no recipe applies.  Forward
-verification and random search run the same trial: sample a member tuple from
-the trial's own stream, apply ``fn`` and judge the image.  Trials run one
-after another in index order, so reports are deterministic for a fixed seed.
+verification and random search run the same trials: sample a member tuple
+from the trial's own stream, apply ``fn`` and count the image.  Trials are
+sampled in index order and counted in chunks, each chunk's images as one
+zero-padded stack (``linalg.inertia_stack``); a flagged trial is judged again
+one matrix at a time.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .linalg import (
     SymMatrix,
     eig_sym,
     inertia,
+    inertia_stack,
     spectrum_inertia,
 )
 
@@ -74,6 +77,10 @@ WITNESS_CAP = 10
 
 #: scale halvings a recipe may take before giving up
 RECIPE_HALVINGS = 40
+
+#: entries in one counted stack of trial images (2 MiB of doubles): trials
+#: are counted in chunks of this size, so memory stays flat in ``trials``
+STACK_ENTRIES = 1 << 18
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -377,21 +384,69 @@ def _make_witness(
     return _judge(claim, fn, mats, cfg, clause, ref)
 
 
-def _trial(
-    claim: str, fn: FunctionSpec, cfg: TrialConfig, i: int, clause: str, closure: bool
-) -> Witness | None:
-    """Trial i: sample a member tuple from stream i and judge it.
+def _image(fn: FunctionSpec, mats: tuple[SymMatrix, ...]) -> np.ndarray:
+    """f[mats] as an array; non-finite entries raise as :class:`SymMatrix` would."""
+    out = fn(*(m.entries for m in mats))
+    if not np.all(np.isfinite(out)):
+        raise ConfigError("matrix entries must be finite")
+    return out
 
-    The sampled slots are not counted: ``sample_with_inertia`` builds them
-    with their negative count fixed in closed form, and the property tests
-    check that count against ``numpy.linalg.eigvalsh``.  Their domain is
-    checked when ``fn`` is applied.
+
+def _run_trials(
+    claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, closure: bool
+) -> tuple[int, list[Witness]]:
+    """Run trials 0..trials-1; returns the failure count and the first witnesses.
+
+    Trial i samples a member tuple from stream i.  The sampled slots are not
+    counted: ``sample_with_inertia`` builds them with their negative count
+    fixed in closed form, and the property tests check that count against
+    ``numpy.linalg.eigvalsh``.  Their domain is checked before ``fn`` is
+    applied, as :func:`apply_entrywise` does.  Trials go in index order,
+    in chunks of at most ``STACK_ENTRIES`` stack entries.  Each chunk's images,
+    plus slot 1 for an inertia claim and the lifted images for a lift claim,
+    are zero-padded into one stack and counted once by :func:`inertia_stack`.
+    A trial the stack flags is judged again by the scalar :func:`_judge`, so
+    a witness is exactly what :meth:`Witness.revalidate` recomputes.
     """
-    rng = _trial_rng(cfg.seed, i)
-    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-    mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-    ref = inertia(mats[0]) if claim == "inertia" else None
-    return _judge(claim, fn, mats, cfg, clause, ref)
+    lo, hi = cfg.n_range
+    extras = (3, 7) if claim == "lift" else ()
+    lanes = 1 + (claim == "inertia") + len(extras)
+    most = hi + max(extras, default=0)
+    chunk = max(1, STACK_ENTRIES // (lanes * most * most))
+    failures, witnesses = 0, []
+    for start in range(0, cfg.trials, chunk):
+        tuples, images = [], []
+        for i in range(start, min(start + chunk, cfg.trials)):
+            rng = _trial_rng(cfg.seed, i)
+            n = int(rng.integers(lo, hi + 1))
+            mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
+            for p, m in enumerate(mats, start=1):
+                cfg.dom.check_matrix(m, slot=p)
+            tuples.append(mats)
+            images.append(_image(fn, mats))
+            if claim == "inertia":
+                images.append(mats[0].entries)
+            images += [_image(fn, tuple(lift_finite(m, n + e) for m in mats)) for e in extras]
+        size = max(len(img) for img in images)
+        stack = np.zeros((len(images), size, size))
+        for b, img in enumerate(images):
+            stack[b, : len(img), : len(img)] = img
+        counts = inertia_stack(stack, [len(img) for img in images]).tolist()
+        for t, mats in enumerate(tuples):
+            out, *rest = (Inertia(*c) for c in counts[t * lanes : (t + 1) * lanes])
+            if claim == "lift":
+                flagged = any(up.n_neg != out.n_neg for up in rest)
+            else:
+                flagged = _violation(claim, cfg.l, out, rest[0] if rest else None)
+            if not flagged:
+                continue
+            ref = inertia(mats[0]) if claim == "inertia" else None
+            w = _judge(claim, fn, mats, cfg, clause, ref)
+            if w is not None:
+                failures += 1
+                if len(witnesses) < WITNESS_CAP:
+                    witnesses.append(w)
+    return failures, witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +490,14 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
         )
 
     clause = "lift-transfer-mismatch" if claim == "lift" else f"verify-failure:{claim}"
-    found = (_trial(claim, fn, cfg, i, clause, claim == "closure") for i in range(cfg.trials))
-    witnesses = [w for w in found if w is not None]
-    failures = len(witnesses)
+    failures, witnesses = _run_trials(claim, fn, cfg, clause, claim == "closure")
     label = (
         f"pass: {cfg.trials} trials, 0 failures"
         if failures == 0
         else f"FAIL: {failures} of {cfg.trials} trials violated the claim"
     )
     return VerdictReport(
-        claim, "verify", fn, cfg, cfg.trials, failures, witnesses[:WITNESS_CAP],
+        claim, "verify", fn, cfg, cfg.trials, failures, witnesses,
         label=label, runtime_ms=1000.0 * (time.perf_counter() - started),
     )
 
@@ -787,9 +840,9 @@ def falsify(
         raise ConfigError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     started = time.perf_counter()
 
-    def report(trials: int, witnesses: list[Witness], label: str) -> VerdictReport:
+    def report(trials: int, failures: int, witnesses: list[Witness], label: str) -> VerdictReport:
         return VerdictReport(
-            claim, "falsify", fn, cfg, trials, len(witnesses), witnesses[:WITNESS_CAP],
+            claim, "falsify", fn, cfg, trials, failures, witnesses,
             label=label, runtime_ms=1000.0 * (time.perf_counter() - started),
         )
 
@@ -797,34 +850,33 @@ def falsify(
     if (verdict is None or verdict.conforms) and strategy != "random":
         clause = verdict.clause if verdict is not None else "universal-identity"
         label = f"conforms (clause '{clause}'): no witness exists for this claim; nothing searched"
-        return report(0, [], label)
+        return report(0, 0, [], label)
 
     attempts = 0
     if verdict is not None and not verdict.conforms and strategy in ("auto", "recipe"):
         witness, attempts = _recipe_witness(verdict.clause, claim, fn, cfg)
         if witness is not None:
             return report(
-                attempts, [witness], f"witness found via recipe for clause '{verdict.clause}'"
+                attempts, 1, [witness], f"witness found via recipe for clause '{verdict.clause}'"
             )
         if strategy == "recipe":
             return report(
-                attempts, [],
+                attempts, 0, [],
                 f"no witness from recipe for clause '{verdict.clause}' after {attempts} candidates",
             )
 
     # random search samples exactly k_p negatives per slot, also under closure
     clause = verdict.clause if verdict is not None else "random-search"
-    found = (_trial(claim, fn, cfg, i, clause, False) for i in range(cfg.trials))
-    witnesses = [w for w in found if w is not None]
+    failures, witnesses = _run_trials(claim, fn, cfg, clause, False)
     total = attempts + cfg.trials
-    if witnesses:
-        label = f"witness found by random search ({len(witnesses)} of {cfg.trials} trials)"
+    if failures:
+        label = f"witness found by random search ({failures} of {cfg.trials} trials)"
     else:
         label = (
             f"no witness found: {attempts} recipe candidates and "
             f"{cfg.trials} random trials exhausted"
         )
-    return report(total, witnesses, label)
+    return report(total, failures, witnesses, label)
 
 
 # ---------------------------------------------------------------------------

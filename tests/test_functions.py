@@ -17,7 +17,6 @@ from inertia_lab.functions import (
     classify,
     evaluate,
     fn_from_json_dict,
-    is_abs_monotone_series,
 )
 from inertia_lab.linalg import DomainSpec, Inertia, SymMatrix, inertia, sym
 
@@ -329,17 +328,8 @@ def test_verdict_json_shape():
 
 
 # ---------------------------------------------------------------------------
-# absolute monotonicity of series
+# homotheties keep the inertia
 # ---------------------------------------------------------------------------
-
-def test_abs_monotone_series_flags():
-    assert is_abs_monotone_series(Series(1, {(1,): 1.0, (4,): 2.0}))
-    assert not is_abs_monotone_series(Series(1, {(1,): 1.0, (3,): -1.0}))
-    # constant term only participates when asked
-    f = Series(1, {(0,): -1.0, (1,): 1.0})
-    assert is_abs_monotone_series(f)
-    assert not is_abs_monotone_series(f, include_constant=True)
-
 
 @settings(max_examples=50, deadline=None)
 @given(

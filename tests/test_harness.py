@@ -364,3 +364,72 @@ def test_verify_and_falsify_at_extreme_scales(rho):
     rep = falsify("exact", fn, cfg)
     assert rep.label == "witness found via recipe for clause 'nonlinear-term'"
     assert rep.witnesses[0].revalidate("exact", cfg)
+
+
+# ---------------------------------------------------------------------------
+# stacked trials give the reports of the scalar trial loop, byte for byte
+# ---------------------------------------------------------------------------
+
+def _scalar_trials(claim, fn, cfg, clause, closure):
+    """The scalar trial loop: sample, apply and count one trial at a time."""
+    witnesses = []
+    for i in range(cfg.trials):
+        rng = harness._trial_rng(cfg.seed, i)
+        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+        mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
+        ref = inertia(mats[0]) if claim == "inertia" else None
+        w = harness._judge(claim, fn, mats, cfg, clause, ref)
+        if w is not None:
+            witnesses.append(w)
+    return len(witnesses), witnesses[: harness.WITNESS_CAP]
+
+
+# (run, claim, fn, kind, k, l): all five claims; constant and affine maps
+# have f(0) != 0, so the stack's padding must be zeroed after f is applied
+STACKED_RUNS = {
+    "verify-inertia": (verify_forward, "inertia", Homothety(2.5), "two_sided", [1], 1),
+    "verify-exact-constant": (verify_forward, "exact", Constant(-5.0), "closed_left", [1], 1),
+    "verify-exact-two-slots": (verify_forward, "exact", Homothety(2.0, 2, 2), "two_sided", [1, 1], 1),
+    "verify-closure-affine": (verify_forward, "closure", Affine(0.75, 1.5), "two_sided", [2], 2),
+    "verify-bounded": (
+        verify_forward, "bounded", Series(1, {(0,): 0.25, (1,): 1.0, (2,): 0.5}), "closed_left", [0], 0,
+    ),
+    "verify-lift": (verify_forward, "lift", Series(1, {(2,): 1.0, (0,): -0.5}), "closed_left", [1], 1),
+    "random-exact-constant": (falsify, "exact", Constant(-5.0), "two_sided", [2], 2),
+    "random-inertia-affine": (falsify, "inertia", Affine(-0.5, 1.0), "open_positive", [1], 1),
+    "random-exact-affine": (falsify, "exact", Affine(1.0, 1.0), "two_sided", [1], 1),
+    "random-bounded-base": (falsify, "bounded", Series(1, {(1,): 1.0, (2,): -0.5}), "closed_left", [0], 0),
+    "random-closure-square": (falsify, "closure", Series(1, {(2,): 1.0}), "two_sided", [1], 1),
+    "random-lift": (falsify, "lift", Series(1, {(2,): 1.0}), "open_positive", [2], 2),
+}
+
+
+@pytest.mark.parametrize("stack_entries", [harness.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("case", list(STACKED_RUNS))
+def test_stacked_trials_report_the_bytes_of_the_scalar_loop(case, stack_entries, monkeypatch):
+    run, claim, fn, kind, k, l = STACKED_RUNS[case]
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=40, seed=11)
+    kwargs = {} if run is verify_forward else {"strategy": "random"}
+    monkeypatch.setattr(harness, "STACK_ENTRIES", stack_entries)
+    stacked = run(claim, fn, cfg, **kwargs)
+    monkeypatch.setattr(harness, "_run_trials", _scalar_trials)
+    scalar = run(claim, fn, cfg, **kwargs)
+    assert dumps(stacked.to_json_dict()) == dumps(scalar.to_json_dict())
+    # every random search but the lift one fails, and carries witnesses
+    assert bool(stacked.witnesses) == (case.startswith("random-") and case != "random-lift")
+
+
+def test_many_chunks_really_split_the_trials(monkeypatch):
+    sizes = []
+    real = harness.inertia_stack
+
+    def spy(a, n):
+        sizes.append(len(n))
+        return real(a, n)
+
+    monkeypatch.setattr(harness, "inertia_stack", spy)
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=11)
+    verify_forward("inertia", Homothety(2.5), cfg)
+    # n <= 7 and two lanes per trial: 300 // (2 * 49) = 3 trials per stack
+    assert sizes == [6] * 13 + [2]

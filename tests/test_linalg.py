@@ -23,10 +23,9 @@ from inertia_lab.linalg import (
     eig_sym,
     hadamard_power,
     inertia,
+    inertia_stack,
     is_member,
-    loewner_geq,
     rank,
-    schur_product,
     sym,
 )
 
@@ -360,25 +359,6 @@ def test_is_member_exact_and_closure():
 # matrix algebra helpers
 # ---------------------------------------------------------------------------
 
-def test_loewner_comparison():
-    a = sym([[3.0, 5.0], [5.0, 9.0]])
-    z = sym(np.zeros((2, 2)))
-    assert loewner_geq(a, z)
-    assert not loewner_geq(z, a)
-    assert loewner_geq(a, a)
-
-
-def test_schur_product_and_psd_closure():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = int(rng.integers(1, 6))
-        g1 = rng.standard_normal((n, n + 1))
-        g2 = rng.standard_normal((n, n + 1))
-        a = SymMatrix(g1 @ g1.T)
-        b = SymMatrix(g2 @ g2.T)
-        assert inertia(schur_product(a, b)).n_neg == 0
-
-
 def test_hadamard_power_zero_exponent_is_ones():
     a = sym([[0.0, 2.0], [2.0, 0.0]])
     out = hadamard_power((a,), (0,))
@@ -559,3 +539,65 @@ def test_rank_one_updates_interlace_from_1e_minus_150_to_1e150(n, seed, c):
         down = inertia(SymMatrix(c * (a - bump))).n_neg
     assert up in (k - 1, k)
     assert down in (k, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# stacks of zero-padded slices
+# ---------------------------------------------------------------------------
+
+def _oracle(a: np.ndarray) -> Inertia:
+    lam = np.linalg.eigvalsh(a)
+    thresh = linalg.REL_ZERO * float(np.linalg.norm(a))
+    neg, pos = int(np.sum(lam < -thresh)), int(np.sum(lam > thresh))
+    return Inertia(neg, a.shape[0] - neg - pos, pos)
+
+
+def _lane(rng, n: int) -> tuple[np.ndarray, Inertia]:
+    """A size-n slice with pinned inertia: all zero, inflated, or with zero rows."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return np.zeros((n, n)), Inertia(0, n, 0)
+    s = int(rng.integers(1, n + 1))
+    if kind == 1:  # exact zero eigenvalues from repeated rows
+        a, want = _pinned(rng, int(rng.integers(0, s + 1)), s, n)
+        return a.entries, want
+    # exact zero rows and columns: the core sits on s random coordinates
+    core, want = _pinned(rng, int(rng.integers(0, s + 1)), s, s)
+    at = np.sort(rng.choice(n, size=s, replace=False))
+    a = np.zeros((n, n))
+    a[np.ix_(at, at)] = core.entries
+    return a, Inertia(want.n_neg, n - s + want.n_zero, want.n_pos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_stack_counts_match_inertia_and_eigvalsh_from_1e_minus_150_to_1e150(seed):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 13, size=int(rng.integers(1, 25)))
+    size = int(sizes.max()) + int(rng.integers(0, 3))
+    stack = np.zeros((len(sizes), size, size))
+    wants = []
+    for b, n in enumerate(sizes):
+        a, want = _lane(rng, int(n))
+        stack[b, :n, :n] = a * 10.0 ** rng.uniform(-150.0, 150.0)
+        wants.append(want)
+    with np.errstate(**STRICT):
+        got = [Inertia(*c) for c in inertia_stack(stack, sizes).tolist()]
+        scalar = [inertia(SymMatrix(stack[b, :n, :n])) for b, n in enumerate(sizes)]
+    assert got == wants
+    assert scalar == wants
+    assert [_oracle(stack[b, :n, :n]) for b, n in enumerate(sizes)] == wants
+
+
+def test_stack_edge_cases():
+    assert inertia_stack(np.zeros((0, 4, 4)), []).shape == (0, 3)
+    one = np.array([[[0.0]], [[-2.0]], [[3e-200]]])
+    assert inertia_stack(one, [1, 1, 1]).tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    # an all-zero slice has tau = 0; its exact zeros must not count as negative
+    zeros = np.zeros((3, 5, 5))
+    zeros[2, 0, 0] = -1.0
+    assert inertia_stack(zeros, [5, 2, 3]).tolist() == [[0, 5, 0], [0, 2, 0], [1, 2, 0]]
+    # the input stack is left as it is
+    a = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+    assert inertia_stack(a, [2]).tolist() == [[1, 0, 1]]
+    assert a.tolist() == [[[1.0, 2.0], [2.0, 1.0]]]

@@ -50,7 +50,6 @@ from .functions import (
     SplitForm,
     apply_entrywise,
     classify,
-    evaluate,
     fn_from_json_dict,
 )
 from .harness import (
@@ -70,7 +69,6 @@ from .linalg import (
     SymMatrix,
     direct_sum,
     eig_sym,
-    hadamard_power,
     inertia,
     inertia_stack,
     is_member,
@@ -118,13 +116,11 @@ __all__ = [
     "eig_sym",
     "embed_with_negatives",
     "equicorrelation",
-    "evaluate",
     "falsify",
     "fn_from_json_dict",
     "forward_difference_test",
     "gram_of",
     "gram_realize",
-    "hadamard_power",
     "inertia",
     "inertia_stack",
     "inflate",

@@ -172,56 +172,68 @@ def embed_with_negatives(
     return SymMatrix(joined.entries + epsilon * np.ones((n, n)))
 
 
-def _check_partition(partition: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    blocks = [list(block) for block in partition]
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
+def _row_map(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Entry i is the block that holds index i; ConfigError unless the blocks
+    split 0..n-1 into nonempty disjoint pieces."""
+    owner: dict[int, int] = {}
+    for j, block in enumerate(partition):
+        if not len(block):
             raise ConfigError("partition blocks must be nonempty")
         for i in block:
             if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
                 raise ConfigError(f"partition index {i!r} out of range 0..{n - 1}")
-            if i in seen:
+            if i in owner:
                 raise ConfigError(f"partition index {i} repeated")
-            seen.add(i)
-    if len(seen) != n:
+            owner[i] = j
+    if len(owner) != n:
         raise ConfigError("partition must cover every index exactly once")
-    return blocks
+    return np.array([owner[i] for i in range(n)], dtype=np.intp)
+
+
+def _lift_rows(n: int, N: int) -> np.ndarray:
+    """The row map of the lift from size n to N: min(i, n - 1)."""
+    return np.minimum(np.arange(N), n - 1)
+
+
+def _gather(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows][:, rows]: entry (i, j) is a copy of a[rows[i], rows[j]]."""
+    return a.take(rows, 0).take(rows, 1)
 
 
 def weight_matrix(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
     """0/1 matrix W with W[i, j] = 1 iff index i lies in block j.
 
-    Columns are disjoint indicators, so W^T W = diag(block sizes).
+    Row i is the identity row of the block holding i (a gather by the row
+    map), so columns are disjoint indicators and W^T W = diag(block sizes).
     """
-    blocks = _check_partition(partition, n)
-    w = np.zeros((n, len(blocks)))
-    for j, block in enumerate(blocks):
-        for i in block:
-            w[i, j] = 1.0
-    return w
+    rows = _row_map(partition, n)
+    return np.eye(len(partition)).take(rows, 0)
 
 
 def inflate(A: SymMatrix, partition: Sequence[Sequence[int]]) -> SymMatrix:
     """Blow A up by repeating entry (r, s) over block r x block s.
 
-    With W the partition weight matrix this is W A W^T.  W has full column
-    rank, so the counts of negative and positive eigenvalues are preserved
-    and only zeros are added.
+    A gather by the row map: entry (i, j) is a copy of A[r, s] with i in
+    block r and j in block s, which is W A W^T for W the partition weight
+    matrix, with no product formed.  W has full column rank, so the counts
+    of negative and positive eigenvalues are preserved and only zeros are
+    added.
     """
-    w = weight_matrix(partition, sum(len(block) for block in partition))
-    if w.shape[1] != A.n:
-        raise ConfigError(f"partition has {w.shape[1]} blocks, matrix has size {A.n}")
-    return SymMatrix(w @ A.entries @ w.T)
+    rows = _row_map(partition, sum(len(block) for block in partition))
+    if len(partition) != A.n:
+        raise ConfigError(f"partition has {len(partition)} blocks, matrix has size {A.n}")
+    return SymMatrix(_gather(A.entries, rows))
 
 
 def lift_finite(A: SymMatrix, N: int) -> SymMatrix:
-    """Replicate the last row/column of A until the size reaches N."""
+    """Replicate the last row/column of A until the size reaches N.
+
+    The inflation along blocks {0}, ..., {n-2}, {n-1..N-1}, as a gather by
+    the row map min(i, n - 1), so the result is W A W^T.
+    """
     if not isinstance(N, int) or N < A.n:
         raise ConfigError(f"target size must be an int >= {A.n}")
-    n = A.n
-    partition = [[i] for i in range(n - 1)] + [list(range(n - 1, N))]
-    return inflate(A, partition)
+    return SymMatrix(_gather(A.entries, _lift_rows(A.n, N)))
 
 
 def pencil_base() -> SymMatrix:

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainViolation, RegimeNotCovered, positive_float, positive_int
+from .errors import ConfigError, RegimeNotCovered, positive_float, positive_int
 from .linalg import DomainSpec, SymMatrix
 
 CLASSIFY_MODES = ("bounded", "exact", "inertia")
@@ -72,7 +72,7 @@ def _canonical_terms(arity: int, coeffs) -> tuple[tuple[tuple[int, ...], float],
 
 
 def _check_slot(slot, lo: int, hi: int) -> None:
-    if not isinstance(slot, int) or not lo <= slot <= hi:
+    if not isinstance(slot, int) or isinstance(slot, bool) or not lo <= slot <= hi:
         raise ConfigError(f"slot must lie in {lo}..{hi}, got {slot!r}")
 
 
@@ -186,7 +186,7 @@ def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
     max_deg = max((sum(a) for a, _ in terms), default=0)
     if degree is None:
         degree = max_deg
-    if not isinstance(degree, int) or degree < 0:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
         raise ConfigError("degree must be a nonnegative int")
     if degree < max_deg:
         raise ConfigError(f"support has total degree {max_deg} above the declared cap {degree}")
@@ -249,15 +249,6 @@ def fn_from_json_dict(d: dict) -> FunctionSpec:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-def evaluate(f: FunctionSpec, x: Sequence[float], dom: DomainSpec) -> float:
-    """Evaluate ``f`` at the point ``x``, enforcing the entry domain."""
-    xs = [float(v) for v in x]
-    for p, v in enumerate(xs, start=1):
-        if not dom.contains(v):
-            raise DomainViolation(v, 0, 0, p, detail=dom.describe())
-    return float(f(*xs))
-
 
 def apply_entrywise(
     f: FunctionSpec, mats: Sequence[SymMatrix], dom: DomainSpec

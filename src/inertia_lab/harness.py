@@ -20,8 +20,11 @@ and falls back to seeded random search when no recipe applies.  Forward
 verification and random search run the same trials: sample a member tuple
 from the trial's own stream, apply ``fn`` and count the image.  Trials are
 sampled in index order and counted in chunks, each chunk's images as one
-zero-padded stack (``linalg.inertia_stack``); a flagged trial is judged again
-one matrix at a time.  Reports are deterministic for a fixed seed.
+zero-padded stack (``linalg.inertia_stack``).  A lift claim's lanes at n+3
+and n+7 are the trial's image gathered by the lift's row map, since f
+commutes with the lift; a flagged trial is judged again one matrix at a
+time, on an f[lift(A)] built from scratch.  Reports are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constructions import (
+    _gather,
+    _lift_rows,
     block_pair,
     direct_sum,
     embed_with_negatives,
@@ -405,7 +410,10 @@ def _run_trials(
     in chunks of at most ``STACK_ENTRIES`` stack entries.  Each chunk's images,
     plus slot 1 for an inertia claim and the lifted images for a lift claim,
     are zero-padded into one stack and counted once by :func:`inertia_stack`.
-    A trial the stack flags is judged again by the scalar :func:`_judge`, so
+    ``fn`` runs once per trial: f commutes with the lift (every entry of the
+    lift is a copy of an entry of the slot), so a lift lane is the base image
+    gathered by the lift's row map.  A trial the stack flags is judged again
+    by the scalar :func:`_judge`, which rebuilds f[lift(A)] from scratch, so
     a witness is exactly what :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
@@ -423,10 +431,11 @@ def _run_trials(
             for p, m in enumerate(mats, start=1):
                 cfg.dom.check_matrix(m, slot=p)
             tuples.append(mats)
-            images.append(_image(fn, mats))
+            image = _image(fn, mats)
+            images.append(image)
             if claim == "inertia":
                 images.append(mats[0].entries)
-            images += [_image(fn, tuple(lift_finite(m, n + e) for m in mats)) for e in extras]
+            images += [_gather(image, _lift_rows(n, n + e)) for e in extras]
         size = max(len(img) for img in images)
         stack = np.zeros((len(images), size, size))
         for b, img in enumerate(images):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -132,13 +132,12 @@ class DomainSpec:
         if unknown:
             raise ConfigError(f"unknown domain keys: {sorted(unknown)}")
         rho = d.get("rho", "inf")
-        if rho == "inf":
-            rho_f = math.inf
-        else:
-            try:
-                rho_f = float(rho)
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad rho value {rho!r}") from None
+        try:
+            if isinstance(rho, bool):
+                raise TypeError
+            rho_f = math.inf if rho == "inf" else float(rho)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bad rho value {rho!r}") from None
         return cls(kind=d.get("kind", "two_sided"), rho=rho_f)
 
 
@@ -210,7 +209,7 @@ class SymMatrix:
             raise ConfigError('matrix JSON must be exactly {"n": ..., "rows": ...}')
         n = d["n"]
         rows = d["rows"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"bad matrix size {n!r}")
         try:
             a = np.array(rows, dtype=float)
@@ -494,27 +493,6 @@ def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> b
         return False
     n_neg = inertia(A).n_neg
     return n_neg <= k if closure else n_neg == k
-
-
-def hadamard_power(mats: Sequence[SymMatrix], alpha: Sequence[int]) -> SymMatrix:
-    """Entrywise monomial of a tuple: prod_p mats[p] ** alpha[p], with 0**0 = 1."""
-    mats = list(mats)
-    alpha = tuple(alpha)
-    if not mats:
-        raise ConfigError("hadamard_power needs at least one matrix")
-    if len(mats) != len(alpha):
-        raise ConfigError(f"tuple arity {len(mats)} does not match exponent arity {len(alpha)}")
-    n = mats[0].n
-    for m in mats:
-        if m.n != n:
-            raise ConfigError("all matrices in a tuple must share one size")
-    out = np.ones((n, n))
-    for m, e in zip(mats, alpha):
-        if not isinstance(e, int) or e < 0:
-            raise ConfigError(f"exponents must be nonnegative ints, got {e!r}")
-        if e:
-            out = out * m.entries**e
-    return SymMatrix(out)
 
 
 def direct_sum(mats: Iterable[SymMatrix]) -> SymMatrix:

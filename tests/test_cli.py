@@ -148,6 +148,21 @@ def test_non_numeric_json_values_are_config_errors(argv):
         ["verify", json.dumps(dict(VERIFY_SPEC, config=dict(VERIFY_SPEC["config"], trials=True)))],
         ["construct", "vandermonde", "--k", "2", "--t0", "1", "--nodes", '["0.1", 0.5, 0.9]'],
         ["apply", "--fn", '{"type":"homothety","c":1,"arity":true}', "--matrix", "[[1.0]]"],
+        ["apply", "--fn", '{"type":"homothety","c":2,"slot":true,"arity":1}', "--matrix", "[[1.0]]"],
+        [
+            "apply",
+            "--fn",
+            '{"type":"series","arity":1,"degree":true,"terms":[{"alpha":[1],"coeff":1.0}]}',
+            "--matrix",
+            "[[1.0]]",
+        ],
+        [
+            "verify",
+            json.dumps(
+                dict(VERIFY_SPEC, config=dict(VERIFY_SPEC["config"], domain={"kind": "two_sided", "rho": True}))
+            ),
+        ],
+        ["inertia", "--matrix", '{"n": true, "rows": [[1.0]]}'],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):

@@ -206,6 +206,59 @@ def test_inflate_duplicates_entries_and_keeps_signs():
     assert (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
 
 
+def _weight_oracle(partition, n):
+    w = np.zeros((n, len(partition)))
+    for j, block in enumerate(partition):
+        w[block, j] = 1.0
+    return w
+
+
+def test_inflate_is_w_a_wt_byte_for_byte():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        s = int(rng.integers(1, 6))
+        n = s + int(rng.integers(0, 6))
+        owner = np.concatenate([np.arange(s), rng.integers(0, s, size=n - s)])
+        rng.shuffle(owner)
+        partition = [np.flatnonzero(owner == j).tolist() for j in range(s)]
+        g = rng.standard_normal((s, s)) * (rng.uniform(size=(s, s)) < 0.8)
+        a = SymMatrix(g + g.T)
+        w = _weight_oracle(partition, n)
+        assert inflate(a, partition).entries.tobytes() == (w @ a.entries @ w.T).tobytes()
+        assert weight_matrix(partition, n).tobytes() == w.tobytes()
+        for size in (s, s + 1, s + 4):
+            rows = list(range(s - 1)) + [list(range(s - 1, size))]
+            lift_w = _weight_oracle([[i] for i in range(s - 1)] + [rows[-1]], size)
+            want = lift_w @ a.entries @ lift_w.T
+            assert lift_finite(a, size).entries.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "partition,message",
+    [
+        ([[0], []], "partition blocks must be nonempty"),
+        ([[0, 2], [1, 5]], "partition index 5 out of range 0..3"),
+        ([[0, -1], [1, 2]], "partition index -1 out of range 0..3"),
+        ([[0, 1.0], [2, 3]], "partition index 1.0 out of range 0..3"),
+        ([[0, True], [2, 3]], "partition index True out of range 0..3"),
+        ([[0, 1], [1, 2, 3]], "partition index 1 repeated"),
+        ([[3], [0, 1], [2, 1]], "partition index 1 repeated"),
+    ],
+)
+def test_bad_partitions_raise_the_same_message_everywhere(partition, message):
+    with pytest.raises(ConfigError) as err:
+        inflate(sym(np.eye(len(partition))), partition)
+    assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:
+        weight_matrix(partition, 4)
+    assert str(err.value) == message
+
+
+def test_inflate_needs_one_block_per_row():
+    with pytest.raises(ConfigError, match="partition has 2 blocks, matrix has size 3"):
+        inflate(sym(np.eye(3)), [[0], [1, 2]])
+
+
 def test_lift_finite_replicates_last_coordinate():
     a = sym([[1.0, 2.0], [2.0, 5.0]])
     out = lift_finite(a, 4)

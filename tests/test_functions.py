@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertia_lab.errors import ConfigError, DomainViolation, RegimeNotCovered
+from inertia_lab.errors import ConfigError, RegimeNotCovered
 from inertia_lab.functions import (
     AdmissibleK,
     Affine,
@@ -15,7 +15,6 @@ from inertia_lab.functions import (
     SplitForm,
     apply_entrywise,
     classify,
-    evaluate,
     fn_from_json_dict,
 )
 from inertia_lab.linalg import DomainSpec, Inertia, SymMatrix, inertia, sym
@@ -90,19 +89,6 @@ def test_fn_from_json_rejects_unknown_type():
 # evaluation
 # ---------------------------------------------------------------------------
 
-def test_evaluate_polynomial_point():
-    f = Series(2, {(1, 0): 2.0, (0, 3): 1.0, (0, 0): -1.0})
-    assert evaluate(f, (0.5, 2.0), TWO_SIDED) == 2.0 * 0.5 + 8.0 - 1.0
-
-
-def test_evaluate_checks_domain_per_slot():
-    f = Homothety(1.0, slot=2, arity=2)
-    dom = DomainSpec("open_positive", 1.0)
-    with pytest.raises(DomainViolation) as err:
-        evaluate(f, (0.5, -0.25), dom)
-    assert err.value.slot == 2
-
-
 def test_apply_affine_shifts_and_scales():
     f = Affine(1.0, 1.0)
     a = sym(-0.5 * np.eye(2))
@@ -130,7 +116,6 @@ def test_apply_entrywise_matches_pointwise_evaluation():
             for j in range(n):
                 want = _reference(f, (float(a.entries[i, j]), float(b.entries[i, j])))
                 assert abs(out.entries[i, j] - want) < 1e-12
-                assert abs(evaluate(f, (a.entries[i, j], b.entries[i, j]), TWO_SIDED) - want) < 1e-12
 
 
 def test_evaluator_on_stacks_and_points():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from inertia_lab import harness
 from inertia_lab._json import dumps
+from inertia_lab.constructions import lift_finite
 from inertia_lab.errors import ConfigError, SamplingError
 from inertia_lab.functions import (
     AdmissibleK,
@@ -241,20 +242,21 @@ def test_falsify_random_strategy_skips_recipes():
 
 
 def test_random_search_on_a_lift_claim_checks_the_lift(monkeypatch):
-    calls = []
-    real = harness.lift_finite
+    sizes = []
+    real = harness.inertia_stack
 
-    def spy(m, size):
-        calls.append((m.n, size))
-        return real(m, size)
+    def spy(a, n):
+        sizes.extend(n)
+        return real(a, n)
 
-    monkeypatch.setattr(harness, "lift_finite", spy)
+    monkeypatch.setattr(harness, "inertia_stack", spy)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=5, seed=2)
     rep = falsify("lift", Series(1, {(2,): 1.0}), cfg, strategy="random")
     assert rep.failures == 0
-    # one slot, lifted to n + 3 and n + 7 in every trial
-    assert len(calls) == 2 * cfg.trials
-    assert all(size - n in (3, 7) for n, size in calls)
+    # every trial adds its image at size n and the lifted images at n + 3 and n + 7
+    assert len(sizes) == 3 * cfg.trials
+    lanes = [sizes[t : t + 3] for t in range(0, len(sizes), 3)]
+    assert all(n3 == n + 3 and n7 == n + 7 for n, n3, n7 in lanes)
 
 
 def test_falsify_rejects_unknown_strategy():
@@ -433,3 +435,32 @@ def test_many_chunks_really_split_the_trials(monkeypatch):
     verify_forward("inertia", Homothety(2.5), cfg)
     # n <= 7 and two lanes per trial: 300 // (2 * 49) = 3 trials per stack
     assert sizes == [6] * 13 + [2]
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "fn",
+    [Constant(-5.0), Affine(0.5, 2.0), Series(2, {(0, 0): -0.5, (1, 0): 1.0, (1, 1): 0.25, (0, 3): -1.5})],
+    ids=["constant", "affine", "series"],
+)
+def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch):
+    stacks = []
+    real = harness.inertia_stack
+
+    def spy(a, n):
+        stacks.append((a.copy(), list(n)))
+        return real(a, n)
+
+    monkeypatch.setattr(harness, "inertia_stack", spy)
+    cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK((1,) * fn.arity), 1, trials=6, seed=5)
+    harness._run_trials("lift", fn, cfg, "test", closure=False)
+    (stack, sizes), = stacks
+    for i in range(cfg.trials):
+        rng = harness._trial_rng(cfg.seed, i)
+        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+        mats = sample_member_tuple(cfg.k, n, cfg.dom, rng)
+        for b, extra in zip((3 * i + 1, 3 * i + 2), (3, 7)):
+            want = harness._image(fn, tuple(lift_finite(m, n + extra) for m in mats))
+            assert sizes[b] == n + extra
+            assert stack[b, : n + extra, : n + extra].tobytes() == want.tobytes()

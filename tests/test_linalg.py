@@ -21,7 +21,6 @@ from inertia_lab.linalg import (
     SymMatrix,
     direct_sum,
     eig_sym,
-    hadamard_power,
     inertia,
     inertia_stack,
     is_member,
@@ -358,20 +357,6 @@ def test_is_member_exact_and_closure():
 # ---------------------------------------------------------------------------
 # matrix algebra helpers
 # ---------------------------------------------------------------------------
-
-def test_hadamard_power_zero_exponent_is_ones():
-    a = sym([[0.0, 2.0], [2.0, 0.0]])
-    out = hadamard_power((a,), (0,))
-    assert np.array_equal(out.entries, np.ones((2, 2)))
-
-
-def test_hadamard_power_multi_slot():
-    a = sym([[2.0, 1.0], [1.0, 2.0]])
-    b = sym([[3.0, 1.0], [1.0, 3.0]])
-    out = hadamard_power((a, b), (1, 2))
-    assert out.entries[0, 0] == 2.0 * 9.0
-    assert out.entries[0, 1] == 1.0
-
 
 def test_direct_sum_block_layout():
     a = sym([[1.0]])

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, positive_float, positive_int
+from .errors import ConfigError, finite_float, int_in
 from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
@@ -75,9 +76,9 @@ def _check_box(box) -> list[tuple[float, float]]:
     if not box:
         raise ConfigError("box must have at least one axis")
     out = []
-    for pair in box:
-        lo, hi = (float(v) for v in pair)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    for lo, hi in box:
+        lo, hi = finite_float(lo, "box end"), finite_float(hi, "box end")
+        if not lo < hi:
             raise ConfigError(f"bad box axis [{lo}, {hi}]")
         out.append((lo, hi))
     return out
@@ -97,9 +98,9 @@ def forward_difference_test(
     """
     axes = _check_box(box)
     m = len(axes)
-    positive_int(order, "order")
+    int_in(order, "order", 1)
     width = min(hi - lo for lo, hi in axes)
-    step = positive_float(width / 64.0 if step is None else step, "step")
+    step = finite_float(width / 64.0 if step is None else step, "step", positive=True)
 
     counts = []
     for lo, hi in axes:
@@ -221,10 +222,9 @@ def maclaurin_estimate(
     heuristic error (O(step) for smooth non-polynomial functions, rounding
     level for polynomials of total degree <= order).
     """
-    positive_int(arity, "arity")
-    if not isinstance(order, int) or order < 0:
-        raise ConfigError("order must be a nonnegative int")
-    step = positive_float(step, "step")
+    int_in(arity, "arity", 1)
+    int_in(order, "order")
+    step = finite_float(step, "step", positive=True)
     if (order + 1) ** arity > _MAX_LATTICE:
         raise ConfigError("order/arity combination needs too many lattice points")
 
@@ -247,9 +247,15 @@ def maclaurin_estimate(
 def boundary_extrapolation(f, step: float = 1e-2, levels: int = 6) -> dict:
     """Estimate the limit of a one-variable function at 0+ by Neville
     extrapolation over the points step * 2^-i."""
-    if not isinstance(levels, int) or levels < 2:
-        raise ConfigError("levels must be an int >= 2")
-    step = positive_float(step, "step")
+    int_in(levels, "levels", 2)
+    step = finite_float(step, "step", positive=True)
+    # below the normal range step * 2^-i rounds, so two points can coincide
+    # (step 1e-2, levels 1069) or vanish, and Neville would divide by zero
+    if step * 2.0 ** (1 - levels) < sys.float_info.min:
+        raise ConfigError(
+            f"levels {levels} at step {step:g} puts step * 2^-{levels - 1} "
+            "below the smallest normal float"
+        )
     fn = _as_grid_fn(f, 1)
     pts = np.array([step * 2.0**-i for i in range(levels)])
     vals = fn(pts)

@@ -45,7 +45,7 @@ from .errors import (
     DomainViolation,
     RegimeNotCovered,
     SamplingError,
-    positive_int,
+    int_in,
 )
 from .functions import apply_entrywise, fn_from_json_dict
 from .harness import (
@@ -209,7 +209,7 @@ def _cmd_run(args) -> int:
         if path is not None and not (isinstance(path, str) and path):
             raise ConfigError(f'run config "{key}" must be a nonempty path string or null')
     if args.threads is not None:
-        positive_int(args.threads, "threads")
+        int_in(args.threads, "threads", 1)
     cfg = TrialConfig.from_json_dict(spec["config"])
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

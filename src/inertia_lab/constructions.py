@@ -9,13 +9,11 @@ claims.
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, positive_float, positive_int
+from .errors import ConfigError, finite_float, int_in
 from .linalg import SymMatrix, direct_sum, inertia
 
 __all__ = [
@@ -54,10 +52,9 @@ def block_pair(A: SymMatrix, B: SymMatrix) -> SymMatrix:
 
 def replicated_block(A: SymMatrix, k: int, l: int, t0: float) -> SymMatrix:
     """(-t0 Id_k) (+) A^(+(l+2)): k pinned negatives plus l+2 copies of A."""
-    positive_int(k, "k")
-    if not isinstance(l, int) or l < 0:
-        raise ConfigError("l must be a nonnegative int")
-    t0 = positive_float(t0, "t0")
+    int_in(k, "k", 1)
+    int_in(l, "l")
+    t0 = finite_float(t0, "t0", positive=True)
     blocks = [SymMatrix(-t0 * np.eye(k))]
     blocks.extend([A] * (l + 2))
     return direct_sum(blocks)
@@ -70,17 +67,13 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     entrywise squaring pushes the rank up to min(2k-1, k(k+1)/2).  Defaults to
     equispaced nodes u_i = (i + 1) / (2k) in (0, 1).
     """
-    size = 2 * positive_int(k, "k") - 1
-    t0 = positive_float(t0, "t0")
+    size = 2 * int_in(k, "k", 1) - 1
+    t0 = finite_float(t0, "t0", positive=True)
     if u is None:
         u = [(i + 1) / (2 * k) for i in range(size)]
-    if not (
-        isinstance(u, (list, tuple, np.ndarray))
-        and len(u) == size
-        and all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in u)
-    ):
+    if not (isinstance(u, (list, tuple, np.ndarray)) and len(u) == size):
         raise ConfigError(f"u must be a list of {size} numbers")
-    u_arr = np.array(u, dtype=float)
+    u_arr = np.array([finite_float(x, "node") for x in u])
     if not np.all(u_arr > 0.0) or len(set(u_arr.tolist())) != size:
         raise ConfigError("u must consist of distinct positive values")
     out = np.zeros((size, size))
@@ -97,7 +90,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
     (entrywise powers) is positive definite for every j >= 2: its determinant
     expands to t0^(2j) * (10^j - 9^j - 8^j + 6^j + 6^j - 5^j) > 0.
     """
-    t0 = positive_float(t0, "t0")
+    t0 = finite_float(t0, "t0", positive=True)
     a = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 4.0]]))
     b = SymMatrix(t0 * np.array([[2.0, 3.0], [3.0, 5.0]]))
     return a, b
@@ -106,7 +99,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
 def ones_orthogonal_basis(size: int) -> np.ndarray:
     """Rows: the all-ones vector followed by the classical ones-orthogonal
     completion v_j = (1, ..., 1, -(j-1), 0, ..., 0) with ||v_j||^2 = (j-1)j."""
-    positive_int(size, "size")
+    int_in(size, "size", 1)
     basis = np.zeros((size, size))
     basis[0] = 1.0
     for j in range(2, size + 1):
@@ -122,9 +115,9 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     -epsilon * (j-1) * j on the ones-orthogonal completion vectors, so the
     inertia is (k, 0, 1).
     """
-    n = positive_int(k, "k") + 1
-    delta = positive_float(delta, "delta")
-    epsilon = positive_float(epsilon, "epsilon")
+    n = int_in(k, "k", 1) + 1
+    delta = finite_float(delta, "delta", positive=True)
+    epsilon = finite_float(epsilon, "epsilon", positive=True)
     basis = ones_orthogonal_basis(n)
     out = delta * np.ones((n, n))
     for j in range(1, n):
@@ -140,10 +133,10 @@ def equicorrelation(k: int, a: float, b: float) -> SymMatrix:
     multiplicity k, so the matrix has exactly k negative eigenvalues while
     all entries stay nonnegative.
     """
-    positive_int(k, "k")
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 <= a < b):
+    int_in(k, "k", 1)
+    a = finite_float(a, "a")
+    b = finite_float(b, "b")
+    if not 0.0 <= a < b:
         raise ConfigError("need 0 <= a < b")
     n = k + 1
     return SymMatrix((a - b) * np.eye(n) + b * np.ones((n, n)))
@@ -159,11 +152,9 @@ def embed_with_negatives(
     the ones vector are untouched by both the direct sum and the rank-one
     shift, while the complementary subspace carries a PSD form.
     """
-    a = float(a)
-    b = float(b)
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ConfigError("epsilon must be finite and >= 0")
+    epsilon = finite_float(epsilon, "epsilon")
+    if epsilon < 0.0:
+        raise ConfigError("epsilon must be >= 0")
     core = equicorrelation(k, a, b)  # validates k, a, b
     if inertia(B).n_neg:
         raise ConfigError("the embedded block must be positive semidefinite")
@@ -180,9 +171,7 @@ def _row_map(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
         if not len(block):
             raise ConfigError("partition blocks must be nonempty")
         for i in block:
-            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
-                raise ConfigError(f"partition index {i!r} out of range 0..{n - 1}")
-            if i in owner:
+            if int_in(i, "partition index", 0, n - 1) in owner:
                 raise ConfigError(f"partition index {i} repeated")
             owner[i] = j
     if len(owner) != n:
@@ -231,8 +220,7 @@ def lift_finite(A: SymMatrix, N: int) -> SymMatrix:
     The inflation along blocks {0}, ..., {n-2}, {n-1..N-1}, as a gather by
     the row map min(i, n - 1), so the result is W A W^T.
     """
-    if not isinstance(N, int) or N < A.n:
-        raise ConfigError(f"target size must be an int >= {A.n}")
+    int_in(N, "target size", A.n)
     return SymMatrix(_gather(A.entries, _lift_rows(A.n, N)))
 
 
@@ -251,10 +239,8 @@ def ones_pencil(k: int, t: float) -> SymMatrix:
     k - 1 negative eigenvalues (one fewer than the unshifted direct sum), a
     count that is independent of the magnitude of t beyond the threshold.
     """
-    positive_int(k, "k")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ConfigError("t must be finite")
+    int_in(k, "k", 1)
+    t = finite_float(t, "t")
     base = pencil_base()
     stacked = direct_sum([base] * k)
     n = 3 * k

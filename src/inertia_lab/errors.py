@@ -1,6 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one number rule.
 
-The CLI maps these onto process exit codes; see ``inertia_lab.cli``.
+The CLI maps the exceptions onto process exit codes; see ``inertia_lab.cli``.
+
+Every count and scalar read from JSON or the command line is checked here
+and nowhere else: a number is a JSON number.  :func:`int_in` takes a Python
+``int`` in a range and :func:`finite_float` an ``int`` or ``float`` that is
+finite; a bool (JSON ``true``/``false``) or a numeric string is neither, and
+either helper raises :class:`ConfigError` for it.
 """
 
 from __future__ import annotations
@@ -51,16 +57,26 @@ class SamplingError(InertiaLabError):
     """No matrix with the requested inertia/domain could be produced."""
 
 
-def positive_int(value, what: str) -> int:
-    """``value`` itself; :class:`ConfigError` unless it is an int >= 1 (bools are not)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{what} must be a positive int")
-    return value
+def int_in(value, what: str, lo: int = 0, hi: int | None = None) -> int:
+    """``value`` itself; :class:`ConfigError` unless it is an int (a bool is
+    not) with ``lo <= value``, and ``value <= hi`` unless ``hi`` is None."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    if hi is None:
+        raise ConfigError(f"{what} must be an int >= {lo}, got {value!r}")
+    raise ConfigError(f"{what} {value!r} out of range {lo}..{hi}")
 
 
-def positive_float(value, what: str) -> float:
-    """``float(value)``; :class:`ConfigError` unless it is positive and finite."""
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{what} must be a positive finite float")
-    return value
+def finite_float(value, what: str, positive: bool = False) -> float:
+    """``float(value)``; :class:`ConfigError` unless ``value`` is an int or a
+    float (a bool or a string is not) that is finite, and > 0 if ``positive``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the double range
+            x = math.inf
+        if math.isfinite(x) and (x > 0.0 or not positive):
+            return x
+    sign = "positive " if positive else ""
+    raise ConfigError(f"{what} must be a {sign}finite number, got {value!r}")

@@ -24,13 +24,12 @@ it violates.  The harness uses those clause names to pick witness recipes.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, RegimeNotCovered, positive_float, positive_int
+from .errors import ConfigError, RegimeNotCovered, finite_float, int_in
 from .linalg import DomainSpec, SymMatrix
 
 CLASSIFY_MODES = ("bounded", "exact", "inertia")
@@ -44,9 +43,9 @@ def _check_multi_index(alpha, arity: int) -> tuple[int, ...]:
     alpha = tuple(alpha)
     if len(alpha) != arity:
         raise ConfigError(f"multi-index {alpha} has arity {len(alpha)}, expected {arity}")
+    what = f"component of multi-index {alpha}"
     for e in alpha:
-        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ConfigError(f"multi-index components must be nonnegative ints, got {alpha}")
+        int_in(e, what)
     return alpha
 
 
@@ -59,9 +58,7 @@ def _canonical_terms(arity: int, coeffs) -> tuple[tuple[tuple[int, ...], float],
     merged: dict[tuple[int, ...], float] = {}
     for alpha, c in items:
         alpha = _check_multi_index(alpha, arity)
-        c = float(c)
-        if not math.isfinite(c):
-            raise ConfigError("series coefficients must be finite")
+        c = finite_float(c, "series coefficient")
         merged[alpha] = merged.get(alpha, 0.0) + c
     terms = tuple(
         (alpha, c)
@@ -69,11 +66,6 @@ def _canonical_terms(arity: int, coeffs) -> tuple[tuple[tuple[int, ...], float],
         if c != 0.0
     )
     return terms
-
-
-def _check_slot(slot, lo: int, hi: int) -> None:
-    if not isinstance(slot, int) or isinstance(slot, bool) or not lo <= slot <= hi:
-        raise ConfigError(f"slot must lie in {lo}..{hi}, got {slot!r}")
 
 
 def _unit(slot: int, arity: int) -> tuple[int, ...]:
@@ -146,31 +138,25 @@ def _spec(arity: int, terms, form: dict) -> FunctionSpec:
 
 def Constant(value: float, arity: int = 1) -> FunctionSpec:
     """f(x) = value, in any number of variables."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError("constant value must be finite")
-    positive_int(arity, "arity")
+    value = finite_float(value, "constant value")
+    int_in(arity, "arity", 1)
     form = {"type": "constant", "value": value, "arity": arity}
     return _spec(arity, [((0,) * arity, value)], form)
 
 
 def Homothety(c: float, slot: int = 1, arity: int = 1) -> FunctionSpec:
     """f(x) = c * x_slot with c > 0 (slot is 1-based)."""
-    c = positive_float(c, "homothety ratio")
-    positive_int(arity, "arity")
-    _check_slot(slot, 1, arity)
+    c = finite_float(c, "homothety ratio", positive=True)
+    int_in(slot, "slot", 1, int_in(arity, "arity", 1))
     form = {"type": "homothety", "c": c, "slot": slot, "arity": arity}
     return _spec(arity, [(_unit(slot, arity), c)], form)
 
 
 def Affine(offset: float, c: float, slot: int = 1, arity: int = 1) -> FunctionSpec:
     """f(x) = offset + c * x_slot with c > 0."""
-    offset = float(offset)
-    if not math.isfinite(offset):
-        raise ConfigError("affine offset must be finite")
-    c = positive_float(c, "affine slope")
-    positive_int(arity, "arity")
-    _check_slot(slot, 1, arity)
+    offset = finite_float(offset, "affine offset")
+    c = finite_float(c, "affine slope", positive=True)
+    int_in(slot, "slot", 1, int_in(arity, "arity", 1))
     form = {"type": "affine", "offset": offset, "c": c, "slot": slot, "arity": arity}
     return _spec(arity, [((0,) * arity, offset), (_unit(slot, arity), c)], form)
 
@@ -181,13 +167,10 @@ def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
     Repeated multi-indices are merged.  ``degree`` bounds the total degree of
     the support; it defaults to the largest |alpha| present.
     """
-    positive_int(arity, "arity")
+    int_in(arity, "arity", 1)
     terms = _canonical_terms(arity, coeffs)
     max_deg = max((sum(a) for a, _ in terms), default=0)
-    if degree is None:
-        degree = max_deg
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise ConfigError("degree must be a nonnegative int")
+    degree = max_deg if degree is None else int_in(degree, "degree")
     if degree < max_deg:
         raise ConfigError(f"support has total degree {max_deg} above the declared cap {degree}")
     form = {
@@ -201,15 +184,15 @@ def Series(arity: int, coeffs, degree: int | None = None) -> FunctionSpec:
 
 def SplitForm(arity: int, base: FunctionSpec, c: float, slot: int) -> FunctionSpec:
     """f(x) = base(x_1, ..., x_m0) + c * x_slot with c >= 0 and slot > m0."""
-    positive_int(arity, "arity")
+    int_in(arity, "arity", 1)
     if not isinstance(base, FunctionSpec) or base.to_json_dict()["type"] != "series":
         raise ConfigError("split-form base must be a Series")
-    c = float(c)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ConfigError("split-form slope must be finite and >= 0")
+    c = finite_float(c, "split-form slope")
+    if c < 0.0:
+        raise ConfigError("split-form slope must be >= 0")
     if base.arity >= arity:
         raise ConfigError("split-form base must use fewer variables than the full arity")
-    _check_slot(slot, base.arity + 1, arity)
+    int_in(slot, "slot", base.arity + 1, arity)
     pad = (0,) * (arity - base.arity)
     terms = [(a + pad, b) for a, b in base.terms] + [(_unit(slot, arity), c)]
     form = {"type": "split", "arity": arity, "base": base.to_json_dict(), "c": c, "slot": slot}
@@ -280,10 +263,9 @@ class AdmissibleK:
         if not k:
             raise ConfigError("k must have at least one component")
         seen_positive = False
+        what = f"component of k {k}"
         for v in k:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ConfigError(f"k components must be nonnegative ints, got {k}")
-            if v == 0 and seen_positive:
+            if int_in(v, what) == 0 and seen_positive:
                 raise ConfigError(f"zeros in k must come first, got {k}")
             if v > 0:
                 seen_positive = True
@@ -405,8 +387,7 @@ def classify(
     combinations the classification does not decide.
     """
     ks = k if isinstance(k, AdmissibleK) else AdmissibleK(k)
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-        raise ConfigError(f"l must be a nonnegative int, got {l!r}")
+    int_in(l, "l")
     if mode not in CLASSIFY_MODES:
         raise ConfigError(f"unknown classify mode {mode!r}")
     if f.arity != ks.m:

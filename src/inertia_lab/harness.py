@@ -52,7 +52,7 @@ from .constructions import (
     two_by_two_pair,
     vandermonde_psd,
 )
-from .errors import ConfigError, DomainViolation, SamplingError
+from .errors import ConfigError, DomainViolation, SamplingError, int_in
 from .functions import (
     AdmissibleK,
     FunctionSpec,
@@ -87,16 +87,15 @@ RECIPE_HALVINGS = 40
 #: are counted in chunks of this size, so memory stays flat in ``trials``
 STACK_ENTRIES = 1 << 18
 
+#: largest matrix size a run may sample: every slot of every trial draws an
+#: n x n Gaussian, so the cap bounds a trial's memory
+N_MAX = 256
+
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     # counter-based Philox keyed by (seed, stream): a trial's stream depends
     # only on its index, not on which trials ran before it
     return np.random.Generator(np.random.Philox(key=[seed, index]))
-
-
-def _is_int(x) -> bool:
-    # JSON true/false arrive as bools, which are ints to Python
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -115,22 +114,23 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_int(self.l) or self.l < 0:
-            raise ConfigError(f"l must be a nonnegative int, got {self.l!r}")
-        if not _is_int(self.trials) or not 1 <= self.trials <= 10_000_000:
-            raise ConfigError("trials must be an int in 1..10_000_000")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must be an int in [0, 2^64)")
+        int_in(self.l, "l")
+        int_in(self.trials, "trials", 1, 10_000_000)
+        int_in(self.seed, "seed", 0, 2**64 - 1)
         kmax = max(self.k.k)
         floor = kmax + 1 if (self.dom.one_sided and kmax >= 1) else max(1, kmax)
         if self.n_range is None:
             object.__setattr__(self, "n_range", (floor + 1, floor + 6))
         lo, hi = self.n_range
-        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
-            raise ConfigError(f"bad n_range {self.n_range!r}")
+        int_in(hi, "n_range end", int_in(lo, "n_range start", 1))
         if lo < floor:
             raise ConfigError(
                 f"n_range starts at {lo}, but k={self.k.k} over {self.dom.kind} needs n >= {floor}"
+            )
+        if hi > N_MAX:
+            raise ConfigError(
+                f"n_range ends at {hi}, above the size cap N_MAX = {N_MAX} "
+                f"(k={self.k.k} over {self.dom.kind} needs n >= {floor})"
             )
         object.__setattr__(self, "n_range", (lo, hi))
 
@@ -202,10 +202,7 @@ def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generato
     sizes embed a random PSD block next to it and occasionally inflate a
     smaller core, which adds zero eigenvalues but no negatives.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("n must be a positive int")
-    if not isinstance(k, int) or not 0 <= k <= n:
-        raise ConfigError(f"k must lie in 0..{n}, got {k!r}")
+    int_in(k, "k", 0, int_in(n, "n", 1))
     rho = dom.rho_eff
 
     if dom.one_sided and k >= 1 and n == k:

@@ -21,7 +21,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import AsymmetryError, ConfigError, ConvergenceError, DomainViolation
+from .errors import (
+    AsymmetryError,
+    ConfigError,
+    ConvergenceError,
+    DomainViolation,
+    finite_float,
+    int_in,
+)
 
 #: hard cap on the implicit QL iterations spent on one eigenvalue
 MAX_QL_ITERATIONS = 30
@@ -132,13 +139,8 @@ class DomainSpec:
         if unknown:
             raise ConfigError(f"unknown domain keys: {sorted(unknown)}")
         rho = d.get("rho", "inf")
-        try:
-            if isinstance(rho, bool):
-                raise TypeError
-            rho_f = math.inf if rho == "inf" else float(rho)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad rho value {rho!r}") from None
-        return cls(kind=d.get("kind", "two_sided"), rho=rho_f)
+        rho = math.inf if rho == "inf" else finite_float(rho, "rho")
+        return cls(kind=d.get("kind", "two_sided"), rho=rho)
 
 
 def _binade(a: np.ndarray) -> int:
@@ -207,16 +209,18 @@ class SymMatrix:
     def from_json_dict(cls, d: dict) -> "SymMatrix":
         if not isinstance(d, dict) or set(d) != {"n", "rows"}:
             raise ConfigError('matrix JSON must be exactly {"n": ..., "rows": ...}')
-        n = d["n"]
+        n = int_in(d["n"], "matrix size", 1)
         rows = d["rows"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"bad matrix size {n!r}")
         try:
             a = np.array(rows, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("matrix rows must be numeric") from None
         if a.shape != (n, n):
             raise ConfigError(f"rows shape {a.shape} does not match n={n}")
+        # numpy parses numeric strings and bools; the rule is judged by type,
+        # so one entry of each type stands for all (finiteness is checked below)
+        for x in {type(x): x for row in rows for x in row}.values():
+            finite_float(x, "matrix entry")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
         scale = float(np.max(np.abs(a)))
@@ -485,8 +489,7 @@ def rank(A: SymMatrix) -> int:
 def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> bool:
     """Membership test: entries inside ``dom`` and exactly ``k`` negative
     eigenvalues (at most ``k`` with ``closure=True``)."""
-    if not isinstance(k, int) or k < 0:
-        raise ConfigError(f"negative-eigenvalue count must be a nonnegative int, got {k!r}")
+    int_in(k, "negative-eigenvalue count")
     try:
         dom.check_matrix(A)
     except DomainViolation:

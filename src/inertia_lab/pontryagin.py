@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, int_in
 from .linalg import SymMatrix, eig_sym, inertia, zero_threshold
 
 
@@ -22,8 +22,8 @@ def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
     if v.ndim != 2:
         raise ConfigError("vectors must form a 2-d array (rows are vectors)")
     plus, minus = signature
-    if not (isinstance(plus, int) and isinstance(minus, int) and plus >= 0 and minus >= 0):
-        raise ConfigError("signature must be a pair of nonnegative ints")
+    int_in(plus, "signature plus")
+    int_in(minus, "signature minus")
     if v.shape[1] != plus + minus:
         raise ConfigError(
             f"vectors have {v.shape[1]} coordinates, signature needs {plus + minus}"
@@ -40,8 +40,7 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
     r = n_neg(A), minus coordinates padded with k - r zeros, and ``err`` is
     the relative Frobenius reconstruction error of gram_of on the output.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ConfigError("k must be a nonnegative int")
+    int_in(k, "k")
     lam, q = eig_sym(A)
     thresh = zero_threshold(A)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
@@ -80,8 +79,7 @@ def stabilization_index(profile: list[int], k: int) -> int | None:
     still below ``k``, the count may not have stabilized yet and ``None`` is
     returned.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ConfigError("k must be a nonnegative int")
+    int_in(k, "k")
     prof = [int(v) for v in profile]
     if not prof:
         raise ConfigError("profile must be nonempty")

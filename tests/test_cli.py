@@ -163,6 +163,44 @@ def test_non_numeric_json_values_are_config_errors(argv):
             ),
         ],
         ["inertia", "--matrix", '{"n": true, "rows": [[1.0]]}'],
+        ["apply", "--fn", '{"type":"homothety","c":true,"slot":1,"arity":1}', "--matrix", "[[1.0]]"],
+        ["apply", "--fn", '{"type":"homothety","c":"2.5","slot":1,"arity":1}', "--matrix", "[[1.0]]"],
+        ["apply", "--fn", '{"type":"constant","value":"3","arity":1}', "--matrix", "[[1.0]]"],
+        [
+            "apply",
+            "--fn",
+            '{"type":"series","arity":1,"terms":[{"alpha":[1],"coeff":true}]}',
+            "--matrix",
+            "[[1.0]]",
+        ],
+        [
+            "apply",
+            "--fn",
+            '{"type":"affine","offset":false,"c":1.0,"slot":1,"arity":1}',
+            "--matrix",
+            "[[1.0]]",
+        ],
+        [
+            "apply",
+            "--fn",
+            '{"type":"homothety","c":1.0,"slot":1,"arity":1}',
+            "--matrix",
+            "[[0.1]]",
+            "--domain",
+            '{"kind":"two_sided","rho":"0.5"}',
+        ],
+        ["inertia", "--matrix", '[["2", true], [true, "-1"]]'],
+        [
+            "construct", "embed", "--a", "0.1", "--b", "0.5", "--k", "1", "--epsilon", "0",
+            "--block", "[[true]]",
+        ],
+        # step * 2^-1099 underflows to 0 (and at 1069 the two smallest points coincide)
+        ["absmon", "limit", "--fn", "exp", "--levels", "1100"],
+        ["absmon", "limit", "--fn", "exp", "--levels", "1069"],
+        # an int beyond the double range (numpy raised OverflowError: exit 1)
+        ["inertia", "--matrix", "[[1" + "0" * 400 + "]]"],
+        ["apply", "--fn", '{"type":"homothety","c":1.0}', "--matrix", "[[0.1]]",
+         "--domain", '{"kind":"two_sided","rho":Infinity}'],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):

@@ -129,6 +129,17 @@ def test_trial_config_validates_ranges():
             TrialConfig(dom, AdmissibleK((1,)), 1, **bad)
 
 
+def test_trial_config_caps_the_matrix_size():
+    # builds the config only: a trial at n = 256 is never run here
+    dom = DomainSpec("two_sided", 1.0)
+    assert TrialConfig(dom, AdmissibleK((1,)), 1, n_range=(256, 256)).n_range == (256, 256)
+    with pytest.raises(ConfigError, match="N_MAX = 256"):
+        TrialConfig(dom, AdmissibleK((1,)), 1, n_range=(1, 257))
+    # k = 251 over a one-sided domain: the default range 253..258 passes the cap
+    with pytest.raises(ConfigError, match="N_MAX = 256"):
+        TrialConfig(DomainSpec("closed_left", 1.0), AdmissibleK((251,)), 1)
+
+
 def test_verify_homothety_has_no_failures():
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((2,)), 2, trials=40, seed=7)
     rep = verify_forward("exact", Homothety(2.0), cfg)

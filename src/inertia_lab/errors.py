@@ -6,7 +6,9 @@ Every count and scalar read from JSON or the command line is checked here
 and nowhere else: a number is a JSON number.  :func:`int_in` takes a Python
 ``int`` in a range and :func:`finite_float` an ``int`` or ``float`` that is
 finite; a bool (JSON ``true``/``false``) or a numeric string is neither, and
-either helper raises :class:`ConfigError` for it.
+either helper raises :class:`ConfigError` for it.  Both check one value and
+run inside the sampler, once per trial; a caller with many entries (the
+rows of a JSON matrix) checks them in one pass of its own.
 """
 
 from __future__ import annotations

@@ -27,6 +27,10 @@ from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
 
+#: cap on the Newton-expansion work of ``maclaurin_estimate``, (order+1)^(2 arity):
+#: every lattice point adds a block of (order+1)^arity monomial coefficients
+_MAX_EXPANSION = 10_000_000
+
 #: relative rounding error allowed in each value of f.  The coefficients of an
 #: order-k difference have moduli summing to 2^k, so the difference counts as
 #: negative only below -2^k * SLACK_REL * max|f| over the lattice; f and c * f
@@ -206,6 +210,8 @@ def _maclaurin_once(fn, arity: int, order: int, h: float) -> np.ndarray:
             block = np.multiply.outer(block, polys[b])
         pad = [(0, order + 1 - s) for s in block.shape]
         coeff += weight * np.pad(block, pad)
+    if not np.all(np.isfinite(coeff)):
+        raise ConfigError(f"the expansion at order {order} and step {h:g} overflows")
     return coeff
 
 
@@ -220,13 +226,27 @@ def maclaurin_estimate(
     Runs the Newton-expansion recovery at ``step`` and ``step/2``; the value
     reported is the finer one and the spread between the two runs is the
     heuristic error (O(step) for smooth non-polynomial functions, rounding
-    level for polynomials of total degree <= order).
+    level for polynomials of total degree <= order).  An order is refused
+    when its expansion work passes ``_MAX_EXPANSION`` or some divisor b! h^b
+    of either run is not a normal float (b <= order, h = step or step/2).
     """
     int_in(arity, "arity", 1)
     int_in(order, "order")
     step = finite_float(step, "step", positive=True)
-    if (order + 1) ** arity > _MAX_LATTICE:
-        raise ConfigError("order/arity combination needs too many lattice points")
+    # in logs, so that a huge arity builds no huge int
+    if 2 * arity * math.log(order + 1) > math.log(_MAX_EXPANSION):
+        raise ConfigError(
+            f"order {order} at arity {arity}: (order+1)^(2 arity) passes {_MAX_EXPANSION}"
+        )
+    # every divisor b! h^b of either run must be a normal float
+    for h in (step, step / 2.0):
+        for b in range(order + 1):
+            try:
+                divisor = math.factorial(b) * h**b
+            except OverflowError:
+                divisor = math.inf
+            if not sys.float_info.min <= divisor < math.inf:
+                raise ConfigError(f"order {order} at step {h:g}: b! h^b is not normal at b = {b}")
 
     fn = _as_grid_fn(f, arity)
     coarse = _maclaurin_once(fn, arity, order, step)

@@ -57,6 +57,7 @@ from .harness import (
     verify_forward,
 )
 from .linalg import (
+    N_MAX,
     DomainSpec,
     SymMatrix,
     eig_sym,
@@ -427,7 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q = csub.add_parser("lift", help="replicate the last coordinate up to size N")
     q.add_argument("--matrix", required=True)
     q.add_argument("--size", type=int, required=True)
-    q.set_defaults(builder=lambda a: lift_finite(_matrix_arg(a.matrix), a.size))
+    q.set_defaults(
+        builder=lambda a: lift_finite(_matrix_arg(a.matrix), int_in(a.size, "size", 1, N_MAX)),
+    )
 
     q = csub.add_parser("basis", help="ones vector completed to an orthogonal basis")
     q.add_argument("--size", type=int, required=True)

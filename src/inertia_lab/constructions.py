@@ -4,7 +4,9 @@ Each builder returns a :class:`~inertia_lab.linalg.SymMatrix` whose eigenvalue
 sign pattern is known in closed form; the test suite checks those facts
 against an independent eigensolver.  The harness uses these families both to
 sample class members and to manufacture witnesses against false negativity
-claims.
+claims.  A builder that sizes its matrix from a count refuses a size above
+``N_MAX`` before it allocates anything; ``lift_finite`` is capped by its
+callers instead, since the harness lifts a size-``N_MAX`` tuple to N_MAX + 7.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, finite_float, int_in
-from .linalg import SymMatrix, direct_sum, inertia
+from .linalg import N_MAX, SymMatrix, direct_sum, inertia
 
 __all__ = [
     "block_pair",
@@ -53,7 +55,7 @@ def block_pair(A: SymMatrix, B: SymMatrix) -> SymMatrix:
 def replicated_block(A: SymMatrix, k: int, l: int, t0: float) -> SymMatrix:
     """(-t0 Id_k) (+) A^(+(l+2)): k pinned negatives plus l+2 copies of A."""
     int_in(k, "k", 1)
-    int_in(l, "l")
+    int_in(k + (int_in(l, "l") + 2) * A.n, "size k + (l + 2) n", 1, N_MAX)
     t0 = finite_float(t0, "t0", positive=True)
     blocks = [SymMatrix(-t0 * np.eye(k))]
     blocks.extend([A] * (l + 2))
@@ -67,7 +69,7 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     entrywise squaring pushes the rank up to min(2k-1, k(k+1)/2).  Defaults to
     equispaced nodes u_i = (i + 1) / (2k) in (0, 1).
     """
-    size = 2 * int_in(k, "k", 1) - 1
+    size = 2 * int_in(k, "k", 1, (N_MAX + 1) // 2) - 1
     t0 = finite_float(t0, "t0", positive=True)
     if u is None:
         u = [(i + 1) / (2 * k) for i in range(size)]
@@ -99,7 +101,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
 def ones_orthogonal_basis(size: int) -> np.ndarray:
     """Rows: the all-ones vector followed by the classical ones-orthogonal
     completion v_j = (1, ..., 1, -(j-1), 0, ..., 0) with ||v_j||^2 = (j-1)j."""
-    int_in(size, "size", 1)
+    int_in(size, "size", 1, N_MAX)
     basis = np.zeros((size, size))
     basis[0] = 1.0
     for j in range(2, size + 1):
@@ -115,7 +117,7 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     -epsilon * (j-1) * j on the ones-orthogonal completion vectors, so the
     inertia is (k, 0, 1).
     """
-    n = int_in(k, "k", 1) + 1
+    n = int_in(k, "k", 1, N_MAX - 1) + 1
     delta = finite_float(delta, "delta", positive=True)
     epsilon = finite_float(epsilon, "epsilon", positive=True)
     basis = ones_orthogonal_basis(n)
@@ -133,7 +135,7 @@ def equicorrelation(k: int, a: float, b: float) -> SymMatrix:
     multiplicity k, so the matrix has exactly k negative eigenvalues while
     all entries stay nonnegative.
     """
-    int_in(k, "k", 1)
+    int_in(k, "k", 1, N_MAX - 1)
     a = finite_float(a, "a")
     b = finite_float(b, "b")
     if not 0.0 <= a < b:
@@ -195,7 +197,7 @@ def weight_matrix(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
     Row i is the identity row of the block holding i (a gather by the row
     map), so columns are disjoint indicators and W^T W = diag(block sizes).
     """
-    rows = _row_map(partition, n)
+    rows = _row_map(partition, int_in(n, "n", 0, N_MAX))
     return np.eye(len(partition)).take(rows, 0)
 
 
@@ -239,7 +241,7 @@ def ones_pencil(k: int, t: float) -> SymMatrix:
     k - 1 negative eigenvalues (one fewer than the unshifted direct sum), a
     count that is independent of the magnitude of t beyond the threshold.
     """
-    int_in(k, "k", 1)
+    int_in(k, "k", 1, N_MAX // 3)
     t = finite_float(t, "t")
     base = pencil_base()
     stacked = direct_sum([base] * k)

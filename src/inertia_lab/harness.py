@@ -20,11 +20,12 @@ and falls back to seeded random search when no recipe applies.  Forward
 verification and random search run the same trials: sample a member tuple
 from the trial's own stream, apply ``fn`` and count the image.  Trials are
 sampled in index order and counted in chunks, each chunk's images as one
-zero-padded stack (``linalg.inertia_stack``).  A lift claim's lanes at n+3
-and n+7 are the trial's image gathered by the lift's row map, since f
-commutes with the lift; a flagged trial is judged again one matrix at a
-time, on an f[lift(A)] built from scratch.  Reports are deterministic for a
-fixed seed.
+zero-padded stack (``linalg.inertia_stack``), as are the ``lemma_suite``
+batches.  A lift claim's lanes at n+3 and n+7 are the trial's image gathered
+by the lift's row map, since f commutes with the lift.  A flagged trial is
+judged again one matrix at a time by ``_make_witness``, the one judge: it
+also checks every recipe candidate and is what ``Witness.revalidate`` runs.
+Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,13 +65,13 @@ from .functions import (
     classify,
 )
 from .linalg import (
+    N_MAX,
     DomainSpec,
     Inertia,
     SymMatrix,
     eig_sym,
     inertia,
     inertia_stack,
-    spectrum_inertia,
 )
 
 CLAIMS = ("inertia", "exact", "closure", "bounded", "lift")
@@ -86,10 +88,6 @@ RECIPE_HALVINGS = 40
 #: entries in one counted stack of trial images (2 MiB of doubles): trials
 #: are counted in chunks of this size, so memory stays flat in ``trials``
 STACK_ENTRIES = 1 << 18
-
-#: largest matrix size a run may sample: every slot of every trial draws an
-#: n x n Gaussian, so the cap bounds a trial's memory
-N_MAX = 256
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -339,23 +337,30 @@ def _violation(claim: str, l: int, out: Inertia, ref: Inertia | None) -> bool:
     raise ConfigError(f"no violation predicate for claim {claim!r}")
 
 
-def _judge(
+def _make_witness(
     claim: str,
     fn: FunctionSpec,
-    mats: tuple[SymMatrix, ...],
+    mats: Sequence[SymMatrix],
     cfg: TrialConfig,
     clause: str,
-    ref: Inertia | None,
 ) -> Witness | None:
-    """Apply ``fn`` to a member tuple and count the image; a Witness on violation.
-
-    ``ref`` is the first slot's inertia (used by the inertia claim).  A lift
-    claim compares the image count at size n with the counts at n+3 and n+7,
-    and its witness is the lifted tuple.
+    """The one judge: check each slot's domain and count, then count f[mats];
+    a Witness on violation, else None.  The inertia claim compares f[mats]
+    with slot 1; a lift claim compares it with f[lift(mats)] at n+3 and n+7,
+    built from scratch, and its witness is the lifted tuple.
     """
+    mats = tuple(mats)
+    if len(mats) != cfg.k.m:
+        return None
+    slots = []
+    for p, (m, k_p) in enumerate(zip(mats, cfg.k.k), start=1):
+        cfg.dom.check_matrix(m, slot=p)
+        slots.append(inertia(m))
+        if slots[-1].n_neg > k_p or (claim != "closure" and slots[-1].n_neg != k_p):
+            return None
     out = inertia(apply_entrywise(fn, mats, cfg.dom))
     if claim != "lift":
-        return Witness(mats, fn, out, clause) if _violation(claim, cfg.l, out, ref) else None
+        return Witness(mats, fn, out, clause) if _violation(claim, cfg.l, out, slots[0]) else None
     for extra in (3, 7):
         lifted = tuple(lift_finite(m, mats[0].n + extra) for m in mats)
         up = inertia(apply_entrywise(fn, lifted, cfg.dom))
@@ -364,26 +369,13 @@ def _judge(
     return None
 
 
-def _make_witness(
-    claim: str,
-    fn: FunctionSpec,
-    mats: Sequence[SymMatrix],
-    cfg: TrialConfig,
-    clause: str,
-) -> Witness | None:
-    """Check each slot's domain and inertia, then judge; None when it is no witness."""
-    mats = tuple(mats)
-    if len(mats) != cfg.k.m:
-        return None
-    ref = None
-    for p, (m, k_p) in enumerate(zip(mats, cfg.k.k), start=1):
-        cfg.dom.check_matrix(m, slot=p)
-        ine = inertia(m)
-        if ine.n_neg > k_p or (claim != "closure" and ine.n_neg != k_p):
-            return None
-        if p == 1:
-            ref = ine
-    return _judge(claim, fn, mats, cfg, clause, ref)
+def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
+    """Counts of symmetric arrays of any sizes, zero-padded into one :func:`inertia_stack` call."""
+    size = max(len(a) for a in arrays)
+    stack = np.zeros((len(arrays), size, size))
+    for b, a in enumerate(arrays):
+        stack[b, : len(a), : len(a)] = a
+    return [Inertia(*c) for c in inertia_stack(stack, [len(a) for a in arrays]).tolist()]
 
 
 def _image(fn: FunctionSpec, mats: tuple[SymMatrix, ...]) -> np.ndarray:
@@ -399,19 +391,15 @@ def _run_trials(
 ) -> tuple[int, list[Witness]]:
     """Run trials 0..trials-1; returns the failure count and the first witnesses.
 
-    Trial i samples a member tuple from stream i.  The sampled slots are not
-    counted: ``sample_with_inertia`` builds them with their negative count
-    fixed in closed form, and the property tests check that count against
-    ``numpy.linalg.eigvalsh``.  Their domain is checked before ``fn`` is
-    applied, as :func:`apply_entrywise` does.  Trials go in index order,
-    in chunks of at most ``STACK_ENTRIES`` stack entries.  Each chunk's images,
-    plus slot 1 for an inertia claim and the lifted images for a lift claim,
-    are zero-padded into one stack and counted once by :func:`inertia_stack`.
-    ``fn`` runs once per trial: f commutes with the lift (every entry of the
-    lift is a copy of an entry of the slot), so a lift lane is the base image
-    gathered by the lift's row map.  A trial the stack flags is judged again
-    by the scalar :func:`_judge`, which rebuilds f[lift(A)] from scratch, so
-    a witness is exactly what :meth:`Witness.revalidate` recomputes.
+    Trial i samples a member tuple from stream i, checks its domain and
+    applies ``fn`` once.  Trials go in index order, in chunks of at most
+    ``STACK_ENTRIES`` stack entries; a chunk's images, plus slot 1 for an
+    inertia claim and, for a lift claim, each image gathered by the lift's
+    row map to n+3 and n+7 (f commutes with the lift), are counted by one
+    :func:`_count`.  The slots are not counted there: the sampler fixes
+    their negative count by construction.  A trial the stack flags is judged
+    again by :func:`_make_witness`, one matrix at a time and slots included,
+    so every witness is what :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
     extras = (3, 7) if claim == "lift" else ()
@@ -433,21 +421,16 @@ def _run_trials(
             if claim == "inertia":
                 images.append(mats[0].entries)
             images += [_gather(image, _lift_rows(n, n + e)) for e in extras]
-        size = max(len(img) for img in images)
-        stack = np.zeros((len(images), size, size))
-        for b, img in enumerate(images):
-            stack[b, : len(img), : len(img)] = img
-        counts = inertia_stack(stack, [len(img) for img in images]).tolist()
+        counts = _count(images)
         for t, mats in enumerate(tuples):
-            out, *rest = (Inertia(*c) for c in counts[t * lanes : (t + 1) * lanes])
+            out, *rest = counts[t * lanes : (t + 1) * lanes]
             if claim == "lift":
                 flagged = any(up.n_neg != out.n_neg for up in rest)
             else:
                 flagged = _violation(claim, cfg.l, out, rest[0] if rest else None)
             if not flagged:
                 continue
-            ref = inertia(mats[0]) if claim == "inertia" else None
-            w = _judge(claim, fn, mats, cfg, clause, ref)
+            w = _make_witness(claim, fn, mats, cfg, clause)
             if w is not None:
                 failures += 1
                 if len(witnesses) < WITNESS_CAP:
@@ -514,7 +497,9 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 #
 # A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples at the
 # entry scale t0 (and the open_positive shift eps); the caller validates
-# every candidate and halves both scales until one is a witness.
+# every candidate and halves both scales until one is a witness.  A candidate
+# larger than ``N_MAX`` is a ConfigError, raised before any size that grows
+# with l or the arity is allocated, so the run falls through to random search.
 
 def _ones(n: int, v: float) -> SymMatrix:
     return SymMatrix(np.full((n, n), v))
@@ -529,6 +514,7 @@ def _shifted(core: SymMatrix, dom: DomainSpec, eps: float) -> SymMatrix:
 
 def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> SymMatrix:
     """A size-n matrix with exactly k_q negatives, valid in dom."""
+    int_in(n, "candidate size", 1, N_MAX)
     if k_q == 0:
         return _ones(n, t0)
     if dom.one_sided and n < k_q + 1:
@@ -566,8 +552,10 @@ def _fill_slots(
     """One size-n matrix per slot.
 
     Slot q gets ``placed[q]`` where given, else ``free`` when it is
-    unconstrained, else a member filler with exactly k_q negatives.
+    unconstrained, else a member filler with exactly k_q negatives.  Every
+    candidate but a 1x1 tuple is finished here, so none is larger than ``N_MAX``.
     """
+    int_in(n, "candidate size", 1, N_MAX)
     return tuple(
         placed[q] if q in placed else free if k_q == 0 else _member_filler(n, k_q, dom, t0, eps)
         for q, k_q in enumerate(ks.k, start=1)
@@ -614,7 +602,7 @@ def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
     min_c = min(linear.values())
     constrained = range(ks.m0 + 1, ks.m + 1)
     blocks = {q: ks.k[q - 1] + 1 for q in constrained}
-    n = sum(blocks.values())
+    n = int_in(sum(blocks.values()), "candidate size", 1, N_MAX)
     offsets = {}
     at = 0
     for q in constrained:
@@ -709,7 +697,7 @@ def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
     eta = abs(base[target]) * float(np.min(nodes)) ** (2 * e_t) / 64.0
     eta = min(max(eta, 1e-12 * min(t0, scale)), t0)
     shift = min(eps, eta) / 4.0
-    n = max(block * copies, kmax + 2)
+    n = int_in(max(block * copies, kmax + 2), "candidate size", 1, N_MAX)
     placed = {}
     for q in active:
         col = nodes ** weights[q - 1]
@@ -886,46 +874,38 @@ def falsify(
 
 
 # ---------------------------------------------------------------------------
-# lemma suite
+# lemma suite: a batch draws one trial from its stream and returns the
+# symmetric arrays to count plus a check over their counts, in that order
 # ---------------------------------------------------------------------------
 
-def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator) -> bool:
+def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator):
     n = int(rng.integers(1, 7))
     scale = cfg.dom.rho_eff / 2.0
     a = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
     b = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
-    lhs = inertia(block_pair(a, b))
-    plus = inertia(SymMatrix(a.entries + b.entries))
-    minus = inertia(SymMatrix(a.entries - b.entries))
-    return lhs == Inertia(
-        plus.n_neg + minus.n_neg, plus.n_zero + minus.n_zero, plus.n_pos + minus.n_pos
-    )
+    mats = [block_pair(a, b).entries, a.entries + b.entries, a.entries - b.entries]
+    return mats, lambda lhs, plus, minus: lhs == Inertia(*(x + y for x, y in zip(plus, minus)))
 
 
-def _suite_rank_one(cfg: TrialConfig, rng: np.random.Generator) -> bool:
+def _suite_rank_one(cfg: TrialConfig, rng: np.random.Generator):
     n = int(rng.integers(2, 11))
     k = int(rng.integers(0, n + 1))
-    dom = DomainSpec("two_sided", math.inf)
-    a = sample_with_inertia(n, k, dom, rng)
+    a = sample_with_inertia(n, k, DomainSpec("two_sided", math.inf), rng).entries
     v = rng.standard_normal(n)
-    t = rng.uniform(0.1, 2.0)
-    bump = SymMatrix(t * np.outer(v, v))
-    up = inertia(SymMatrix(a.entries + bump.entries)).n_neg
-    down = inertia(SymMatrix(a.entries - bump.entries)).n_neg
-    return up in (k - 1, k) and down in (k, k + 1)
+    bump = rng.uniform(0.1, 2.0) * np.outer(v, v)
+    return [a + bump, a - bump], lambda up, down: up.n_neg in (k - 1, k) and down.n_neg in (k, k + 1)
 
 
-def _suite_inflation(cfg: TrialConfig, rng: np.random.Generator) -> bool:
+def _suite_inflation(cfg: TrialConfig, rng: np.random.Generator):
     s = int(rng.integers(1, 6))
     n = s + int(rng.integers(0, 6))
     g = rng.uniform(-1.0, 1.0, size=(s, s))
     a = SymMatrix(g + g.T)
-    before = inertia(a)
-    after = inertia(inflate(a, _random_partition(n, s, rng)))
-    return (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
+    mats = [a.entries, inflate(a, _random_partition(n, s, rng)).entries]
+    return mats, lambda before, after: (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
 
 
-def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
+def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator):
     k = int(rng.integers(1, 5))
     a = rng.uniform(0.0, 0.3)
     b = a + rng.uniform(0.1, 0.5)
@@ -936,13 +916,13 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator) -> bool:
     lam, _ = eig_sym(out, vectors=False)
     # lam ascends, so its first k entries are the negatives
     pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
-    return spectrum_inertia(out, lam).n_neg == k and pinned
+    return [out.entries], lambda c: c.n_neg == k and pinned
 
 
-def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator) -> bool:
+def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator):
     k = int(rng.integers(1, 5))
     t = float(rng.uniform(1.05, 10.0))
-    return inertia(ones_pencil(k, t)).n_neg == k - 1
+    return [ones_pencil(k, t).entries], lambda c: c.n_neg == k - 1
 
 
 _SUITE = [
@@ -954,19 +934,37 @@ _SUITE = [
 ]
 
 
+def _failed(chunk: list) -> int:
+    """The failed trials among ``chunk``'s (arrays, check) pairs, counted at once."""
+    counts = iter(_count([m for mats, _ in chunk for m in mats]))
+    return sum(not check(*islice(counts, len(mats))) for mats, check in chunk)
+
+
+def _suite_failures(j: int, batch: Callable, cfg: TrialConfig) -> int:
+    """Failed trials of batch j.  Trial i draws from stream (j << 40) + i,
+    apart from every verify and falsify stream; trials go in index order,
+    in chunks of at most ``STACK_ENTRIES`` zero-padded entries."""
+    bad, chunk, lanes, size = 0, [], 0, 0
+    for i in range(cfg.trials):
+        mats, check = batch(cfg, _trial_rng(cfg.seed, (j << 40) + i))
+        big = max(len(m) for m in mats)
+        if chunk and (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES:
+            bad, chunk, lanes, size = bad + _failed(chunk), [], 0, 0
+        chunk.append((mats, check))
+        lanes, size = lanes + len(mats), max(size, big)
+    return bad + _failed(chunk)
+
+
 def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     """Run the structural property batches that back the constructions."""
     started = time.perf_counter()
     failures = 0
     parts = []
-    # batch j draws trial i from stream (j << 40) + i, apart from every
-    # verify and falsify stream
     for j, (name, batch) in enumerate(_SUITE, start=1):
-        streams = (_trial_rng(cfg.seed, (j << 40) + i) for i in range(cfg.trials))
         if batch is _suite_pencil and inertia(pencil_base()) != Inertia(1, 0, 2):
             bad = cfg.trials  # every pencil trial stands on this one fixed matrix
         else:
-            bad = sum(1 for rng in streams if not batch(cfg, rng))
+            bad = _suite_failures(j, batch, cfg)
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

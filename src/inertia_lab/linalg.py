@@ -57,6 +57,10 @@ DOMAIN_KINDS = ("two_sided", "open_positive", "closed_left")
 #: bounds on a finite domain radius: squared entries of members stay normal doubles
 RHO_MIN, RHO_MAX = 1e-150, 1e150
 
+#: largest matrix size a run may sample, or a recipe or a construction may
+#: build from a count: the cap bounds the memory one matrix can ask for
+N_MAX = 256
+
 
 class Inertia(NamedTuple):
     """Eigenvalue sign counts of a symmetric matrix."""

@@ -3,9 +3,12 @@
 ``linalg`` promises bytes that do not depend on the BLAS build, so the
 counting chain (``linalg``, ``constructions``, ``functions``) forms no ``@``
 product and calls no LAPACK routine.  The only ones left are in the sampler,
-in the pinned-inertia suite batch and in ``pontryagin.gram_of``, whose
-outputs are counted, never reported byte for byte.  A new one fails here
-until it is added to the list on purpose.
+in the pinned-inertia suite batch and in ``pontryagin.gram_of``.  Some of
+their bytes do reach reports: a witness that carries sampled slots (from
+random search or the constant-map recipe) prints them, and ``pontryagin
+factor`` prints the error that ``gram_of`` measures; those bytes may differ
+between BLAS builds.  A new one fails here until it is added to the list on
+purpose.
 """
 
 import ast

@@ -201,6 +201,24 @@ def test_non_numeric_json_values_are_config_errors(argv):
         ["inertia", "--matrix", "[[1" + "0" * 400 + "]]"],
         ["apply", "--fn", '{"type":"homothety","c":1.0}', "--matrix", "[[0.1]]",
          "--domain", '{"kind":"two_sided","rho":Infinity}'],
+        # a size built from a count, just above N_MAX = 256 (10^8 once asked numpy for PiB)
+        ["construct", "lift", "--matrix", "[[1.0]]", "--size", "257"],
+        ["construct", "ones-pencil", "--k", "86", "--t", "2.0"],
+        ["construct", "equicorrelation", "--k", "256", "--a", "0.1", "--b", "0.5"],
+        ["construct", "ones-spike", "--k", "256", "--delta", "1.0", "--epsilon", "0.1"],
+        ["construct", "basis", "--size", "257"],
+        ["construct", "vandermonde", "--k", "129", "--t0", "1.0"],
+        ["construct", "weight", "--partition", "[[0]]", "--n", "257"],
+        ["construct", "replicated", "--matrix", "[[1.0]]", "--k", "1", "--l", "254", "--t0", "1.0"],
+        # (step/2)^b underflows to 0 from b = 99 at the default step (ZeroDivisionError)
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "120"],
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "99"],
+        # (order + 1)^2 steps of Newton expansion (ran for minutes)
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "100000"],
+        # b! * 1^b overflows at b = 171
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "171", "--step", "1.0"],
+        # every divisor is normal, but the expansion overflows to inf (JSON ValueError)
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "170", "--step", "1.0"],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
@@ -208,6 +226,35 @@ def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
     assert code == 2
     assert out == ""
     assert "inertia-lab: error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "lift", "--matrix", "[[1.0]]", "--size", "256"],
+        ["construct", "ones-pencil", "--k", "85", "--t", "2.0"],
+        ["construct", "equicorrelation", "--k", "255", "--a", "0.1", "--b", "0.5"],
+        ["construct", "vandermonde", "--k", "128", "--t0", "1.0"],
+        ["construct", "replicated", "--matrix", "[[1.0]]", "--k", "1", "--l", "253", "--t0", "1.0"],
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "98"],
+    ],
+)
+def test_sizes_and_orders_at_the_caps_are_accepted(argv):
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep.get("order") == 98 or len(rep["matrix"]["rows"]) in (255, 256)
+
+
+def test_a_recipe_sized_from_l_beyond_the_cap_falls_through_to_random_search():
+    spec = {
+        "theorem": "bounded",
+        "fn": {"type": "series", "arity": 1, "terms": [{"alpha": [1], "coeff": 1.0}, {"alpha": [2], "coeff": -0.5}]},
+        "config": {"k": [0], "l": 100000, "trials": 10},
+    }
+    code, out, err = run_cli(["falsify", json.dumps(spec)])
+    assert code == 1
+    assert json.loads(out)["label"] == "no witness found: 0 recipe candidates and 10 random trials exhausted"
 
 
 @pytest.mark.parametrize("key,value", [("out_csv", 7), ("out_json", ["x"]), ("out_json", "")])

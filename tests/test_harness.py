@@ -270,6 +270,18 @@ def test_random_search_on_a_lift_claim_checks_the_lift(monkeypatch):
     assert all(n3 == n + 3 and n7 == n + 7 for n, n3, n7 in lanes)
 
 
+@pytest.mark.parametrize("l", [50, 51, 100_000])
+def test_a_recipe_candidate_above_the_size_cap_falls_through_to_random_search(l):
+    # the negative-coefficient recipe lays out l + 1 blocks of size 5: 5 * 51 <= N_MAX < 5 * 52
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((0,)), l, trials=10, seed=1)
+    rep = falsify("bounded", Series(1, {(1,): 1.0, (2,): -0.5}), cfg)
+    if l == 50:
+        assert rep.label == "witness found via recipe for clause 'negative-coefficient'"
+        assert rep.witnesses[0].mats[0].n == 255
+    else:
+        assert rep.label == "no witness found: 0 recipe candidates and 10 random trials exhausted"
+
+
 def test_falsify_rejects_unknown_strategy():
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1)
     with pytest.raises(ConfigError):
@@ -323,6 +335,50 @@ def test_lemma_suite_counts_the_pencil_base_once(monkeypatch):
     assert rep.label.endswith("pencil-counts: 0/6 ok")
 
 
+def _eigvalsh_counts(a) -> tuple[int, int, int]:
+    lam = np.linalg.eigvalsh(a)
+    tau = 1e-9 * float(np.linalg.norm(a))
+    neg, pos = int(np.sum(lam < -tau)), int(np.sum(lam > tau))
+    return neg, len(a) - neg - pos, pos
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-100])
+@pytest.mark.parametrize("j,name,batch", [(j, *b) for j, b in enumerate(harness._SUITE, start=1)])
+def test_suite_batches_count_on_the_stack_as_inertia_and_eigvalsh_do(j, name, batch, rho):
+    cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,)), 1, trials=150, seed=3)
+    for i in range(cfg.trials):
+        mats, check = batch(cfg, harness._trial_rng(cfg.seed, (j << 40) + i))
+        counts = harness._count(mats)
+        assert counts == [inertia(SymMatrix(m)) for m in mats], (name, i)
+        assert [tuple(c) for c in counts] == [_eigvalsh_counts(m) for m in mats], (name, i)
+        assert check(*counts), (name, i)
+
+
+def test_lemma_suite_splits_the_stack_without_changing_the_label(monkeypatch):
+    shapes = []
+    real = harness.inertia_stack
+
+    def spy(a, n):
+        shapes.append(a.shape[:2])
+        return real(a, n)
+
+    monkeypatch.setattr(harness, "inertia_stack", spy)
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=9)
+    whole = lemma_suite(cfg)
+    # one stack per batch
+    assert len(shapes) == len(harness._SUITE)
+    lanes = sum(b for b, _ in shapes)
+    shapes.clear()
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    split = lemma_suite(cfg)
+    assert split.label == whole.label
+    assert split.failures == whole.failures == 0
+    assert len(shapes) > 5 * len(harness._SUITE)
+    assert sum(b for b, _ in shapes) == lanes
+    # a stack passes the cap only when it holds one trial (at most 3 lanes)
+    assert all(b * n * n <= 300 or b <= 3 for b, n in shapes)
+
+
 def test_csv_row_has_runtime_column():
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=10, seed=0)
     rep = verify_forward("exact", Homothety(1.0), cfg)
@@ -345,7 +401,9 @@ def test_sampler_property_two_sided(k, seed):
 
 
 # ---------------------------------------------------------------------------
-# the sampler builds members: nothing counts them at run time, so test here
+# the sampler builds members by construction, and a run counts them only to
+# judge a flagged trial again (and a one-sided embedding its PSD block), so
+# test here
 # ---------------------------------------------------------------------------
 
 def _eigvalsh_negatives(m) -> int:
@@ -390,8 +448,7 @@ def _scalar_trials(claim, fn, cfg, clause, closure):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-        ref = inertia(mats[0]) if claim == "inertia" else None
-        w = harness._judge(claim, fn, mats, cfg, clause, ref)
+        w = harness._make_witness(claim, fn, mats, cfg, clause)
         if w is not None:
             witnesses.append(w)
     return len(witnesses), witnesses[: harness.WITNESS_CAP]
@@ -430,6 +487,7 @@ def test_stacked_trials_report_the_bytes_of_the_scalar_loop(case, stack_entries,
     assert dumps(stacked.to_json_dict()) == dumps(scalar.to_json_dict())
     # every random search but the lift one fails, and carries witnesses
     assert bool(stacked.witnesses) == (case.startswith("random-") and case != "random-lift")
+    assert all(w.revalidate(claim, cfg) for w in stacked.witnesses)
 
 
 def test_many_chunks_really_split_the_trials(monkeypatch):

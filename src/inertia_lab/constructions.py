@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, finite_float, int_in
-from .linalg import N_MAX, SymMatrix, direct_sum, inertia
+from .linalg import N_MAX, SymMatrix, _direct_sum, direct_sum, inertia
 
 __all__ = [
     "block_pair",
@@ -128,6 +128,11 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     return SymMatrix(out)
 
 
+def _equicorrelation(n: int, a: float, b: float) -> np.ndarray:
+    """(a - b) Id + b * ones of size n, unchecked."""
+    return (a - b) * np.eye(n) + b
+
+
 def equicorrelation(k: int, a: float, b: float) -> SymMatrix:
     """(a - b) Id + b * ones of size k+1, with 0 <= a < b.
 
@@ -140,8 +145,7 @@ def equicorrelation(k: int, a: float, b: float) -> SymMatrix:
     b = finite_float(b, "b")
     if not 0.0 <= a < b:
         raise ConfigError("need 0 <= a < b")
-    n = k + 1
-    return SymMatrix((a - b) * np.eye(n) + b * np.ones((n, n)))
+    return SymMatrix(_equicorrelation(k + 1, a, b))
 
 
 def embed_with_negatives(
@@ -152,7 +156,8 @@ def embed_with_negatives(
     For PSD ``B`` the result has exactly k negative eigenvalues, all equal to
     a - b: vectors supported on the equicorrelation block and orthogonal to
     the ones vector are untouched by both the direct sum and the rank-one
-    shift, while the complementary subspace carries a PSD form.
+    shift, while the complementary subspace carries a PSD form.  ``B`` is
+    counted once to check that it is PSD.
     """
     epsilon = finite_float(epsilon, "epsilon")
     if epsilon < 0.0:
@@ -160,9 +165,7 @@ def embed_with_negatives(
     core = equicorrelation(k, a, b)  # validates k, a, b
     if inertia(B).n_neg:
         raise ConfigError("the embedded block must be positive semidefinite")
-    joined = direct_sum([core, B])
-    n = joined.n
-    return SymMatrix(joined.entries + epsilon * np.ones((n, n)))
+    return SymMatrix(_direct_sum([core.entries, B.entries], epsilon))
 
 
 def _row_map(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
@@ -243,7 +246,4 @@ def ones_pencil(k: int, t: float) -> SymMatrix:
     """
     int_in(k, "k", 1, N_MAX // 3)
     t = finite_float(t, "t")
-    base = pencil_base()
-    stacked = direct_sum([base] * k)
-    n = 3 * k
-    return SymMatrix(stacked.entries + t * np.ones((n, n)))
+    return SymMatrix(_direct_sum([pencil_base().entries] * k, t))

@@ -17,15 +17,16 @@ function yields a vacuous report (nothing is verified).  ``falsify`` goes the
 other way: it uses the violated clause to pick a witness recipe, validates
 every candidate numerically (membership, domain, and the violation itself),
 and falls back to seeded random search when no recipe applies.  Forward
-verification and random search run the same trials: sample a member tuple
-from the trial's own stream, apply ``fn`` and count the image.  Trials are
+verification and random search run the same trials on plain arrays:
+sample a member tuple (its inertia fixed in closed form, not counted) from
+the trial's own stream, apply ``fn`` and count the image.  Trials are
 sampled in index order and counted in chunks, each chunk's images as one
 zero-padded stack (``linalg.inertia_stack``), as are the ``lemma_suite``
 batches.  A lift claim's lanes at n+3 and n+7 are the trial's image gathered
 by the lift's row map, since f commutes with the lift.  A flagged trial is
-judged again one matrix at a time by ``_make_witness``, the one judge: it
-also checks every recipe candidate and is what ``Witness.revalidate`` runs.
-Reports are deterministic for a fixed seed.
+judged again on SymMatrix slots, one matrix at a time, by ``_make_witness``,
+the one judge: it also checks every recipe candidate and is what
+``Witness.revalidate`` runs.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constructions import (
+    _equicorrelation,
     _gather,
     _lift_rows,
+    _row_map,
     block_pair,
     direct_sum,
     embed_with_negatives,
@@ -69,6 +72,8 @@ from .linalg import (
     DomainSpec,
     Inertia,
     SymMatrix,
+    _direct_sum,
+    _symmetric,
     eig_sym,
     inertia,
     inertia_stack,
@@ -92,8 +97,19 @@ STACK_ENTRIES = 1 << 18
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     # counter-based Philox keyed by (seed, stream): a trial's stream depends
-    # only on its index, not on which trials ran before it
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    # only on its index.  The key is uint64: a list holding a value >= 2**63
+    # goes through float64, where seeds collide
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """``rng`` at the start of stream (seed, index), as :func:`_trial_rng`
+    builds it (counter 0, empty buffer), without a new Philox."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (seed, index)},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +202,38 @@ def _random_partition(n: int, s: int, rng: np.random.Generator) -> list[list[int
     return [list(range(bounds[j], bounds[j + 1])) for j in range(s)]
 
 
+def _sample(n: int, k: int, dom: DomainSpec, rng: np.random.Generator) -> np.ndarray:
+    """The entries of :func:`sample_with_inertia`, unchecked and with its
+    draws; the scaled products are symmetrized as :class:`SymMatrix` does."""
+    rho = dom.rho_eff
+    if k == 0 or not dom.one_sided:
+        if dom.one_sided:
+            v = rng.uniform(0.3, 1.0, size=(n, n))
+            a0 = v @ v.T
+        else:
+            q = _random_orthogonal(n, rng)
+            lam = np.concatenate([-rng.uniform(0.2, 1.0, size=k), rng.uniform(0.2, 1.0, size=n - k)])
+            a0 = (q * lam) @ q.T
+        target = (0.25 + 0.6 * rng.uniform()) * rho
+        return _symmetric(a0 * (target / float(np.max(np.abs(a0)))))
+    a = rho * rng.uniform(0.05, 0.2)
+    b = a + rho * rng.uniform(0.15, 0.35)
+    if n == k + 1:
+        return _equicorrelation(n, a, b)
+    if rng.uniform() < 0.35:
+        s = int(rng.integers(k + 1, n))
+        return _gather(_sample(s, k, dom, rng), _row_map(_random_partition(n, s, rng), n))
+    nb = n - k - 1
+    v = rng.uniform(0.3, 1.0, size=(nb, nb))
+    g = v @ v.T
+    # v v^T is PSD, so the embedding keeps exactly k negatives uncounted
+    psd = _symmetric(g * (b / float(np.max(g))))
+    eps = rho * rng.uniform(0.01, 0.05)
+    if dom.kind == "closed_left" and rng.uniform() < 0.3:
+        eps = 0.0
+    return _direct_sum([_equicorrelation(k + 1, a, b), psd], eps)
+
+
 def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generator) -> SymMatrix:
     """Random matrix with exactly k negative eigenvalues and entries in dom.
 
@@ -201,56 +249,24 @@ def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generato
     smaller core, which adds zero eigenvalues but no negatives.
     """
     int_in(k, "k", 0, int_in(n, "n", 1))
-    rho = dom.rho_eff
-
     if dom.one_sided and k >= 1 and n == k:
         raise SamplingError(
             f"no {n}x{n} matrix over {dom.kind} has all {k} eigenvalues negative "
             "(nonnegative entries force a nonnegative trace)"
         )
+    return SymMatrix(_sample(n, k, dom, rng))
 
-    if not dom.one_sided:
-        q = _random_orthogonal(n, rng)
-        lam = np.concatenate([-rng.uniform(0.2, 1.0, size=k), rng.uniform(0.2, 1.0, size=n - k)])
-        a0 = (q * lam) @ q.T
-        peak = float(np.max(np.abs(a0)))
-        target = (0.25 + 0.6 * rng.uniform()) * rho
-        return SymMatrix(a0 * (target / peak))
-    if k == 0:
-        v = rng.uniform(0.3, 1.0, size=(n, n))
-        g = v @ v.T
-        target = (0.25 + 0.6 * rng.uniform()) * rho
-        return SymMatrix(g * (target / float(np.max(g))))
-    a = rho * rng.uniform(0.05, 0.2)
-    b = a + rho * rng.uniform(0.15, 0.35)
-    if n == k + 1:
-        return equicorrelation(k, a, b)
-    if rng.uniform() < 0.35:
-        s = int(rng.integers(k + 1, n))
-        return inflate(sample_with_inertia(s, k, dom, rng), _random_partition(n, s, rng))
-    nb = n - k - 1
-    v = rng.uniform(0.3, 1.0, size=(nb, nb))
-    g = v @ v.T
-    psd = SymMatrix(g * (b / float(np.max(g))))
-    eps = rho * rng.uniform(0.01, 0.05)
-    if dom.kind == "closed_left" and rng.uniform() < 0.3:
-        eps = 0.0
-    return embed_with_negatives(a, b, k, eps, psd)
+
+def _sample_slots(ks: AdmissibleK, n: int, dom: DomainSpec, rng, closure: bool, sample=_sample):
+    """One ``sample`` per slot: exactly k_p negatives (or j <= k_p under closure)."""
+    return tuple(sample(n, int(rng.integers(0, k_p + 1)) if closure else k_p, dom, rng) for k_p in ks.k)
 
 
 def sample_member_tuple(
-    ks: AdmissibleK,
-    n: int,
-    dom: DomainSpec,
-    rng: np.random.Generator,
-    closure: bool = False,
+    ks: AdmissibleK, n: int, dom: DomainSpec, rng: np.random.Generator, closure: bool = False
 ) -> tuple[SymMatrix, ...]:
     """One matrix per slot: exactly k_p negatives (or j <= k_p under closure)."""
-    mats = []
-    for k_p in ks.k:
-        kk = int(rng.integers(0, k_p + 1)) if closure else k_p
-        mats.append(sample_with_inertia(n, kk, dom, rng))
-    return tuple(mats)
+    return _sample_slots(ks, n, dom, rng, closure, sample_with_inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +394,9 @@ def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
     return [Inertia(*c) for c in inertia_stack(stack, [len(a) for a in arrays]).tolist()]
 
 
-def _image(fn: FunctionSpec, mats: tuple[SymMatrix, ...]) -> np.ndarray:
-    """f[mats] as an array; non-finite entries raise as :class:`SymMatrix` would."""
-    out = fn(*(m.entries for m in mats))
+def _image(fn: FunctionSpec, slots: tuple[np.ndarray, ...]) -> np.ndarray:
+    """f[slots] as an array; non-finite entries raise as :class:`SymMatrix` would."""
+    out = fn(*slots)
     if not np.all(np.isfinite(out)):
         raise ConfigError("matrix entries must be finite")
     return out
@@ -391,15 +407,16 @@ def _run_trials(
 ) -> tuple[int, list[Witness]]:
     """Run trials 0..trials-1; returns the failure count and the first witnesses.
 
-    Trial i samples a member tuple from stream i, checks its domain and
-    applies ``fn`` once.  Trials go in index order, in chunks of at most
-    ``STACK_ENTRIES`` stack entries; a chunk's images, plus slot 1 for an
-    inertia claim and, for a lift claim, each image gathered by the lift's
-    row map to n+3 and n+7 (f commutes with the lift), are counted by one
-    :func:`_count`.  The slots are not counted there: the sampler fixes
-    their negative count by construction.  A trial the stack flags is judged
-    again by :func:`_make_witness`, one matrix at a time and slots included,
-    so every witness is what :meth:`Witness.revalidate` recomputes.
+    Trial i samples a member tuple as arrays from stream i (one generator,
+    rekeyed), checks its domain and applies ``fn`` once.  Trials go in index
+    order, in chunks of at most ``STACK_ENTRIES`` stack entries; a chunk's
+    images, plus slot 1 for an inertia claim and, for a lift claim, each
+    image gathered by the lift's row map to n+3 and n+7 (f commutes with the
+    lift), are counted by one :func:`_count`.  The slots are not counted
+    there: the sampler fixes their negative count by construction.  A trial
+    the stack flags is judged again by :func:`_make_witness` on SymMatrix
+    slots, one matrix at a time and slots included, so every witness is what
+    :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
     extras = (3, 7) if claim == "lift" else ()
@@ -407,22 +424,23 @@ def _run_trials(
     most = hi + max(extras, default=0)
     chunk = max(1, STACK_ENTRIES // (lanes * most * most))
     failures, witnesses = 0, []
+    rng = _trial_rng(cfg.seed, 0)
     for start in range(0, cfg.trials, chunk):
         tuples, images = [], []
         for i in range(start, min(start + chunk, cfg.trials)):
-            rng = _trial_rng(cfg.seed, i)
+            _rekey(rng, cfg.seed, i)
             n = int(rng.integers(lo, hi + 1))
-            mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-            for p, m in enumerate(mats, start=1):
-                cfg.dom.check_matrix(m, slot=p)
-            tuples.append(mats)
-            image = _image(fn, mats)
+            slots = _sample_slots(cfg.k, n, cfg.dom, rng, closure)
+            for p, a in enumerate(slots, start=1):
+                cfg.dom.check_matrix(a, slot=p)
+            tuples.append(slots)
+            image = _image(fn, slots)
             images.append(image)
             if claim == "inertia":
-                images.append(mats[0].entries)
+                images.append(slots[0])
             images += [_gather(image, _lift_rows(n, n + e)) for e in extras]
         counts = _count(images)
-        for t, mats in enumerate(tuples):
+        for t, slots in enumerate(tuples):
             out, *rest = counts[t * lanes : (t + 1) * lanes]
             if claim == "lift":
                 flagged = any(up.n_neg != out.n_neg for up in rest)
@@ -430,7 +448,7 @@ def _run_trials(
                 flagged = _violation(claim, cfg.l, out, rest[0] if rest else None)
             if not flagged:
                 continue
-            w = _make_witness(claim, fn, mats, cfg, clause)
+            w = _make_witness(claim, fn, tuple(map(SymMatrix, slots)), cfg, clause)
             if w is not None:
                 failures += 1
                 if len(witnesses) < WITNESS_CAP:
@@ -509,7 +527,7 @@ def _shifted(core: SymMatrix, dom: DomainSpec, eps: float) -> SymMatrix:
     """``core + eps * ones`` over open_positive, where zero entries are out of domain."""
     if dom.kind != "open_positive":
         return core
-    return SymMatrix(core.entries + eps * np.ones((core.n, core.n)))
+    return SymMatrix(core.entries + eps)
 
 
 def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> SymMatrix:
@@ -573,7 +591,7 @@ def _recipe_nonlinear(fn, cfg, rng, t0, eps):
         zero = SymMatrix(np.zeros((size, size)))
         core = block_pair(zero, vandermonde_psd(k_p, t0))
         if dom.one_sided:
-            core = SymMatrix(core.entries + eps * np.ones((core.n, core.n)))
+            core = SymMatrix(core.entries + eps)
     else:
         a2, b2 = two_by_two_pair(t0)
         core = block_pair(a2, b2)
@@ -603,20 +621,13 @@ def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
     constrained = range(ks.m0 + 1, ks.m + 1)
     blocks = {q: ks.k[q - 1] + 1 for q in constrained}
     n = int_in(sum(blocks.values()), "candidate size", 1, N_MAX)
-    offsets = {}
-    at = 0
-    for q in constrained:
-        offsets[q] = at
-        at += blocks[q]
     eta = t0 * min_c / (4.0 * sum(linear.values()))
     placed = {}
     for q in constrained:
         k_q = ks.k[q - 1]
         if not dom.one_sided:
-            ent = np.zeros((n, n))
-            o = offsets[q]
-            ent[o : o + k_q, o : o + k_q] = -t0 * np.eye(k_q)
-            placed[q] = SymMatrix(ent)
+            diag = [[-t0] * k_q + [0.0] if r == q else [0.0] * blocks[r] for r in constrained]
+            placed[q] = SymMatrix(np.diag(np.concatenate(diag)))
         else:
             parts = [
                 equicorrelation(k_q, 4 * t0, 8 * t0) if r == q else SymMatrix(eta * np.eye(blocks[r]))
@@ -635,11 +646,7 @@ def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
     out = []
     if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
         # smallest possible witness: a tuple of 1x1 matrices
-        tiny = tuple(
-            SymMatrix([[-t0]]) if q in constrained else SymMatrix([[t0]])
-            for q in range(1, ks.m + 1)
-        )
-        out.append(tiny)
+        out.append(tuple(SymMatrix([[-t0 if q in constrained else t0]]) for q in range(1, ks.m + 1)))
     kmax = max(ks.k[q - 1] for q in constrained)
     n = 2 + max(k_p, kmax + 1)
     # two spreads for the probe pair: a mild one and a wide one, since
@@ -795,7 +802,9 @@ def _recipe_witness(
     recipe = _RECIPES.get(clause)
     if recipe is None:
         return None, 0
-    rng = _trial_rng(cfg.seed, 2**63 + 1)
+    # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
+    # the same key, so the same recipe bytes, for every seed below 2**53
+    rng = _trial_rng(cfg.seed, 2**63)
     t0 = cfg.dom.rho_eff / 8.0
     eps = cfg.dom.rho_eff / 16.0
     attempts = 0
@@ -890,7 +899,7 @@ def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator):
 def _suite_rank_one(cfg: TrialConfig, rng: np.random.Generator):
     n = int(rng.integers(2, 11))
     k = int(rng.integers(0, n + 1))
-    a = sample_with_inertia(n, k, DomainSpec("two_sided", math.inf), rng).entries
+    a = _sample(n, k, DomainSpec("two_sided", math.inf), rng)
     v = rng.standard_normal(n)
     bump = rng.uniform(0.1, 2.0) * np.outer(v, v)
     return [a + bump, a - bump], lambda up, down: up.n_neg in (k - 1, k) and down.n_neg in (k, k + 1)
@@ -945,8 +954,9 @@ def _suite_failures(j: int, batch: Callable, cfg: TrialConfig) -> int:
     apart from every verify and falsify stream; trials go in index order,
     in chunks of at most ``STACK_ENTRIES`` zero-padded entries."""
     bad, chunk, lanes, size = 0, [], 0, 0
+    rng = _trial_rng(cfg.seed, 0)
     for i in range(cfg.trials):
-        mats, check = batch(cfg, _trial_rng(cfg.seed, (j << 40) + i))
+        mats, check = batch(cfg, _rekey(rng, cfg.seed, (j << 40) + i))
         big = max(len(m) for m in mats)
         if chunk and (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES:
             bad, chunk, lanes, size = bad + _failed(chunk), [], 0, 0

@@ -114,9 +114,9 @@ class DomainSpec:
     def contains(self, x: float) -> bool:
         return bool(self._inside(x))
 
-    def check_matrix(self, A: "SymMatrix", slot: int = 1) -> None:
+    def check_matrix(self, A: "SymMatrix | np.ndarray", slot: int = 1) -> None:
         """Raise :class:`DomainViolation` at the first out-of-domain entry."""
-        ent = A.entries
+        ent = A.entries if isinstance(A, SymMatrix) else A
         ok = self._inside(ent)
         if bool(ok.all()):
             return
@@ -147,6 +147,11 @@ class DomainSpec:
         return cls(kind=d.get("kind", "two_sided"), rho=rho)
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^T) + 0.0, the array :class:`SymMatrix` stores for a finite ``a``."""
+    return 0.5 * (a + a.T) + 0.0
+
+
 def _binade(a: np.ndarray) -> int:
     """The e with max |a_ij| in [2^(e-1), 2^e); 0 for the zero matrix."""
     return math.frexp(float(np.max(np.abs(a))))[1]
@@ -173,7 +178,7 @@ class SymMatrix:
             raise ConfigError("matrices must have at least one row")
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
-        a = 0.5 * (a + a.T) + 0.0
+        a = _symmetric(a)
         a.flags.writeable = False
         self._a = a
         # summed over a / 2^e (exact), the squares neither overflow nor underflow
@@ -502,15 +507,20 @@ def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> b
     return n_neg <= k if closure else n_neg == k
 
 
+def _direct_sum(blocks: list[np.ndarray], shift: float = 0.0) -> np.ndarray:
+    """Block-diagonal sum of square arrays plus ``shift`` in every entry, unchecked."""
+    n = sum(len(b) for b in blocks)
+    out = np.full((n, n), shift)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] += b
+        at += len(b)
+    return out
+
+
 def direct_sum(mats: Iterable[SymMatrix]) -> SymMatrix:
     """Block-diagonal sum of symmetric matrices (at least one)."""
     mats = list(mats)
     if not mats:
         raise ConfigError("direct_sum needs at least one block")
-    total = sum(m.n for m in mats)
-    out = np.zeros((total, total))
-    at = 0
-    for m in mats:
-        out[at : at + m.n, at : at + m.n] = m.entries
-        at += m.n
-    return SymMatrix(out)
+    return SymMatrix(_direct_sum([m.entries for m in mats]))

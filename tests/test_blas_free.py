@@ -22,9 +22,9 @@ ALLOWED = sorted(
     [
         ("harness.py", "_random_orthogonal", "np.linalg.qr"),
         ("harness.py", "_suite_pinned", "@"),
-        ("harness.py", "sample_with_inertia", "@"),
-        ("harness.py", "sample_with_inertia", "@"),
-        ("harness.py", "sample_with_inertia", "@"),
+        ("harness.py", "_sample", "@"),
+        ("harness.py", "_sample", "@"),
+        ("harness.py", "_sample", "@"),
         ("pontryagin.py", "gram_of", "@"),
     ]
 )

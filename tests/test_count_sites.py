@@ -1,11 +1,15 @@
-"""Every eigensolve and inertia count in ``harness.py`` is known.
+"""Every eigensolve and inertia count in ``harness.py`` and ``constructions.py`` is known.
 
 Verify, random search and the lemma suite count whole chunks of matrices
 through ``_count``, one ``inertia_stack`` call per chunk.  The scalar calls
 left are the one judge ``_make_witness`` (slots, image and lifts), the
 pinned eigenvalues of ``_suite_pinned`` and the pencil base, counted once
-per ``lemma_suite`` call.  A scalar trial or suite loop coming back fails
-here until it is added to the list on purpose.
+per ``lemma_suite`` call.  In ``constructions.py`` only
+``embed_with_negatives`` counts: it checks that a caller's block is PSD.
+The sampler builds its block PSD by construction and calls the unchecked
+builders, so nothing on its path counts.  A scalar trial or suite loop, or a
+count on the sampler's path, coming back fails here until it is added to the
+list on purpose.
 """
 
 import ast
@@ -13,24 +17,31 @@ from pathlib import Path
 
 import inertia_lab
 
-HARNESS = Path(inertia_lab.__file__).parent / "harness.py"
+PACKAGE = Path(inertia_lab.__file__).parent
 
 COUNTERS = {"inertia", "eig_sym", "inertia_stack"}
 
 EXPECTED = sorted(
     [
-        ("_count", "inertia_stack"),
-        ("_make_witness", "inertia"),
-        ("_make_witness", "inertia"),
-        ("_make_witness", "inertia"),
-        ("_suite_pinned", "eig_sym"),
-        ("lemma_suite", "inertia"),
+        ("constructions.py", "embed_with_negatives", "inertia"),
+        ("harness.py", "_count", "inertia_stack"),
+        ("harness.py", "_make_witness", "inertia"),
+        ("harness.py", "_make_witness", "inertia"),
+        ("harness.py", "_make_witness", "inertia"),
+        ("harness.py", "_suite_pinned", "eig_sym"),
+        ("harness.py", "lemma_suite", "inertia"),
     ]
 )
 
+#: the functions a trial's slots are sampled through
+SAMPLER_PATH = {
+    "_sample_slots", "_sample", "_random_orthogonal", "_random_partition",
+    "_equicorrelation", "_embedded", "_gather", "_row_map",
+}
 
-def _calls(path: Path) -> list[tuple[str, str]]:
-    """(enclosing function, callee) for each call of a counter."""
+
+def _calls(path: Path) -> list[tuple[str, str, str]]:
+    """(file, enclosing function, callee) for each call of a counter."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -40,7 +51,7 @@ def _calls(path: Path) -> list[tuple[str, str]]:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name in COUNTERS:
-                found.append((scope, name))
+                found.append((path.name, scope, name))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -49,4 +60,6 @@ def _calls(path: Path) -> list[tuple[str, str]]:
 
 
 def test_harness_counts_through_the_stack_and_the_one_judge():
-    assert sorted(_calls(HARNESS)) == EXPECTED
+    found = sorted(c for name in ("constructions.py", "harness.py") for c in _calls(PACKAGE / name))
+    assert found == EXPECTED
+    assert not {scope for _, scope, _ in found} & SAMPLER_PATH

@@ -326,6 +326,18 @@ def test_domain_violation_reports_position_and_slot():
     assert "-3.0" in str(err.value)
 
 
+def test_domain_check_takes_the_entry_array_as_the_matrix():
+    dom = DomainSpec("two_sided", 2.0)
+    dom.check_matrix(np.array([[1.0, 0.5], [0.5, -1.5]]))
+    bad = [[1.0, 2.5], [2.5, -1.0]]
+    messages = []
+    for a in (sym(bad), np.array(bad)):
+        with pytest.raises(DomainViolation) as err:
+            dom.check_matrix(a, slot=3)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_domain_json_round_trip_with_infinite_radius():
     dom = DomainSpec("closed_left", math.inf)
     d = dom.to_json_dict()

@@ -72,7 +72,6 @@ from .linalg import (
     inertia,
     inertia_stack,
     is_member,
-    rank,
     sym,
 )
 from .pontryagin import (
@@ -133,7 +132,6 @@ __all__ = [
     "ones_pencil",
     "ones_spike",
     "pencil_base",
-    "rank",
     "replicated_block",
     "sample_member_tuple",
     "sample_with_inertia",

@@ -16,17 +16,22 @@ Claim vocabulary (the ``theorem`` field of run configs and reports):
 function yields a vacuous report (nothing is verified).  ``falsify`` goes the
 other way: it uses the violated clause to pick a witness recipe, validates
 every candidate numerically (membership, domain, and the violation itself),
-and falls back to seeded random search when no recipe applies.  Forward
-verification and random search run the same trials on plain arrays:
-sample a member tuple (its inertia fixed in closed form, not counted) from
-the trial's own stream, apply ``fn`` and count the image.  Trials are
-sampled in index order and counted in chunks, each chunk's images as one
-zero-padded stack (``linalg.inertia_stack``), as are the ``lemma_suite``
-batches.  A lift claim's lanes at n+3 and n+7 are the trial's image gathered
-by the lift's row map, since f commutes with the lift.  A flagged trial is
-judged again on SymMatrix slots, one matrix at a time, by ``_make_witness``,
-the one judge: it also checks every recipe candidate and is what
-``Witness.revalidate`` runs.  Reports are deterministic for a fixed seed.
+and falls back to seeded random search when no recipe applies.
+
+Forward verification, random search and the ``lemma_suite`` batches run
+through one trial loop, ``_stacked``.  Trial i draws from its own stream
+(one generator, rekeyed) the symmetric arrays to count and a check over
+their counts; trials are packed in index order into chunks of at most
+``STACK_ENTRIES`` zero-padded entries (a single trial may pass it), and
+each chunk is counted as one stack (``linalg.inertia_stack``).  A verify or
+random-search trial samples a member tuple on plain arrays (its inertia
+fixed in closed form, not counted) and applies ``fn``; its lanes are the
+image, slot 1 for an inertia claim, and for a lift claim the image gathered
+by the lift's row map to n+3 and n+7, since f commutes with the lift.  A
+flagged trial is judged again on SymMatrix slots, one matrix at a time, by
+``_make_witness``, the one judge: it also checks every recipe candidate and
+is what ``Witness.revalidate`` runs.  Reports are deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -402,57 +407,71 @@ def _image(fn: FunctionSpec, slots: tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
+def _stacked(cfg: TrialConfig, stream: int, draw: Callable) -> Iterator:
+    """The checks of trials 0..trials-1, in index order, counted on the stack.
+
+    Trial i draws from stream ``stream + i`` (one generator, rekeyed):
+    ``draw(rng)`` returns the symmetric arrays to count and a check over
+    their counts.  Trials are packed in index order until the next one would
+    take the zero-padded stack past ``STACK_ENTRIES`` entries (one trial
+    alone may pass it); each chunk is counted by one :func:`_count`.
+    """
+    rng = _trial_rng(cfg.seed, 0)
+    chunk, lanes, size = [], 0, 0
+    for i in range(cfg.trials + 1):
+        # one past the last trial, an empty draw flushes the last chunk
+        mats, check = draw(_rekey(rng, cfg.seed, stream + i)) if i < cfg.trials else ([], None)
+        big = max(map(len, mats), default=0)
+        if chunk and (i == cfg.trials or (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES):
+            counts = iter(_count([m for t, _ in chunk for m in t]))
+            yield from (c(*islice(counts, len(t))) for t, c in chunk)
+            chunk, lanes, size = [], 0, 0
+        chunk.append((mats, check))
+        lanes, size = lanes + len(mats), max(size, big)
+
+
 def _run_trials(
     claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, closure: bool
 ) -> tuple[int, list[Witness]]:
     """Run trials 0..trials-1; returns the failure count and the first witnesses.
 
-    Trial i samples a member tuple as arrays from stream i (one generator,
-    rekeyed), checks its domain and applies ``fn`` once.  Trials go in index
-    order, in chunks of at most ``STACK_ENTRIES`` stack entries; a chunk's
-    images, plus slot 1 for an inertia claim and, for a lift claim, each
+    Trial i samples a member tuple as arrays from stream i, checks its domain
+    and applies ``fn`` once.  Its lanes on the stack (:func:`_stacked`) are
+    the image, plus slot 1 for an inertia claim and, for a lift claim, the
     image gathered by the lift's row map to n+3 and n+7 (f commutes with the
-    lift), are counted by one :func:`_count`.  The slots are not counted
-    there: the sampler fixes their negative count by construction.  A trial
-    the stack flags is judged again by :func:`_make_witness` on SymMatrix
-    slots, one matrix at a time and slots included, so every witness is what
-    :meth:`Witness.revalidate` recomputes.
+    lift).  The slots are not counted there: the sampler fixes their
+    negative count by construction.  A trial the stack flags is judged again
+    by :func:`_make_witness` on SymMatrix slots, one matrix at a time and
+    slots included, so every witness is what :meth:`Witness.revalidate`
+    recomputes.
     """
     lo, hi = cfg.n_range
     extras = (3, 7) if claim == "lift" else ()
-    lanes = 1 + (claim == "inertia") + len(extras)
-    most = hi + max(extras, default=0)
-    chunk = max(1, STACK_ENTRIES // (lanes * most * most))
-    failures, witnesses = 0, []
-    rng = _trial_rng(cfg.seed, 0)
-    for start in range(0, cfg.trials, chunk):
-        tuples, images = [], []
-        for i in range(start, min(start + chunk, cfg.trials)):
-            _rekey(rng, cfg.seed, i)
-            n = int(rng.integers(lo, hi + 1))
-            slots = _sample_slots(cfg.k, n, cfg.dom, rng, closure)
-            for p, a in enumerate(slots, start=1):
-                cfg.dom.check_matrix(a, slot=p)
-            tuples.append(slots)
-            image = _image(fn, slots)
-            images.append(image)
-            if claim == "inertia":
-                images.append(slots[0])
-            images += [_gather(image, _lift_rows(n, n + e)) for e in extras]
-        counts = _count(images)
-        for t, slots in enumerate(tuples):
-            out, *rest = counts[t * lanes : (t + 1) * lanes]
+
+    def draw(rng):
+        n = int(rng.integers(lo, hi + 1))
+        slots = _sample_slots(cfg.k, n, cfg.dom, rng, closure)
+        for p, a in enumerate(slots, start=1):
+            cfg.dom.check_matrix(a, slot=p)
+        image = _image(fn, slots)
+        lanes = [image, *(slots[:1] if claim == "inertia" else ())]
+        lanes += [_gather(image, _lift_rows(n, n + e)) for e in extras]
+
+        def check(out, *rest):
             if claim == "lift":
                 flagged = any(up.n_neg != out.n_neg for up in rest)
             else:
                 flagged = _violation(claim, cfg.l, out, rest[0] if rest else None)
-            if not flagged:
-                continue
-            w = _make_witness(claim, fn, tuple(map(SymMatrix, slots)), cfg, clause)
-            if w is not None:
-                failures += 1
-                if len(witnesses) < WITNESS_CAP:
-                    witnesses.append(w)
+            return _make_witness(claim, fn, tuple(map(SymMatrix, slots)), cfg, clause) if flagged else None
+
+        return lanes, check
+
+    failures, witnesses = 0, []
+    for w in _stacked(cfg, 0, draw):
+        if w is not None:
+            failures += 1
+            if len(witnesses) < WITNESS_CAP:
+                witnesses.append(w)
     return failures, witnesses
 
 
@@ -544,9 +563,9 @@ def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> 
         return SymMatrix(np.diag(diag))
     if n == k_q + 1:
         return equicorrelation(k_q, t0, 2 * t0)
-    pad = SymMatrix(t0 * np.eye(n - k_q - 1))
+    # embed_with_negatives uncounted: the t0 * I pad is PSD by construction
     shift = eps if dom.kind == "open_positive" else 0.0
-    return embed_with_negatives(t0, 2 * t0, k_q, shift, pad)
+    return SymMatrix(_direct_sum([_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 1)], shift))
 
 
 def _pad_with_identity(core: SymMatrix, n: int, t0: float, dom: DomainSpec, eps: float) -> SymMatrix:
@@ -943,28 +962,6 @@ _SUITE = [
 ]
 
 
-def _failed(chunk: list) -> int:
-    """The failed trials among ``chunk``'s (arrays, check) pairs, counted at once."""
-    counts = iter(_count([m for mats, _ in chunk for m in mats]))
-    return sum(not check(*islice(counts, len(mats))) for mats, check in chunk)
-
-
-def _suite_failures(j: int, batch: Callable, cfg: TrialConfig) -> int:
-    """Failed trials of batch j.  Trial i draws from stream (j << 40) + i,
-    apart from every verify and falsify stream; trials go in index order,
-    in chunks of at most ``STACK_ENTRIES`` zero-padded entries."""
-    bad, chunk, lanes, size = 0, [], 0, 0
-    rng = _trial_rng(cfg.seed, 0)
-    for i in range(cfg.trials):
-        mats, check = batch(cfg, _rekey(rng, cfg.seed, (j << 40) + i))
-        big = max(len(m) for m in mats)
-        if chunk and (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES:
-            bad, chunk, lanes, size = bad + _failed(chunk), [], 0, 0
-        chunk.append((mats, check))
-        lanes, size = lanes + len(mats), max(size, big)
-    return bad + _failed(chunk)
-
-
 def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     """Run the structural property batches that back the constructions."""
     started = time.perf_counter()
@@ -974,7 +971,9 @@ def lemma_suite(cfg: TrialConfig) -> VerdictReport:
         if batch is _suite_pencil and inertia(pencil_base()) != Inertia(1, 0, 2):
             bad = cfg.trials  # every pencil trial stands on this one fixed matrix
         else:
-            bad = _suite_failures(j, batch, cfg)
+            # trial i of batch j draws from stream (j << 40) + i, apart from
+            # every verify and falsify stream
+            bad = sum(not ok for ok in _stacked(cfg, j << 40, partial(batch, cfg)))
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

@@ -202,9 +202,6 @@ class SymMatrix:
             return NotImplemented
         return self._a.shape == other._a.shape and bool(np.array_equal(self._a, other._a))
 
-    def __hash__(self):
-        return hash((self._a.shape[0], self._a.tobytes()))
-
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"
 
@@ -488,11 +485,6 @@ def inertia_stack(a, n) -> np.ndarray:
     neg = np.where(flat, 0, below[0])
     pos = np.where(flat, 0, size - below[1])
     return np.stack([neg, n - neg - pos, pos], axis=1)
-
-
-def rank(A: SymMatrix) -> int:
-    ine = inertia(A)
-    return ine.n_neg + ine.n_pos
 
 
 def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> bool:

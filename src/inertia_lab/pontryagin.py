@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, int_in
-from .linalg import SymMatrix, eig_sym, inertia, zero_threshold
+from .linalg import N_MAX, SymMatrix, eig_sym, inertia, zero_threshold
 
 
 def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
@@ -35,12 +35,12 @@ def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
 def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], float]:
     """Realize A as a Gram matrix with exactly k minus directions.
 
-    Requires n_neg(A) <= k.  Returns ``(vectors, (plus, minus), err)`` where
+    Requires n_neg(A) <= k <= N_MAX.  Returns ``(vectors, (plus, minus), err)`` where
     vectors are rows in an ambient space of dimension (n - r) + k with
     r = n_neg(A), minus coordinates padded with k - r zeros, and ``err`` is
     the relative Frobenius reconstruction error of gram_of on the output.
     """
-    int_in(k, "k")
+    int_in(k, "k", 0, N_MAX)
     lam, q = eig_sym(A)
     thresh = zero_threshold(A)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]

@@ -544,6 +544,18 @@ def test_pontryagin_rejects_cap_below_negativity():
     assert code == 2
 
 
+def test_pontryagin_factor_caps_k_at_n_max():
+    # k sizes the (n, plus + k) vector array, so it is capped before anything is allocated
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", "[[1,0],[0,-1]]", "--k", "100000000000"])
+    assert (code, out) == (2, "")
+    assert "k 100000000000 out of range 0..256" in err
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", "[[1,0],[0,-1]]", "--k", "256"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["signature"] == {"plus": 1, "minus": 256}
+    assert rep["vectors"][1][:2] == [0.0, 1.0]
+
+
 def test_absmon_check_passes_for_exp():
     code, out, err = run_cli(["absmon", "check", "--fn", "exp", "--box", "0.1:0.9", "--order", "4"])
     assert code == 0

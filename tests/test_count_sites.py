@@ -1,15 +1,16 @@
 """Every eigensolve and inertia count in ``harness.py`` and ``constructions.py`` is known.
 
-Verify, random search and the lemma suite count whole chunks of matrices
-through ``_count``, one ``inertia_stack`` call per chunk.  The scalar calls
-left are the one judge ``_make_witness`` (slots, image and lifts), the
-pinned eigenvalues of ``_suite_pinned`` and the pencil base, counted once
-per ``lemma_suite`` call.  In ``constructions.py`` only
-``embed_with_negatives`` counts: it checks that a caller's block is PSD.
-The sampler builds its block PSD by construction and calls the unchecked
-builders, so nothing on its path counts.  A scalar trial or suite loop, or a
-count on the sampler's path, coming back fails here until it is added to the
-list on purpose.
+Verify, random search and the lemma suite run through one trial loop,
+``_stacked``, which counts whole chunks of matrices through ``_count``, one
+``inertia_stack`` call per chunk.  The scalar calls left are the one judge
+``_make_witness`` (slots, image and lifts), the pinned eigenvalues of
+``_suite_pinned`` and the pencil base, counted once per ``lemma_suite`` call.
+In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
+a caller's block is PSD.  The sampler and the recipes' member filler build
+their blocks PSD by construction and call the unchecked builders, so nothing
+on their paths counts.  A scalar trial or suite loop, or a count on the
+sampler's path, coming back fails here until it is added to the list on
+purpose; ``SAMPLER_PATH`` may name only functions that exist.
 """
 
 import ast
@@ -36,7 +37,7 @@ EXPECTED = sorted(
 #: the functions a trial's slots are sampled through
 SAMPLER_PATH = {
     "_sample_slots", "_sample", "_random_orthogonal", "_random_partition",
-    "_equicorrelation", "_embedded", "_gather", "_row_map",
+    "_equicorrelation", "_gather", "_row_map",
 }
 
 
@@ -63,3 +64,13 @@ def test_harness_counts_through_the_stack_and_the_one_judge():
     found = sorted(c for name in ("constructions.py", "harness.py") for c in _calls(PACKAGE / name))
     assert found == EXPECTED
     assert not {scope for _, scope, _ in found} & SAMPLER_PATH
+
+
+def test_the_sampler_path_names_only_defined_functions():
+    defined = {
+        node.name
+        for name in ("constructions.py", "harness.py")
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert SAMPLER_PATH <= defined

@@ -600,8 +600,29 @@ def test_many_chunks_really_split_the_trials(monkeypatch):
     monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=11)
     verify_forward("inertia", Homothety(2.5), cfg)
-    # n <= 7 and two lanes per trial: 300 // (2 * 49) = 3 trials per stack
-    assert sizes == [6] * 13 + [2]
+    # two lanes per trial, packed while the padded stack holds at most 300
+    # entries: 3 trials up to n = 7, 4 up to 6, 6 up to 5
+    assert sizes == [6, 8, 6, 6, 6, 10, 6, 12, 6, 6, 6, 2]
+
+
+@pytest.mark.parametrize("case", list(STACKED_RUNS))
+def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypatch):
+    run, claim, fn, kind, k, l = STACKED_RUNS[case]
+    shapes = []
+    real = harness.inertia_stack
+
+    def spy(a, n):
+        shapes.append(a.shape[:2])
+        return real(a, n)
+
+    monkeypatch.setattr(harness, "inertia_stack", spy)
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=40, seed=11)
+    run(claim, fn, cfg, **({} if run is verify_forward else {"strategy": "random"}))
+    lanes = 1 + (claim == "inertia") + 2 * (claim == "lift")
+    assert sum(b for b, _ in shapes) == lanes * cfg.trials
+    assert all(b * n * n <= 300 or b == lanes for b, n in shapes)
+    assert len(shapes) > 1
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])

@@ -24,7 +24,6 @@ from inertia_lab.linalg import (
     inertia,
     inertia_stack,
     is_member,
-    rank,
     sym,
 )
 
@@ -238,7 +237,8 @@ def test_inertia_orthogonal_conjugation_invariance():
 
 def test_rank_of_outer_product():
     v = np.array([1.0, 2.0, 3.0])
-    assert rank(SymMatrix(np.outer(v, v))) == 1
+    c = inertia(SymMatrix(np.outer(v, v)))
+    assert c.n_neg + c.n_pos == 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,12 @@ def test_symmatrix_matches_the_mirrored_average_bitwise(n, seed):
     assert got.tobytes() == mirrored.tobytes()
 
 
-def test_symmatrix_equality_and_hash():
+def test_symmatrix_equality():
     a = sym([[1.0, 2.0], [2.0, 1.0]])
     b = sym([[1.0, 2.0], [2.0, 1.0]])
     assert a == b
-    assert hash(a) == hash(b)
+    with pytest.raises(TypeError):  # __eq__ compares entries and there is no __hash__
+        hash(a)
     assert a != sym([[1.0, 2.0], [2.0, 1.5]])
 
 

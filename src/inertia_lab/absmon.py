@@ -61,6 +61,9 @@ def _as_grid_fn(f, arity: int) -> Callable:
         if f.arity != arity:
             raise ConfigError(f"function arity {f.arity} does not match box arity {arity}")
         return f
+    # a ufunc takes arguments past its nin as output arrays: np.exp(x, y) is exp(x)
+    if isinstance(f, np.ufunc) and f.nin != arity:
+        raise ConfigError(f"function arity {f.nin} does not match box arity {arity}")
     if not callable(f):
         raise ConfigError("f must be a function spec or a callable")
 

@@ -263,9 +263,9 @@ def _cmd_profile(args) -> int:
 
 
 def _absmon_fn(text: str):
-    """A builtin name, or a FunctionSpec JSON object; returns (f, arity|None)."""
+    """A builtin name (one variable), or a FunctionSpec JSON object; returns (f, arity)."""
     if text.isidentifier():
-        return builtin_fn(text), None
+        return builtin_fn(text), 1
     f = _fn_arg(text)
     return f, f.arity
 
@@ -295,10 +295,6 @@ def _cmd_absmon_check(args) -> int:
 
 def _cmd_absmon_maclaurin(args) -> int:
     f, arity = _absmon_fn(args.fn)
-    if args.arity is not None:
-        arity = args.arity
-    if arity is None:
-        arity = 1
     report = maclaurin_estimate(f, arity, args.order, step=args.step)
     _emit(report)
     return EXIT_OK
@@ -471,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_absmon_check)
     q = asub.add_parser("maclaurin", help="estimate series coefficients at 0")
     q.add_argument("--fn", required=True)
-    q.add_argument("--arity", type=int, default=None)
     q.add_argument("--order", type=int, required=True)
     q.add_argument("--step", type=float, default=1e-3)
     q.set_defaults(func=_cmd_absmon_maclaurin)

@@ -25,13 +25,13 @@ their counts; trials are packed in index order into chunks of at most
 ``STACK_ENTRIES`` zero-padded entries (a single trial may pass it), and
 each chunk is counted as one stack (``linalg.inertia_stack``).  A verify or
 random-search trial samples a member tuple on plain arrays (its inertia
-fixed in closed form, not counted) and applies ``fn``; its lanes are the
-image, slot 1 for an inertia claim, and for a lift claim the image gathered
-by the lift's row map to n+3 and n+7, since f commutes with the lift.  A
-flagged trial is judged again on SymMatrix slots, one matrix at a time, by
-``_make_witness``, the one judge: it also checks every recipe candidate and
-is what ``Witness.revalidate`` runs.  Reports are deterministic for a fixed
-seed.
+fixed in closed form, not counted); its lanes are those of ``_lanes`` (the
+image, and for a lift claim the image gathered to n+3 and n+7) plus slot 1
+for an inertia claim, and ``_breach`` decides from their counts.
+``_make_witness``, the one judge, counts the same lanes one matrix at a time
+and asks the same ``_breach``: it makes the witness of a flagged trial,
+checks every recipe candidate and is what ``Witness.revalidate`` runs.
+Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -55,21 +55,19 @@ from .constructions import (
     embed_with_negatives,
     equicorrelation,
     inflate,
-    lift_finite,
     ones_pencil,
     ones_spike,
     pencil_base,
     two_by_two_pair,
     vandermonde_psd,
 )
-from .errors import ConfigError, DomainViolation, SamplingError, int_in
+from .errors import ConfigError, SamplingError, int_in
 from .functions import (
     AdmissibleK,
     FunctionSpec,
     PreserverVerdict,
     _constrained_slots,
     _decompose,
-    apply_entrywise,
     classify,
 )
 from .linalg import (
@@ -117,6 +115,11 @@ def _rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generat
     return rng
 
 
+def _min_size(k: int, dom: DomainSpec) -> int:
+    """The smallest n that holds k negatives: k + 1 over a one-sided domain if k >= 1, else max(1, k)."""
+    return k + 1 if dom.one_sided and k >= 1 else max(1, k)
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
@@ -136,8 +139,7 @@ class TrialConfig:
         int_in(self.l, "l")
         int_in(self.trials, "trials", 1, 10_000_000)
         int_in(self.seed, "seed", 0, 2**64 - 1)
-        kmax = max(self.k.k)
-        floor = kmax + 1 if (self.dom.one_sided and kmax >= 1) else max(1, kmax)
+        floor = _min_size(max(self.k.k), self.dom)
         if self.n_range is None:
             object.__setattr__(self, "n_range", (floor + 1, floor + 6))
         lo, hi = self.n_range
@@ -254,7 +256,7 @@ def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generato
     smaller core, which adds zero eigenvalues but no negatives.
     """
     int_in(k, "k", 0, int_in(n, "n", 1))
-    if dom.one_sided and k >= 1 and n == k:
+    if n < _min_size(k, dom):
         raise SamplingError(
             f"no {n}x{n} matrix over {dom.kind} has all {k} eigenvalues negative "
             "(nonnegative entries force a nonnegative trace)"
@@ -296,11 +298,8 @@ class Witness:
         }
 
     def revalidate(self, claim: str, cfg: TrialConfig) -> bool:
-        """Recompute everything from scratch and confirm the violation."""
-        try:
-            checked = _make_witness(claim, self.fn, self.mats, cfg, self.clause)
-        except (ConfigError, DomainViolation):
-            return False
+        """Judge the tuple again from scratch and confirm the observed counts."""
+        checked = _make_witness(claim, self.fn, [m.entries for m in self.mats], cfg, self.clause)
         return checked is not None and checked.observed == self.observed
 
 
@@ -348,46 +347,64 @@ class VerdictReport:
 )))
 
 
-def _violation(claim: str, l: int, out: Inertia, ref: Inertia | None) -> bool:
-    if claim in ("bounded", "closure"):
-        return out.n_neg > l
-    if claim == "exact":
-        return out.n_neg != l
+def _lanes(claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray]) -> list[np.ndarray] | None:
+    """f[slots] and, for a lift claim, f[slots] gathered by the lift's row map
+    to n+3 and n+7 (f commutes with the lift); None when f[slots] is not finite."""
+    image = fn(*slots)
+    if not np.all(np.isfinite(image)):
+        return None
+    n, extras = len(image), ((3, 7) if claim == "lift" else ())
+    return [image, *(_gather(image, _lift_rows(n, n + e)) for e in extras)]
+
+
+def _breach(claim: str, l: int, out: Inertia, *rest: Inertia) -> Inertia | None:
+    """The count that breaks the claim, or None.
+
+    ``out`` counts f[A]; ``rest`` is slot 1's count for an inertia claim and
+    the counts of the lifted images for a lift claim.
+    """
+    if claim == "lift":
+        return next((up for up in rest if up.n_neg != out.n_neg), None)
     if claim == "inertia":
-        return out != ref
+        return out if out != rest[0] else None
+    if claim == "exact":
+        return out if out.n_neg != l else None
+    if claim in ("bounded", "closure"):
+        return out if out.n_neg > l else None
     raise ConfigError(f"no violation predicate for claim {claim!r}")
 
 
 def _make_witness(
-    claim: str,
-    fn: FunctionSpec,
-    mats: Sequence[SymMatrix],
-    cfg: TrialConfig,
-    clause: str,
+    claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig, clause: str
 ) -> Witness | None:
-    """The one judge: check each slot's domain and count, then count f[mats];
-    a Witness on violation, else None.  The inertia claim compares f[mats]
-    with slot 1; a lift claim compares it with f[lift(mats)] at n+3 and n+7,
-    built from scratch, and its witness is the lifted tuple.
+    """The one judge: a Witness of the tuple ``slots`` when the claim fails on it, else None.
+
+    Each slot is wrapped in SymMatrix once and its domain and count are
+    checked; the lanes of :func:`_lanes` are counted one matrix at a time
+    (slot 1's count is an inertia claim's reference) and :func:`_breach`
+    decides.  A lift claim's witness holds the size-n tuple, and its
+    ``observed`` is the lifted image's count that differs.  A tuple it cannot
+    judge gives None: a number of slots other than the arity, sizes that
+    differ, an entry out of the domain, or a non-finite image.
     """
-    mats = tuple(mats)
-    if len(mats) != cfg.k.m:
+    if len(slots) != cfg.k.m or fn.arity != cfg.k.m or len({np.shape(a) for a in slots}) != 1:
         return None
-    slots = []
-    for p, (m, k_p) in enumerate(zip(mats, cfg.k.k), start=1):
-        cfg.dom.check_matrix(m, slot=p)
-        slots.append(inertia(m))
-        if slots[-1].n_neg > k_p or (claim != "closure" and slots[-1].n_neg != k_p):
+    if not all(cfg.dom._inside(a).all() for a in slots):
+        return None
+    mats = tuple(map(SymMatrix, slots))
+    held = []
+    for m, k_p in zip(mats, cfg.k.k):
+        held.append(inertia(m))
+        if held[-1].n_neg > k_p or (claim != "closure" and held[-1].n_neg != k_p):
             return None
-    out = inertia(apply_entrywise(fn, mats, cfg.dom))
-    if claim != "lift":
-        return Witness(mats, fn, out, clause) if _violation(claim, cfg.l, out, slots[0]) else None
-    for extra in (3, 7):
-        lifted = tuple(lift_finite(m, mats[0].n + extra) for m in mats)
-        up = inertia(apply_entrywise(fn, lifted, cfg.dom))
-        if up.n_neg != out.n_neg:
-            return Witness(lifted, fn, up, clause)
-    return None
+    lanes = _lanes(claim, fn, [m.entries for m in mats])
+    if lanes is None:
+        return None
+    counts = [inertia(SymMatrix(a)) for a in lanes]
+    if claim == "inertia":
+        counts.append(held[0])
+    out = _breach(claim, cfg.l, *counts)
+    return None if out is None else Witness(mats, fn, out, clause)
 
 
 def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
@@ -397,14 +414,6 @@ def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
     for b, a in enumerate(arrays):
         stack[b, : len(a), : len(a)] = a
     return [Inertia(*c) for c in inertia_stack(stack, [len(a) for a in arrays]).tolist()]
-
-
-def _image(fn: FunctionSpec, slots: tuple[np.ndarray, ...]) -> np.ndarray:
-    """f[slots] as an array; non-finite entries raise as :class:`SymMatrix` would."""
-    out = fn(*slots)
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("matrix entries must be finite")
-    return out
 
 
 def _stacked(cfg: TrialConfig, stream: int, draw: Callable) -> Iterator:
@@ -437,32 +446,27 @@ def _run_trials(
 
     Trial i samples a member tuple as arrays from stream i, checks its domain
     and applies ``fn`` once.  Its lanes on the stack (:func:`_stacked`) are
-    the image, plus slot 1 for an inertia claim and, for a lift claim, the
-    image gathered by the lift's row map to n+3 and n+7 (f commutes with the
-    lift).  The slots are not counted there: the sampler fixes their
-    negative count by construction.  A trial the stack flags is judged again
-    by :func:`_make_witness` on SymMatrix slots, one matrix at a time and
-    slots included, so every witness is what :meth:`Witness.revalidate`
-    recomputes.
+    those of :func:`_lanes`, plus slot 1 for an inertia claim; membership is
+    not counted, since the sampler fixes each slot's count by construction.
+    A trial :func:`_breach` flags goes to :func:`_make_witness`, so its
+    witness is what :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
-    extras = (3, 7) if claim == "lift" else ()
 
     def draw(rng):
         n = int(rng.integers(lo, hi + 1))
         slots = _sample_slots(cfg.k, n, cfg.dom, rng, closure)
         for p, a in enumerate(slots, start=1):
             cfg.dom.check_matrix(a, slot=p)
-        image = _image(fn, slots)
-        lanes = [image, *(slots[:1] if claim == "inertia" else ())]
-        lanes += [_gather(image, _lift_rows(n, n + e)) for e in extras]
+        lanes = _lanes(claim, fn, slots)
+        if lanes is None:
+            raise ConfigError("matrix entries must be finite")
+        if claim == "inertia":
+            lanes.append(slots[0])
 
-        def check(out, *rest):
-            if claim == "lift":
-                flagged = any(up.n_neg != out.n_neg for up in rest)
-            else:
-                flagged = _violation(claim, cfg.l, out, rest[0] if rest else None)
-            return _make_witness(claim, fn, tuple(map(SymMatrix, slots)), cfg, clause) if flagged else None
+        def check(*counts):
+            breached = _breach(claim, cfg.l, *counts) is not None
+            return _make_witness(claim, fn, slots, cfg, clause) if breached else None
 
         return lanes, check
 
@@ -554,10 +558,8 @@ def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> 
     int_in(n, "candidate size", 1, N_MAX)
     if k_q == 0:
         return _ones(n, t0)
-    if dom.one_sided and n < k_q + 1:
+    if n < _min_size(k_q, dom):
         raise ConfigError(f"cannot place {k_q} negatives in size {n} over {dom.kind}")
-    if n < k_q:
-        raise ConfigError(f"cannot place {k_q} negatives in size {n}")
     if not dom.one_sided:
         diag = np.concatenate([-t0 * np.ones(k_q), t0 * np.ones(n - k_q)])
         return SymMatrix(np.diag(diag))
@@ -814,34 +816,33 @@ _RECIPES: dict[str, Callable] = {
 }
 
 
-def _recipe_witness(
-    clause: str, claim: str, fn: FunctionSpec, cfg: TrialConfig
-) -> tuple[Witness | None, int]:
-    """Build and validate recipe candidates, halving scales on failure."""
-    recipe = _RECIPES.get(clause)
-    if recipe is None:
-        return None, 0
+def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterator[tuple[SymMatrix, ...]]:
+    """The recipe's candidates at t0 = rho/8, eps = rho/16, then at both halved,
+    ``RECIPE_HALVINGS`` times; a scale with a candidate past ``N_MAX`` gives none."""
     # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
     # the same key, so the same recipe bytes, for every seed below 2**53
     rng = _trial_rng(cfg.seed, 2**63)
-    t0 = cfg.dom.rho_eff / 8.0
-    eps = cfg.dom.rho_eff / 16.0
-    attempts = 0
+    t0, eps = cfg.dom.rho_eff / 8.0, cfg.dom.rho_eff / 16.0
     for _ in range(RECIPE_HALVINGS):
         try:
-            tuples = recipe(fn, cfg, rng, t0, eps)
-        except (ConfigError, DomainViolation):
-            tuples = []
-        for mats in tuples:
-            attempts += 1
-            try:
-                w = _make_witness(claim, fn, mats, cfg, clause)
-            except (ConfigError, DomainViolation):
-                w = None
-            if w is not None:
-                return w, attempts
-        t0 /= 2.0
-        eps /= 2.0
+            yield from recipe(fn, cfg, rng, t0, eps)
+        except ConfigError:
+            pass
+        t0, eps = t0 / 2.0, eps / 2.0
+
+
+def _recipe_witness(
+    clause: str, claim: str, fn: FunctionSpec, cfg: TrialConfig
+) -> tuple[Witness | None, int]:
+    """Judge the clause's recipe candidates in order; the first witness and the candidates judged."""
+    recipe = _RECIPES.get(clause)
+    if recipe is None:
+        return None, 0
+    attempts = 0
+    for attempts, mats in enumerate(_candidates(recipe, fn, cfg), start=1):
+        w = _make_witness(claim, fn, [m.entries for m in mats], cfg, clause)
+        if w is not None:
+            return w, attempts
     return None, attempts
 
 

@@ -240,7 +240,7 @@ class SymMatrix:
 
 
 def sym(entries) -> SymMatrix:
-    """Shorthand constructor used throughout the package."""
+    """Shorthand for :class:`SymMatrix` in tests and interactive use; the package calls the class."""
     return SymMatrix(entries)
 
 

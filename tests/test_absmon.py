@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,3 +168,12 @@ def test_lattice_density_grows_with_order():
     hi = forward_difference_test(math.exp, [[0.1, 0.9]], order=5)
     assert hi["lattice_points"] >= lo["lattice_points"]
     assert hi["differences_checked"] == 5
+
+
+def test_a_builtin_is_refused_at_another_arity():
+    # a ufunc reads arguments past its nin as output arrays: np.exp(x, y) is exp(x)
+    with pytest.raises(ConfigError, match="arity 1 does not match box arity 2"):
+        maclaurin_estimate(np.exp, 2, 2)
+    with pytest.raises(ConfigError, match="arity 1 does not match box arity 2"):
+        forward_difference_test(np.sin, [(0.0, 1.0), (0.0, 1.0)], order=2)
+    assert abs(_coeff(maclaurin_estimate(np.exp, 1, 2, step=0.05), (2,)) - 0.5) < 0.05

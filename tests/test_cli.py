@@ -587,6 +587,21 @@ def test_absmon_maclaurin_recovers_affine():
     assert abs(coeffs[(1,)] - 2.0) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # np.exp(x, y) would take y as its output array and evaluate exp(x)
+        ["absmon", "maclaurin", "--fn", "exp", "--order", "2", "--step", "0.05", "--arity", "2"],
+        ["absmon", "check", "--fn", "sin", "--box", "0:1,0:1", "--order", "2"],
+    ],
+    ids=["maclaurin-arity-flag", "check-two-variable-box"],
+)
+def test_absmon_builtins_take_one_variable(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_absmon_limit_extrapolates_to_zero():
     code, out, err = run_cli(["absmon", "limit", "--fn", "exp"])
     assert code == 0

@@ -3,8 +3,9 @@
 Verify, random search and the lemma suite run through one trial loop,
 ``_stacked``, which counts whole chunks of matrices through ``_count``, one
 ``inertia_stack`` call per chunk.  The scalar calls left are the one judge
-``_make_witness`` (slots, image and lifts), the pinned eigenvalues of
-``_suite_pinned`` and the pencil base, counted once per ``lemma_suite`` call.
+``_make_witness`` (its slots, then its lanes: the image and, for a lift
+claim, the lifted images), the pinned eigenvalues of ``_suite_pinned`` and
+the pencil base, counted once per ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler and the recipes' member filler build
 their blocks PSD by construction and call the unchecked builders, so nothing
@@ -26,7 +27,6 @@ EXPECTED = sorted(
     [
         ("constructions.py", "embed_with_negatives", "inertia"),
         ("harness.py", "_count", "inertia_stack"),
-        ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_suite_pinned", "eig_sym"),

@@ -533,7 +533,7 @@ def _scalar_trials(claim, fn, cfg, clause, closure):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-        w = harness._make_witness(claim, fn, mats, cfg, clause)
+        w = harness._make_witness(claim, fn, [m.entries for m in mats], cfg, clause)
         if w is not None:
             witnesses.append(w)
     return len(witnesses), witnesses[: harness.WITNESS_CAP]
@@ -649,6 +649,81 @@ def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
         mats = sample_member_tuple(cfg.k, n, cfg.dom, rng)
         for b, extra in zip((3 * i + 1, 3 * i + 2), (3, 7)):
-            want = harness._image(fn, tuple(lift_finite(m, n + extra).entries for m in mats))
+            want = fn(*(lift_finite(m, n + extra).entries for m in mats))
             assert sizes[b] == n + extra
             assert stack[b, : n + extra, : n + extra].tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one judge counts the trial's lanes and keeps the judged tuple
+# ---------------------------------------------------------------------------
+
+# diag(-1, 1, -5e-10): the last eigenvalue is inside the zero threshold at
+# n = 3, but copies of the last coordinate add up to a negative at n + 3
+LIFT_EDGE = np.diag([-1.0, 1.0, -5e-10])
+
+
+def test_a_lift_witness_keeps_the_size_n_tuple_and_revalidates():
+    cfg = TrialConfig(DomainSpec(), AdmissibleK((1,)), 1)
+    w = harness._make_witness("lift", Homothety(1.0), [LIFT_EDGE], cfg, "test")
+    assert w is not None
+    assert [m.n for m in w.mats] == [3]
+    assert w.mats[0].entries.tobytes() == LIFT_EDGE.tobytes()
+    assert inertia(w.mats[0]).n_neg == 1
+    assert w.observed == inertia(lift_finite(w.mats[0], 6)) and w.observed.n_neg == 2
+    assert w.revalidate("lift", cfg)
+
+
+def test_a_flagged_lift_trial_applies_f_once_in_the_trial_and_once_in_the_judge(monkeypatch):
+    monkeypatch.setattr(harness, "_sample_slots", lambda *args: (LIFT_EDGE,))
+    fn = Homothety(1.0)
+    calls = []
+    real = type(fn).__call__
+    monkeypatch.setattr(type(fn), "__call__", lambda self, *xs: calls.append(1) or real(self, *xs))
+    cfg = TrialConfig(DomainSpec(), AdmissibleK((1,)), 1, n_range=(3, 3), trials=1)
+    failures, witnesses = harness._run_trials("lift", fn, cfg, "test", closure=False)
+    assert failures == 1 and [m.n for m in witnesses[0].mats] == [3]
+    assert len(calls) == 2
+
+
+# (fn, slots): with l = 0, each tuple would be a witness if it were well formed
+UNJUDGEABLE = {
+    "too-few-slots": (Series(2, {(1, 0): 1.0}), [np.diag([1.0, -1.0])]),
+    "too-many-slots": (Homothety(1.0), [np.diag([1.0, -1.0]), np.diag([1.0, -1.0])]),
+    "non-finite-entry": (Homothety(1.0), [np.array([[np.nan, 0.0], [0.0, -1.0]])]),
+    "infinite-entry": (Homothety(1.0), [np.array([[np.inf, 0.0], [0.0, -1.0]])]),
+    "entry-out-of-domain": (Homothety(1.0), [np.diag([2.0, -1.0])]),
+    "sizes-differ": (Series(2, {(1, 0): 1.0}), [np.diag([1.0, -0.5]), np.diag([1.0, -0.5, 0.5])]),
+    "non-finite-image": (Series(1, {(1,): 1.0, (3,): 1.0}), [np.diag([1e200, -1e200])]),
+}
+
+
+@pytest.mark.parametrize("case", list(UNJUDGEABLE))
+def test_the_judge_returns_none_for_a_tuple_it_cannot_judge(case):
+    fn, slots = UNJUDGEABLE[case]
+    rho = math.inf if case == "non-finite-image" else 1.5
+    cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,) * fn.arity), 0)
+    with np.errstate(over="ignore"):
+        assert harness._make_witness("exact", fn, slots, cfg, "test") is None
+    # the same function on a well-formed member tuple is a witness
+    well_formed = [np.diag([1.0, -1.0])] * fn.arity
+    assert harness._make_witness("exact", fn, well_formed, cfg, "test") is not None
+
+
+def test_the_size_floor_is_one_rule_for_configs_the_sampler_and_the_recipes():
+    rng = _rng(3)
+    for kind in KINDS:
+        dom = DomainSpec(kind, 1.0)
+        for k in range(1, 5):
+            floor = harness._min_size(k, dom)
+            assert floor == (k + 1 if kind != "two_sided" else k)
+            if floor > 1:
+                with pytest.raises(ConfigError, match=f"needs n >= {floor}"):
+                    TrialConfig(dom, AdmissibleK((k,)), k, n_range=(floor - 1, floor + 2))
+                with pytest.raises(ConfigError, match="cannot place"):
+                    harness._member_filler(floor - 1, k, dom, 0.125, 0.0625)
+            if floor - 1 >= k:
+                with pytest.raises(SamplingError):
+                    sample_with_inertia(floor - 1, k, dom, rng)
+            assert inertia(sample_with_inertia(floor, k, dom, rng)).n_neg == k
+            assert inertia(harness._member_filler(floor, k, dom, 0.125, 0.0625)).n_neg == k

@@ -28,10 +28,11 @@ random-search trial samples a member tuple on plain arrays (its inertia
 fixed in closed form, not counted); its lanes are those of ``_lanes`` (the
 image, and for a lift claim the image gathered to n+3 and n+7) plus slot 1
 for an inertia claim, and ``_breach`` decides from their counts.
-``_make_witness``, the one judge, counts the same lanes one matrix at a time
-and asks the same ``_breach``: it makes the witness of a flagged trial,
-checks every recipe candidate and is what ``Witness.revalidate`` runs.
-Reports are deterministic for a fixed seed.
+A recipe builds its candidate tuples on plain arrays too.
+``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
+the same lanes one matrix at a time and asks the same ``_breach``: it makes
+the witness of a flagged trial, checks every recipe candidate and is what
+``Witness.revalidate`` runs.  Reports are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ from .constructions import (
     _lift_rows,
     _row_map,
     block_pair,
-    direct_sum,
     embed_with_negatives,
-    equicorrelation,
     inflate,
     ones_pencil,
     ones_spike,
@@ -536,59 +535,44 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 # witness recipes
 # ---------------------------------------------------------------------------
 #
-# A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples at the
-# entry scale t0 (and the open_positive shift eps); the caller validates
-# every candidate and halves both scales until one is a witness.  A candidate
-# larger than ``N_MAX`` is a ConfigError, raised before any size that grows
-# with l or the arity is allocated, so the run falls through to random search.
+# A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples of
+# symmetric arrays at the entry scale t0 (and the open_positive shift eps);
+# the caller hands every candidate to the judge, which wraps each slot in
+# SymMatrix once, and halves both scales until one is a witness.  A
+# candidate larger than ``N_MAX`` is a ConfigError, raised before any size
+# that grows with l or the arity is allocated, so the run falls through to
+# random search.
 
-def _ones(n: int, v: float) -> SymMatrix:
-    return SymMatrix(np.full((n, n), v))
-
-
-def _shifted(core: SymMatrix, dom: DomainSpec, eps: float) -> SymMatrix:
-    """``core + eps * ones`` over open_positive, where zero entries are out of domain."""
-    if dom.kind != "open_positive":
-        return core
-    return SymMatrix(core.entries + eps)
+def _shift(dom: DomainSpec, eps: float) -> float:
+    """``eps`` over open_positive, where zero entries are out of domain, else 0."""
+    return eps if dom.kind == "open_positive" else 0.0
 
 
-def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> SymMatrix:
-    """A size-n matrix with exactly k_q negatives, valid in dom."""
+def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> np.ndarray:
+    """A size-n array with exactly k_q negatives, valid in dom."""
     int_in(n, "candidate size", 1, N_MAX)
     if k_q == 0:
-        return _ones(n, t0)
+        return np.full((n, n), t0)
     if n < _min_size(k_q, dom):
         raise ConfigError(f"cannot place {k_q} negatives in size {n} over {dom.kind}")
     if not dom.one_sided:
-        diag = np.concatenate([-t0 * np.ones(k_q), t0 * np.ones(n - k_q)])
-        return SymMatrix(np.diag(diag))
+        return np.diag(np.concatenate([-t0 * np.ones(k_q), t0 * np.ones(n - k_q)]))
     if n == k_q + 1:
-        return equicorrelation(k_q, t0, 2 * t0)
+        return _equicorrelation(n, t0, 2 * t0)
     # embed_with_negatives uncounted: the t0 * I pad is PSD by construction
-    shift = eps if dom.kind == "open_positive" else 0.0
-    return SymMatrix(_direct_sum([_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 1)], shift))
-
-
-def _pad_with_identity(core: SymMatrix, n: int, t0: float, dom: DomainSpec, eps: float) -> SymMatrix:
-    """Extend to size n with a positive identity block; exact negatives kept."""
-    if core.n > n:
-        raise ConfigError("cannot pad downwards")
-    if core.n == n:
-        return core
-    return _shifted(direct_sum([core, SymMatrix(t0 * np.eye(n - core.n))]), dom, eps)
+    return _direct_sum([_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 1)], _shift(dom, eps))
 
 
 def _fill_slots(
     n: int,
-    placed: dict[int, SymMatrix],
-    free: SymMatrix,
+    placed: dict[int, np.ndarray],
+    free: np.ndarray,
     ks: AdmissibleK,
     dom: DomainSpec,
     t0: float,
     eps: float,
-) -> tuple[SymMatrix, ...]:
-    """One size-n matrix per slot.
+) -> tuple[np.ndarray, ...]:
+    """One size-n array per slot.
 
     Slot q gets ``placed[q]`` where given, else ``free`` when it is
     unconstrained, else a member filler with exactly k_q negatives.  Every
@@ -608,20 +592,20 @@ def _recipe_nonlinear(fn, cfg, rng, t0, eps):
     p = next(q for q, e in enumerate(alpha, start=1) if e and q > ks.m0)
     k_p = ks.k[p - 1]
     if k_p >= 2:
-        size = 2 * k_p - 1
-        zero = SymMatrix(np.zeros((size, size)))
-        core = block_pair(zero, vandermonde_psd(k_p, t0))
+        # block_pair(0, V): [[0, V], [V, 0]]
+        v = vandermonde_psd(k_p, t0).entries
+        zero = np.zeros_like(v)
+        core = np.block([[zero, v], [v, zero]])
         if dom.one_sided:
-            core = SymMatrix(core.entries + eps)
+            core = core + eps
     else:
-        a2, b2 = two_by_two_pair(t0)
-        core = block_pair(a2, b2)
+        core = block_pair(*two_by_two_pair(t0)).entries
     # every slot the offending term touches gets the same core, so its
     # structure survives the entrywise product
     placed = {
         q: core for q, k_q in enumerate(ks.k, start=1) if q == p or (alpha[q - 1] and k_q == k_p)
     }
-    return [_fill_slots(core.n, placed, _ones(core.n, t0), ks, dom, t0, eps)]
+    return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_negative_linear(fn, cfg, rng, t0, eps):
@@ -631,7 +615,7 @@ def _recipe_negative_linear(fn, cfg, rng, t0, eps):
     k_p = ks.k[p - 1]
     # a pad block of size l + 3 on every domain kind
     core = _member_filler(k_p + cfg.l + 3 + dom.one_sided, k_p, dom, t0, eps)
-    return [_fill_slots(core.n, {p: core}, _ones(core.n, t0), ks, dom, t0, eps)]
+    return [_fill_slots(len(core), {p: core}, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
@@ -648,14 +632,14 @@ def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
         k_q = ks.k[q - 1]
         if not dom.one_sided:
             diag = [[-t0] * k_q + [0.0] if r == q else [0.0] * blocks[r] for r in constrained]
-            placed[q] = SymMatrix(np.diag(np.concatenate(diag)))
+            placed[q] = np.diag(np.concatenate(diag))
         else:
             parts = [
-                equicorrelation(k_q, 4 * t0, 8 * t0) if r == q else SymMatrix(eta * np.eye(blocks[r]))
+                _equicorrelation(blocks[r], 4 * t0, 8 * t0) if r == q else eta * np.eye(blocks[r])
                 for r in constrained
             ]
-            placed[q] = _shifted(direct_sum(parts), dom, eps / 8)
-    return [_fill_slots(n, placed, _ones(n, eps / 4 if eps > 0 else t0 / 16), ks, dom, t0, eps)]
+            placed[q] = _direct_sum(parts, _shift(dom, eps / 8))
+    return [_fill_slots(n, placed, np.full((n, n), eps / 4), ks, dom, t0, eps)]
 
 
 def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
@@ -667,9 +651,11 @@ def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
     out = []
     if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
         # smallest possible witness: a tuple of 1x1 matrices
-        out.append(tuple(SymMatrix([[-t0 if q in constrained else t0]]) for q in range(1, ks.m + 1)))
+        out.append(tuple(np.array([[-t0 if q in constrained else t0]]) for q in range(1, ks.m + 1)))
     kmax = max(ks.k[q - 1] for q in constrained)
     n = 2 + max(k_p, kmax + 1)
+    # inflates size n - 1 to n by repeating the first coordinate
+    rows = _row_map([[0, 1]] + [[i] for i in range(2, n)], n)
     # two spreads for the probe pair: a mild one and a wide one, since
     # which separates f(a) from f(b) depends on the function's shape
     for a, b in ((2 * t0, 3 * t0), (t0 / 2, 6 * t0)):
@@ -677,22 +663,15 @@ def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
         for q in constrained:
             k_q = ks.k[q - 1]
             if q == p:
-                parts = [SymMatrix([[a, b], [b, a]])]
+                parts = [np.array([[a, b], [b, a]])]
                 if k_p >= 2:
-                    parts.append(equicorrelation(k_p - 1, t0, 2 * t0))
-                pad = n - sum(x.n for x in parts)
-                if pad:
-                    parts.append(SymMatrix(t0 * np.eye(pad)))
-                core = direct_sum(parts)
+                    parts.append(_equicorrelation(k_p, t0, 2 * t0))
+                parts.append(t0 * np.eye(n - sum(map(len, parts))))
+                placed[q] = _direct_sum(parts, _shift(dom, eps))
             else:
-                inner = [equicorrelation(k_q, t0, 2 * t0)]
-                pad = (n - 1) - (k_q + 1)
-                if pad:
-                    inner.append(SymMatrix(t0 * np.eye(pad)))
-                partition = [[0, 1]] + [[i] for i in range(2, n)]
-                core = inflate(direct_sum(inner), partition)
-            placed[q] = _shifted(core, dom, eps)
-        out.append(_fill_slots(n, placed, _ones(n, a), ks, dom, t0, eps))
+                inner = [_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 2)]
+                placed[q] = _gather(_direct_sum(inner, _shift(dom, eps)), rows)
+        out.append(_fill_slots(n, placed, np.full((n, n), a), ks, dom, t0, eps))
     return out
 
 
@@ -705,7 +684,7 @@ def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
         # l == 0 with a negative constant: any small PSD-ish tuple works,
         # the image hugs const * ones which has a negative direction
         n = max(2, kmax + 2)
-        return [_fill_slots(n, {}, _ones(n, t0 / 8), ks, dom, t0 / 8, eps / 8)]
+        return [_fill_slots(n, {}, np.full((n, n), t0 / 8), ks, dom, t0 / 8, eps / 8)]
 
     target = negative[0]
     # collapse the multivariate support onto one variable: weights encode
@@ -730,14 +709,8 @@ def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
     for q in active:
         col = nodes ** weights[q - 1]
         grid = np.outer(col, col)
-        ent = np.zeros((n, n))
-        for c in range(copies):
-            o = c * block
-            ent[o : o + block, o : o + block] = grid
-        for j in range(block * copies, n):
-            ent[j, j] = eta
-        placed[q] = _shifted(SymMatrix(ent), dom, shift)
-    return [_fill_slots(n, placed, _ones(n, min(t0, scale) / 8), ks, dom, eta, shift)]
+        placed[q] = _direct_sum([grid] * copies + [eta * np.eye(n - block * copies)], _shift(dom, shift))
+    return [_fill_slots(n, placed, np.full((n, n), min(t0, scale) / 8), ks, dom, eta, shift)]
 
 
 def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
@@ -758,32 +731,33 @@ def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
     if g < 0.0:
         delta = min(t0, abs(g) / (2.0 * c))
         if not dom.one_sided:
-            core = ones_spike(k_p, delta, min(eps, delta / 2.0))
+            core = ones_spike(k_p, delta, min(eps, delta / 2.0)).entries
         else:
-            core = equicorrelation(k_p, delta / 2.0, delta)
-        core = _pad_with_identity(core, max(core.n, max(ks.k) + 2), t0, dom, eps / 4)
+            core = _equicorrelation(k_p + 1, delta / 2.0, delta)
+        # a t0 * I pad up to size max(k) + 2; exact negatives kept
+        core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
     elif negative_only:
         return []
     elif not dom.one_sided:
         t_small = min(t0, max(1, k_p) * g / (2.0 * c))
-        core = SymMatrix(-t_small * np.eye(max(k_p, 1)))
+        core = -t_small * np.eye(max(k_p, 1))
     else:
         delta = min(t0 / 5.0, g / (2.0 * c))
         t_shift = 0.02 / max(k_p, 1)
-        core = SymMatrix(delta * ones_pencil(max(k_p, 1), t_shift).entries)
-    return [_fill_slots(core.n, {p: core}, _ones(core.n, s), ks, dom, t0, eps)]
+        core = delta * ones_pencil(max(k_p, 1), t_shift).entries
+    return [_fill_slots(len(core), {p: core}, np.full(core.shape, s), ks, dom, t0, eps)]
 
 
 def _recipe_constant_map(fn, cfg, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     kstar = max(ks.k)
     if not dom.one_sided and kstar == 1:
-        core = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        core = t0 * np.array([[1.0, 2.0], [2.0, 1.0]])
     else:
         n = kstar + 2 if dom.one_sided else max(kstar + 1, 2)
-        core = sample_with_inertia(n, kstar, dom, rng)
+        core = _sample(n, kstar, dom, rng)
     placed = {q: core for q, k_q in enumerate(ks.k, start=1) if k_q == kstar}
-    return [_fill_slots(core.n, placed, _ones(core.n, t0), ks, dom, t0, eps)]
+    return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_budget(fn, cfg, rng, t0, eps):
@@ -794,11 +768,12 @@ def _recipe_budget(fn, cfg, rng, t0, eps):
     k_p = ks.k[p - 1]
     if not dom.one_sided:
         n0 = k_p + 1
-        core = SymMatrix(-t0 * (np.eye(n0) - np.ones((n0, n0)) / n0))
+        core = -t0 * (np.eye(n0) - np.ones((n0, n0)) / n0)
     else:
-        core = equicorrelation(k_p, t0, 2 * t0)
-    core = _pad_with_identity(core, max(core.n, max(ks.k) + 2), t0, dom, eps / 4)
-    return [_fill_slots(core.n, {p: core}, _ones(core.n, t0 / 4), ks, dom, t0, eps)]
+        core = _equicorrelation(k_p + 1, t0, 2 * t0)
+    # a t0 * I pad up to size max(k) + 2; exact negatives kept
+    core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
+    return [_fill_slots(len(core), {p: core}, np.full(core.shape, t0 / 4), ks, dom, t0, eps)]
 
 
 _RECIPES: dict[str, Callable] = {
@@ -816,7 +791,7 @@ _RECIPES: dict[str, Callable] = {
 }
 
 
-def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterator[tuple[SymMatrix, ...]]:
+def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
     """The recipe's candidates at t0 = rho/8, eps = rho/16, then at both halved,
     ``RECIPE_HALVINGS`` times; a scale with a candidate past ``N_MAX`` gives none."""
     # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
@@ -839,8 +814,8 @@ def _recipe_witness(
     if recipe is None:
         return None, 0
     attempts = 0
-    for attempts, mats in enumerate(_candidates(recipe, fn, cfg), start=1):
-        w = _make_witness(claim, fn, [m.entries for m in mats], cfg, clause)
+    for attempts, slots in enumerate(_candidates(recipe, fn, cfg), start=1):
+        w = _make_witness(claim, fn, slots, cfg, clause)
         if w is not None:
             return w, attempts
     return None, attempts

@@ -148,7 +148,8 @@ class DomainSpec:
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
-    """0.5 (a + a^T) + 0.0, the array :class:`SymMatrix` stores for a finite ``a``."""
+    """0.5 (a + a^T) + 0.0, the array :class:`SymMatrix` stores for an ``a``
+    whose entries lie below 2^1023, where a + a^T cannot overflow."""
     return 0.5 * (a + a.T) + 0.0
 
 
@@ -165,10 +166,11 @@ class SymMatrix:
     adding +0.0 stores every zero as +0.0.
     The entry array is frozen (non-writeable), so an instance never changes
     after construction.  ``_e`` is the binade of the largest entry, the
-    power of two by which :func:`eig_sym` scales.
+    power of two by which :func:`eig_sym` scales, and ``_s`` is ||A||_F / 2^e,
+    which stays finite when ||A||_F itself passes the largest double.
     """
 
-    __slots__ = ("_a", "_e", "_fro")
+    __slots__ = ("_a", "_e", "_s")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -176,14 +178,21 @@ class SymMatrix:
             raise ConfigError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ConfigError("matrices must have at least one row")
-        if not np.all(np.isfinite(a)):
+        top = float(np.max(np.abs(a)))
+        if not math.isfinite(top):
             raise ConfigError("matrix entries must be finite")
-        a = _symmetric(a)
+        if top < 2.0**1023:
+            a = _symmetric(a)
+        else:
+            # where a + a^T overflows, average the halves instead
+            with np.errstate(over="ignore"):
+                twice = a + a.T
+            a = np.where(np.isfinite(twice), 0.5 * twice, 0.5 * a + 0.5 * a.T) + 0.0
         a.flags.writeable = False
         self._a = a
         # summed over a / 2^e (exact), the squares neither overflow nor underflow
         self._e = e = _binade(a)
-        self._fro = math.ldexp(float(np.sqrt(np.sum(np.ldexp(a, -e) ** 2))), e)
+        self._s = float(np.sqrt(np.sum(np.ldexp(a, -e) ** 2)))
 
     @property
     def n(self) -> int:
@@ -195,7 +204,11 @@ class SymMatrix:
 
     @property
     def fro(self) -> float:
-        return self._fro
+        """||A||_F; inf when it passes the largest double."""
+        try:
+            return math.ldexp(self._s, self._e)
+        except OverflowError:
+            return math.inf
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMatrix):
@@ -328,7 +341,7 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
     ex = A._e
     qt = np.eye(n) if vectors else None
     upper = np.arange(n)[:, None] < np.arange(n) if vectors else None
-    tiny = _EPS * math.ldexp(A.fro, -ex)
+    tiny = _EPS * A._s
     d, off = _tridiagonalize(np.ldexp(A.entries, -ex), qt, tiny)
 
     # QL with implicit shifts (EISPACK tql2); row i of qt follows column i of Q
@@ -396,9 +409,10 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
 def zero_threshold(A: SymMatrix) -> float:
     """Eigenvalues of ``A`` with |lam| <= this count as zero: REL_ZERO * ||A||_F.
 
-    Purely relative, so inertia(c * A) == inertia(A) for every c > 0.
+    Purely relative, so inertia(c * A) == inertia(A) for every c > 0.  It is
+    formed from ||A||_F / 2^e, so it is finite when ||A||_F is not.
     """
-    return REL_ZERO * A.fro
+    return math.ldexp(REL_ZERO * A._s, A._e)
 
 
 def spectrum_inertia(A: SymMatrix, lam: np.ndarray) -> Inertia:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def test_inertia_with_eigenvalues_runs_one_eigensolve(monkeypatch):
     assert code == 0
     assert out == '{"neg":1,"zero":0,"pos":1,"eigenvalues":[-1.0,3.0]}\n'
     assert solves == [2]
+
+
+@pytest.mark.parametrize("top", [1.7e308, -1.7e308, np.finfo(float).max])
+def test_inertia_of_entries_whose_pair_sums_overflow(top):
+    # a + a^T overflows here; the eigenvalues are 1 - |top| and 1 + |top|
+    matrix = json.dumps([[1.0, top], [top, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["inertia", "--eigenvalues", "--matrix", matrix])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert (rep["neg"], rep["zero"], rep["pos"]) == (1, 0, 1)
+    assert [np.sign(x) for x in rep["eigenvalues"]] == [-1.0, 1.0]
+    assert rep["eigenvalues"][1] == pytest.approx(abs(top))
 
 
 def test_asymmetry_is_judged_relative_to_the_entries():

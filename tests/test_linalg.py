@@ -472,6 +472,20 @@ def test_the_zero_rule_at_its_boundary(e, sign):
         assert inertia(a) == want
 
 
+def test_symmetrizing_keeps_the_bytes_of_an_entry_pair_whose_sum_is_finite():
+    # 2^1023 sits next to -2^1023: the branch for large entries averages
+    # a + a^T wherever it is finite, as below 2^1023; halving first would
+    # round the smallest subnormal pair to zero
+    a = np.array([[0.0, 2.0**1023, 5e-324], [-(2.0**1023), 0.0, 1.0], [5e-324, 3.0, 0.0]])
+    got = SymMatrix(a).entries
+    assert got.tobytes() == (0.5 * (a + a.T) + 0.0).tobytes()
+
+def test_a_matrix_whose_norm_overflows_keeps_a_finite_zero_rule():
+    a = SymMatrix([[1.0, 1.7e308], [1.7e308, 1.0]])
+    assert a.fro == math.inf
+    assert linalg.zero_threshold(a) == pytest.approx(linalg.REL_ZERO * 1.7e308 * math.sqrt(2.0))
+    assert inertia(a) == Inertia(1, 0, 1)
+
 def test_tiny_matrix_keeps_its_negative_eigenvalue():
     a = SymMatrix(1e-10 * np.diag([-1.0, 1.0, 2.0]))
     assert inertia(a) == Inertia(1, 0, 2)

@@ -7,10 +7,12 @@ failure is a concrete counterexample with its location.
 
 ``maclaurin_estimate`` recovers low-order series coefficients from the same
 forward-difference data: the difference table at base h*(1,...,1) determines
-the Newton interpolation polynomial, which is expanded into the monomial
-basis about 0.  For polynomials of total degree <= order the recovery is
-exact up to rounding; otherwise the h vs h/2 disagreement is reported as a
-heuristic error bar.
+the Newton interpolation polynomial.  Its monomial coefficients about 0 come
+from one (order+1)^2 matrix N applied along each axis in turn: Newton's
+formula separates by axis, and column b of N holds the monomial coefficients
+of prod_{i<b} (x - h*(1+i)) / (b! h^b).  For polynomials of total degree
+<= order the recovery is exact up to rounding; otherwise the h vs h/2
+disagreement is reported as a heuristic error bar.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from .errors import ConfigError, finite_float, int_in
 from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
-
-#: cap on the Newton-expansion work of ``maclaurin_estimate``, (order+1)^(2 arity):
-#: every lattice point adds a block of (order+1)^arity monomial coefficients
-_MAX_EXPANSION = 10_000_000
 
 #: relative rounding error allowed in each value of f.  The coefficients of an
 #: order-k difference have moduli summing to 2^k, so the difference counts as
@@ -56,18 +54,21 @@ def builtin_fn(name: str) -> Callable:
 
 
 def _as_grid_fn(f, arity: int) -> Callable:
-    """Turn a FunctionSpec or a scalar/vectorized callable into a grid evaluator."""
+    """Turn a FunctionSpec or a scalar/vectorized callable into a grid evaluator
+    that raises no overflow warning (every caller checks the values are finite)."""
     if isinstance(f, FunctionSpec):
         if f.arity != arity:
             raise ConfigError(f"function arity {f.arity} does not match box arity {arity}")
-        return f
     # a ufunc takes arguments past its nin as output arrays: np.exp(x, y) is exp(x)
-    if isinstance(f, np.ufunc) and f.nin != arity:
+    elif isinstance(f, np.ufunc) and f.nin != arity:
         raise ConfigError(f"function arity {f.nin} does not match box arity {arity}")
-    if not callable(f):
+    elif not callable(f):
         raise ConfigError("f must be a function spec or a callable")
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def wrapped(*grids):
+        if isinstance(f, FunctionSpec):
+            return f(*grids)
         try:
             out = np.asarray(f(*grids), dtype=float)
             if out.shape == grids[0].shape:
@@ -166,53 +167,33 @@ def forward_difference_test(
     return report
 
 
-def _difference_table(values: np.ndarray, order: int) -> np.ndarray:
-    """dd[beta] = forward difference Delta^beta at the first lattice point."""
-    out = values
-    m = values.ndim
-    for axis in range(m):
-        moved = np.moveaxis(out, axis, 0)
-        stacked = np.empty_like(moved)
-        current = moved
-        stacked[0] = current[0]
-        for j in range(1, order + 1):
-            current = np.diff(current, axis=0)
-            stacked[j] = current[0]
-        out = np.moveaxis(stacked, 0, axis)
-    return out
-
-
-def _newton_axis_poly(degree: int, h: float) -> np.ndarray:
-    """Monomial coefficients (ascending) of prod_{i<degree} (x - h*(1+i))."""
-    coeffs = np.array([1.0])
-    for i in range(degree):
-        node = h * (1 + i)
-        coeffs = np.convolve(coeffs, np.array([-node, 1.0]))
-    return coeffs
+def _newton_matrix(order: int, h: float) -> np.ndarray:
+    """Column b: monomial coefficients (ascending) of prod_{i<b} (x - h*(1+i)) / (b! h^b)."""
+    newton = np.zeros((order + 1, order + 1))
+    poly = np.array([1.0])
+    for b in range(order + 1):
+        newton[: b + 1, b] = poly / (math.factorial(b) * h**b)
+        poly = np.convolve(poly, [-h * (1 + b), 1.0])
+    return newton
 
 
 def _maclaurin_once(fn, arity: int, order: int, h: float) -> np.ndarray:
-    axes_pts = [h * (1.0 + np.arange(order + 1)) for _ in range(arity)]
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    values = fn(*grids)
-    if not np.all(np.isfinite(values)):
+    pts = h * (1.0 + np.arange(order + 1))
+    coeff = fn(*np.meshgrid(*[pts] * arity, indexing="ij"))
+    if not np.all(np.isfinite(coeff)):
         raise ConfigError("function returned non-finite values near the base point")
-    dd = _difference_table(values, order)
-
-    shape = (order + 1,) * arity
-    coeff = np.zeros(shape)
-    polys = [_newton_axis_poly(d, h) for d in range(order + 1)]
-    for beta in itertools.product(range(order + 1), repeat=arity):
-        weight = float(dd[beta])
-        for b in beta:
-            weight /= math.factorial(b) * h**b
-        if weight == 0.0:
-            continue
-        block = polys[beta[0]]
-        for b in beta[1:]:
-            block = np.multiply.outer(block, polys[b])
-        pad = [(0, order + 1 - s) for s in block.shape]
-        coeff += weight * np.pad(block, pad)
+    # the difference table dd[beta] = Delta^beta f at the first point, then N along each axis
+    for axis in range(arity):
+        rows = np.moveaxis(coeff, axis, 0)
+        table = np.empty_like(rows)
+        for b in range(order + 1):
+            table[b] = rows[0]
+            rows = np.diff(rows, axis=0)
+        coeff = np.moveaxis(table, 0, axis)
+    newton = _newton_matrix(order, h)
+    for axis in range(arity):
+        moved = np.einsum("jb,b...->j...", newton, np.moveaxis(coeff, axis, 0))
+        coeff = np.moveaxis(moved, 0, axis)
     if not np.all(np.isfinite(coeff)):
         raise ConfigError(f"the expansion at order {order} and step {h:g} overflows")
     return coeff
@@ -230,17 +211,16 @@ def maclaurin_estimate(
     reported is the finer one and the spread between the two runs is the
     heuristic error (O(step) for smooth non-polynomial functions, rounding
     level for polynomials of total degree <= order).  An order is refused
-    when its expansion work passes ``_MAX_EXPANSION`` or some divisor b! h^b
-    of either run is not a normal float (b <= order, h = step or step/2).
+    when its lattice of (order+1)^arity points passes ``_MAX_LATTICE`` or
+    some divisor b! h^b of either run is not a normal float (b <= order,
+    h = step or step/2).
     """
     int_in(arity, "arity", 1)
     int_in(order, "order")
     step = finite_float(step, "step", positive=True)
     # in logs, so that a huge arity builds no huge int
-    if 2 * arity * math.log(order + 1) > math.log(_MAX_EXPANSION):
-        raise ConfigError(
-            f"order {order} at arity {arity}: (order+1)^(2 arity) passes {_MAX_EXPANSION}"
-        )
+    if arity * math.log(order + 1) > math.log(_MAX_LATTICE):
+        raise ConfigError(f"order {order} at arity {arity}: (order+1)^arity passes {_MAX_LATTICE}")
     # every divisor b! h^b of either run must be a normal float
     for h in (step, step / 2.0):
         for b in range(order + 1):
@@ -255,15 +235,11 @@ def maclaurin_estimate(
     coarse = _maclaurin_once(fn, arity, order, step)
     fine = _maclaurin_once(fn, arity, order, step / 2.0)
 
-    entries = []
-    for alpha in sorted(
-        itertools.product(range(order + 1), repeat=arity), key=lambda a: (sum(a), a)
-    ):
-        if sum(alpha) > order:
-            continue
-        value = float(fine[alpha])
-        spread = abs(value - float(coarse[alpha]))
-        entries.append({"alpha": list(alpha), "value": value, "error": spread})
+    alphas = [a for a in itertools.product(range(order + 1), repeat=arity) if sum(a) <= order]
+    entries = [
+        {"alpha": list(a), "value": float(fine[a]), "error": abs(float(fine[a]) - float(coarse[a]))}
+        for a in sorted(alphas, key=lambda a: (sum(a), a))
+    ]
     return {"order": order, "step": step, "arity": arity, "coefficients": entries}
 
 

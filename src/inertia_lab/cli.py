@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import _json
 from .absmon import (
     boundary_extrapolation,
@@ -139,6 +141,8 @@ def _cmd_inertia(args) -> int:
     lam, _ = eig_sym(a, vectors=False)
     out = spectrum_inertia(a, lam).to_json_dict()
     if args.eigenvalues:
+        if not np.all(np.isfinite(lam)):
+            raise ConfigError("an eigenvalue is beyond the largest double")
         out["eigenvalues"] = lam.tolist()
     _emit(out, indent=None)
     return EXIT_OK

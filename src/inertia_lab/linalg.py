@@ -243,7 +243,9 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ConfigError("matrix entries must be finite")
         scale = float(np.max(np.abs(a)))
-        gap = float(np.max(np.abs(a - a.T)))
+        # a gap beyond the largest double reads inf and is refused like any other
+        with np.errstate(over="ignore"):
+            gap = float(np.max(np.abs(a - a.T)))
         if gap > ASYMMETRY_TOL * scale:
             raise AsymmetryError(
                 f"matrix is asymmetric: max |a_ij - a_ji| = {gap:.3e} "
@@ -325,12 +327,13 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
 
     Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``;
     ``Q`` is None with ``vectors=False``, which leaves ``lam`` bit for bit
-    the same.  An off-diagonal entry of T at most ``eps * ||A||_F`` counts as
-    zero, and a 2x2 block is diagonalised in closed form.  The scalar loop
-    records each sweep's rotations and :func:`_apply_givens_chain` applies
-    them to the rows of Q^T as one product.  Raises
-    :class:`ConvergenceError` when one eigenvalue takes more than
-    ``MAX_QL_ITERATIONS`` QL iterations.
+    the same.  An eigenvalue beyond the largest double is returned as +-inf,
+    which still counts with the right sign.  An off-diagonal entry of T at
+    most ``eps * ||A||_F`` counts as zero, and a 2x2 block is diagonalised
+    in closed form.  The scalar loop records each sweep's rotations and
+    :func:`_apply_givens_chain` applies them to the rows of Q^T as one
+    product.  Raises :class:`ConvergenceError` when one eigenvalue takes
+    more than ``MAX_QL_ITERATIONS`` QL iterations.
     """
     n = A.n
     if n == 1:
@@ -401,7 +404,8 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
             if vectors and cs:
                 _apply_givens_chain(qt, m, cs, ss, upper)
 
-    lam = np.ldexp(np.array(d), ex)
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(np.array(d), ex)
     order = np.argsort(lam, kind="stable")
     return lam[order], qt[order].T if vectors else None
 

@@ -42,6 +42,8 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
     """
     int_in(k, "k", 0, N_MAX)
     lam, q = eig_sym(A)
+    if not np.all(np.isfinite(lam)):
+        raise ConfigError("an eigenvalue is beyond the largest double")
     thresh = zero_threshold(A)
     neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
     other_idx = [i for i, v in enumerate(lam) if v >= -thresh]

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from inertia_lab.absmon import (
     maclaurin_estimate,
 )
 from inertia_lab.errors import ConfigError
+from inertia_lab.functions import Series
 
 
 def _coeff(report, alpha):
@@ -141,6 +144,72 @@ def test_maclaurin_is_exact_on_polynomials(coeffs):
     r = maclaurin_estimate(poly, 1, len(coeffs) - 1, step=0.05)
     for j, c in enumerate(coeffs):
         assert abs(_coeff(r, (j,)) - c) < 1e-6 * max(1.0, abs(c))
+
+
+#: the largest order the lattice cap of 200000 points allows at each arity
+#: below the divisor limit 170 (at arity 2 the old expansion cap stopped at 55)
+TOP_ORDER = {1: 170, 2: 170, 3: 57}
+
+
+def _series_of(arity, degree, draw_coeff):
+    alphas = [a for a in itertools.product(range(degree + 1), repeat=arity) if sum(a) <= degree]
+    want = {a: draw_coeff() for a in alphas}
+    return Series(arity, want), want
+
+
+def _assert_recovers(report, want, arity, order):
+    got = {tuple(row["alpha"]): row["value"] for row in report["coefficients"]}
+    assert set(got) == {a for a in itertools.product(range(order + 1), repeat=arity) if sum(a) <= order}
+    for alpha, value in got.items():
+        c = want.get(alpha, 0.0)
+        assert abs(value - c) < 1e-6 * max(1.0, abs(c)), (alpha, value, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_maclaurin_recovers_polynomials_up_to_the_caps(data):
+    # dyadic coefficients on a dyadic lattice make every value and every
+    # difference exact, so the differences above the degree vanish at any
+    # order and the test sees the Newton matrix alone
+    arity = data.draw(st.integers(1, 3), label="arity")
+    order = data.draw(st.integers(1, TOP_ORDER[arity]), label="order")
+    degree = data.draw(st.integers(0, min(order, 3)), label="degree")
+    step = data.draw(st.sampled_from([0.25, 0.5]), label="step")
+    f, want = _series_of(arity, degree, lambda: data.draw(st.integers(-16, 16)) / 8.0)
+    _assert_recovers(maclaurin_estimate(f, arity, order, step=step), want, arity, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_maclaurin_recovers_rounded_polynomials_at_low_order(data):
+    # here every difference carries rounding, which Delta^b amplifies by up to
+    # 2^b and Newton's formula by the step's powers; at order <= 3 it stays small
+    arity = data.draw(st.integers(1, 3), label="arity")
+    order = data.draw(st.integers(1, 3), label="order")
+    coeff = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    f, want = _series_of(arity, order, lambda: data.draw(coeff))
+    _assert_recovers(maclaurin_estimate(f, arity, order, step=0.05), want, arity, order)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: maclaurin_estimate(f, 1, 2, step=400.0),
+        lambda f: boundary_extrapolation(f, step=1e308, levels=3),
+        lambda f: forward_difference_test(f, [[0.0, 800.0]], order=2),
+    ],
+    ids=["maclaurin", "limit", "check"],
+)
+@pytest.mark.parametrize(
+    "f",
+    [np.exp, lambda x: np.exp(x), Series(1, {(800,): 1.0})],
+    ids=["ufunc", "callable", "spec"],
+)
+def test_overflow_in_f_is_a_config_error_not_a_warning(call, f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="function returned non-finite values"):
+            call(f)
 
 
 def test_boundary_extrapolation_of_continuous_function():

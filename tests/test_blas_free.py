@@ -2,7 +2,9 @@
 
 ``linalg`` promises bytes that do not depend on the BLAS build, so the
 counting chain (``linalg``, ``constructions``, ``functions``) forms no ``@``
-product and calls no LAPACK routine.  The only ones left are in the sampler,
+product and calls no LAPACK routine.  ``np.dot``, ``np.matmul``,
+``np.tensordot``, ``np.inner``, ``np.vdot``, a ``.dot(`` method and an
+``einsum`` given ``optimize`` route to BLAS as ``@`` does, so they count too.  The only ones left are in the sampler,
 in the pinned-inertia suite batch and in ``pontryagin.gram_of``.  Some of
 their bytes do reach reports: a witness that carries sampled slots (from
 random search or the constant-map recipe) prints them, and ``pontryagin
@@ -40,8 +42,15 @@ def _dotted(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
+NUMPY_PRODUCTS = {
+    f"{mod}.{name}"
+    for mod in ("np", "numpy")
+    for name in ("dot", "matmul", "tensordot", "inner", "vdot")
+}
+
+
 def _products(path: Path) -> list[tuple[str, str, str]]:
-    """(file, enclosing function, "@" or the np.linalg name) for each use."""
+    """(file, enclosing function, "@", the np.linalg or product name) for each use."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -49,8 +58,18 @@ def _products(path: Path) -> list[tuple[str, str, str]]:
             scope = node.name
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((path.name, scope, "@"))
-        if isinstance(node, ast.Attribute) and _dotted(node).startswith(("np.linalg.", "numpy.linalg.")):
-            found.append((path.name, scope, _dotted(node)))
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node)
+            if name.startswith(("np.linalg.", "numpy.linalg.")) or name in NUMPY_PRODUCTS:
+                found.append((path.name, scope, name))
+            elif node.attr == "dot":
+                found.append((path.name, scope, ".dot"))
+        if (
+            isinstance(node, ast.Call)
+            and _dotted(node.func).endswith("einsum")
+            and any(kw.arg == "optimize" for kw in node.keywords)
+        ):
+            found.append((path.name, scope, "einsum(optimize=...)"))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -61,3 +80,25 @@ def _products(path: Path) -> list[tuple[str, str, str]]:
 def test_matrix_products_and_lapack_calls_are_the_allowed_ones():
     found = sorted(use for path in MODULES for use in _products(path))
     assert found == ALLOWED
+
+
+def test_every_blas_routed_form_is_found(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "def f(a, b):\n"
+        "    a @ b\n"
+        "    np.dot(a, b)\n"
+        "    a.dot(b)\n"
+        "    np.matmul(a, b)\n"
+        "    numpy.tensordot(a, b)\n"
+        "    np.inner(a, b)\n"
+        "    np.vdot(a, b)\n"
+        "    np.linalg.eigh(a)\n"
+        "    np.einsum('ij,jk->ik', a, b, optimize=True)\n"
+        "    np.einsum('ij,jk->ik', a, b)\n",
+        encoding="utf-8",
+    )
+    assert [use for _, _, use in _products(src)] == [
+        "@", "np.dot", ".dot", "np.matmul", "numpy.tensordot", "np.inner", "np.vdot",
+        "np.linalg.eigh", "einsum(optimize=...)",
+    ]

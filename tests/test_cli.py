@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ def run_cli(argv):
         code = exc.code
     return code, out.getvalue(), err.getvalue()
 
+
+HOMOTHETY_3D = '{"type":"homothety","c":1.0,"slot":1,"arity":3}'
 
 VERIFY_SPEC = {
     "theorem": "exact",
@@ -71,6 +74,39 @@ def test_inertia_of_entries_whose_pair_sums_overflow(top):
     assert (rep["neg"], rep["zero"], rep["pos"]) == (1, 0, 1)
     assert [np.sign(x) for x in rep["eigenvalues"]] == [-1.0, 1.0]
     assert rep["eigenvalues"][1] == pytest.approx(abs(top))
+
+
+# the eigenvalues are -1.7e308 * sqrt(2) and +1.7e308 * sqrt(2)
+BEYOND_THE_DOUBLES = "[[1.7e308,1.7e308],[1.7e308,-1.7e308]]"
+
+
+def test_an_eigenvalue_beyond_the_largest_double_still_counts():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["inertia", "--matrix", BEYOND_THE_DOUBLES])
+        lam, _ = linalg.eig_sym(SymMatrix(json.loads(BEYOND_THE_DOUBLES)), vectors=False)
+    assert (code, out, err) == (0, '{"neg":1,"zero":0,"pos":1}\n', "")
+    assert lam.tolist() == [-np.inf, np.inf]
+
+
+@pytest.mark.parametrize(
+    "argv", [["inertia", "--eigenvalues"], ["pontryagin", "factor", "--k", "1"]]
+)
+def test_a_spectrum_beyond_the_largest_double_is_refused_where_it_is_used(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(argv + ["--matrix", BEYOND_THE_DOUBLES])
+    assert (code, out) == (2, "")
+    assert "an eigenvalue is beyond the largest double" in err
+
+
+def test_an_asymmetry_beyond_the_largest_double_is_refused_without_a_warning():
+    # a - a^T overflows to inf, which passes any tolerance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["inertia", "--matrix", "[[1.0,1.7e308],[-1.7e308,1.0]]"])
+    assert (code, out) == (3, "")
+    assert "asymmetric" in err
 
 
 def test_asymmetry_is_judged_relative_to_the_entries():
@@ -228,12 +264,15 @@ def test_non_numeric_json_values_are_config_errors(argv):
         # (step/2)^b underflows to 0 from b = 99 at the default step (ZeroDivisionError)
         ["absmon", "maclaurin", "--fn", "exp", "--order", "120"],
         ["absmon", "maclaurin", "--fn", "exp", "--order", "99"],
-        # (order + 1)^2 steps of Newton expansion (ran for minutes)
+        # 0.001^b underflows to 0 at b = 108; the Newton matrix would take 74.5 GiB
         ["absmon", "maclaurin", "--fn", "exp", "--order", "100000"],
         # b! * 1^b overflows at b = 171
         ["absmon", "maclaurin", "--fn", "exp", "--order", "171", "--step", "1.0"],
         # every divisor is normal, but the expansion overflows to inf (JSON ValueError)
         ["absmon", "maclaurin", "--fn", "exp", "--order", "170", "--step", "1.0"],
+        # (order + 1)^arity lattice points: 59^3 = 205379 passes the cap of 200000
+        ["absmon", "maclaurin", "--fn", HOMOTHETY_3D, "--order", "58"],
+        ["absmon", "maclaurin", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":1000000}', "--order", "1"],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
@@ -615,6 +654,57 @@ def test_absmon_builtins_take_one_variable(argv):
     code, out, err = run_cli(argv)
     assert code == 2
     assert out == ""
+
+
+def test_maclaurin_accepts_the_largest_lattice_under_the_cap():
+    # 58^3 = 195112 lattice points; on the dyadic lattice of step 1/4 every
+    # difference of f(x, y, z) = x is exact
+    argv = ["absmon", "maclaurin", "--fn", HOMOTHETY_3D, "--order", "57", "--step", "0.25"]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    coeffs = {tuple(row["alpha"]): row["value"] for row in json.loads(out)["coefficients"]}
+    assert len(coeffs) == 60 * 59 * 58 // 6
+    assert coeffs.pop((1, 0, 0)) == 1.0
+    assert set(coeffs.values()) == {0.0}
+
+
+def test_a_huge_maclaurin_order_is_refused_before_anything_is_allocated():
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["absmon", "maclaurin", "--fn", "exp", "--order", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limit", "--fn", "exp", "--step", "1e308", "--levels", "3"], "near 0+"),
+        (["maclaurin", "--fn", "exp", "--order", "2", "--step", "400"], "near the base point"),
+        (["check", "--fn", "exp", "--box", "0:800", "--order", "2"], "on the lattice"),
+        (
+            [
+                "check",
+                "--fn",
+                '{"type":"series","arity":1,"terms":[{"alpha":[2],"coeff":1.0}]}',
+                "--box",
+                "0:1e300",
+                "--order",
+                "2",
+            ],
+            "on the lattice",
+        ),
+    ],
+)
+def test_absmon_refuses_an_overflowing_function_without_a_warning(argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["absmon"] + argv)
+    assert (code, out) == (2, "")
+    assert f"function returned non-finite values {message}" in err
 
 
 def test_absmon_limit_extrapolates_to_zero():

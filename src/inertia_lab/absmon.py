@@ -29,6 +29,9 @@ from .functions import FunctionSpec
 
 _MAX_LATTICE = 200_000
 
+#: the lattice has an axis per variable, and numpy 1.x arrays hold at most 32 axes
+_MAX_AXES = 32
+
 #: relative rounding error allowed in each value of f.  The coefficients of an
 #: order-k difference have moduli summing to 2^k, so the difference counts as
 #: negative only below -2^k * SLACK_REL * max|f| over the lattice; f and c * f
@@ -75,7 +78,10 @@ def _as_grid_fn(f, arity: int) -> Callable:
                 return out
         except (TypeError, ValueError):
             pass
-        return np.vectorize(f, otypes=[float])(*grids)
+        try:
+            return np.vectorize(f, otypes=[float])(*grids)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"function raised {type(exc).__name__} on the lattice: {exc}") from None
 
     return wrapped
 
@@ -210,12 +216,12 @@ def maclaurin_estimate(
     Runs the Newton-expansion recovery at ``step`` and ``step/2``; the value
     reported is the finer one and the spread between the two runs is the
     heuristic error (O(step) for smooth non-polynomial functions, rounding
-    level for polynomials of total degree <= order).  An order is refused
-    when its lattice of (order+1)^arity points passes ``_MAX_LATTICE`` or
-    some divisor b! h^b of either run is not a normal float (b <= order,
-    h = step or step/2).
+    level for polynomials of total degree <= order).  An arity above
+    ``_MAX_AXES`` is refused, and so is an order whose lattice of
+    (order+1)^arity points passes ``_MAX_LATTICE`` or where some divisor
+    b! h^b of either run is not a normal float (b <= order, h = step or step/2).
     """
-    int_in(arity, "arity", 1)
+    int_in(arity, "arity", 1, _MAX_AXES)
     int_in(order, "order")
     step = finite_float(step, "step", positive=True)
     # in logs, so that a huge arity builds no huge int

@@ -64,7 +64,6 @@ from .linalg import (
     SymMatrix,
     eig_sym,
     inertia,
-    spectrum_inertia,
 )
 from .pontryagin import (
     gram_realize,
@@ -138,8 +137,8 @@ def _err(message) -> None:
 
 def _cmd_inertia(args) -> int:
     a = _matrix_arg(args.matrix)
-    lam, _ = eig_sym(a, vectors=False)
-    out = spectrum_inertia(a, lam).to_json_dict()
+    lam, _ = eig_sym(a)
+    out = inertia(a, lam=lam).to_json_dict()
     if args.eigenvalues:
         if not np.all(np.isfinite(lam)):
             raise ConfigError("an eigenvalue is beyond the largest double")

@@ -71,6 +71,7 @@ from .functions import (
 )
 from .linalg import (
     N_MAX,
+    STACK_ENTRIES,
     DomainSpec,
     Inertia,
     SymMatrix,
@@ -91,10 +92,6 @@ WITNESS_CAP = 10
 
 #: scale halvings a recipe may take before giving up
 RECIPE_HALVINGS = 40
-
-#: entries in one counted stack of trial images (2 MiB of doubles): trials
-#: are counted in chunks of this size, so memory stays flat in ``trials``
-STACK_ENTRIES = 1 << 18
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -917,7 +914,7 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator):
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
     out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
-    lam, _ = eig_sym(out, vectors=False)
+    lam, _ = eig_sym(out)
     # lam ascends, so its first k entries are the negatives
     pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
     return [out.entries], lambda c: c.n_neg == k and pinned

@@ -6,11 +6,9 @@ reduction to tridiagonal form followed by implicit-shift QL (Golub & Van Loan,
 *Matrix Computations*, section 8.3; EISPACK ``tql2``), in elementwise numpy
 only, so the whole negativity bookkeeping chain is self-contained and its
 bytes do not depend on the BLAS build; LAPACK never enters the runtime path.
-Eigenvectors are accumulated once per QL sweep: the sweep's Givens rotations
-are multiplied into one small orthogonal block, applied with one
-``np.einsum`` (Lang, SIAM J. Sci. Comput. 19(2), 1998).  Many matrices are
-counted at once by :func:`inertia_stack`: the same reduction run on a whole
-zero-padded stack, then a Sturm count instead of QL.
+No eigenvectors are formed.  Many matrices are counted at once by
+:func:`inertia_stack`: the same reduction run on a whole zero-padded stack,
+then a Sturm count instead of QL.
 """
 
 from __future__ import annotations
@@ -60,6 +58,11 @@ RHO_MIN, RHO_MAX = 1e-150, 1e150
 #: largest matrix size a run may sample, or a recipe or a construction may
 #: build from a count: the cap bounds the memory one matrix can ask for
 N_MAX = 256
+
+#: entries in one counted stack (2 MiB of doubles): callers of
+#: :func:`inertia_stack` split their matrices into stacks of this size, so
+#: memory stays flat in the number of matrices
+STACK_ENTRIES = 1 << 18
 
 
 class Inertia(NamedTuple):
@@ -153,11 +156,6 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T) + 0.0
 
 
-def _binade(a: np.ndarray) -> int:
-    """The e with max |a_ij| in [2^(e-1), 2^e); 0 for the zero matrix."""
-    return math.frexp(float(np.max(np.abs(a))))[1]
-
-
 class SymMatrix:
     """Immutable real symmetric matrix.
 
@@ -165,9 +163,10 @@ class SymMatrix:
     IEEE addition commutes, so the stored array is bitwise symmetric, and
     adding +0.0 stores every zero as +0.0.
     The entry array is frozen (non-writeable), so an instance never changes
-    after construction.  ``_e`` is the binade of the largest entry, the
-    power of two by which :func:`eig_sym` scales, and ``_s`` is ||A||_F / 2^e,
-    which stays finite when ||A||_F itself passes the largest double.
+    after construction.  ``_e`` is the binade of the largest entry (max
+    |a_ij| in [2^(e-1), 2^e), 0 for the zero matrix), the power of two by
+    which :func:`eig_sym` scales, and ``_s`` is ||A||_F / 2^e, which stays
+    finite when ||A||_F itself passes the largest double.
     """
 
     __slots__ = ("_a", "_e", "_s")
@@ -191,7 +190,7 @@ class SymMatrix:
         a.flags.writeable = False
         self._a = a
         # summed over a / 2^e (exact), the squares neither overflow nor underflow
-        self._e = e = _binade(a)
+        self._e = e = math.frexp(float(np.max(np.abs(a))))[1]
         self._s = float(np.sqrt(np.sum(np.ldexp(a, -e) ** 2)))
 
     @property
@@ -259,14 +258,12 @@ def sym(entries) -> SymMatrix:
     return SymMatrix(entries)
 
 
-def _tridiagonalize(a: np.ndarray, qt: np.ndarray | None, tiny: float) -> tuple[list, list]:
+def _tridiagonalize(a: np.ndarray, tiny: float) -> tuple[list, list]:
     """Householder reduction of the symmetric ``a`` (overwritten) to tridiagonal T.
 
     Returns T's diagonal ``d`` and off-diagonal ``off`` (``off[i]`` couples
-    ``d[i]`` and ``d[i + 1]``; ``off[n - 1] = 0``) and leaves ``qt`` (the
-    identity on entry, or None) holding Q^T, with Q^T A Q = T.  A column
-    whose entries below the subdiagonal have norm at most ``tiny`` is left
-    as it is.
+    ``d[i]`` and ``d[i + 1]``; ``off[n - 1] = 0``).  A column whose entries
+    below the subdiagonal have norm at most ``tiny`` is left as it is.
     """
     n = a.shape[0]
     off = [0.0] * n
@@ -287,67 +284,33 @@ def _tridiagonalize(a: np.ndarray, qt: np.ndarray | None, tiny: float) -> tuple[
         p = beta * np.sum(sub * v, axis=1)
         w = p - (0.5 * beta * float(np.sum(p * v))) * v
         sub -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
-        if qt is not None:
-            rows = qt[k + 1 :]
-            rows -= np.multiply.outer(beta * v, np.einsum("i,ij->j", v, rows))
         off[k] = alpha
     off[n - 2] = float(a[n - 1, n - 2])
     return np.diag(a).tolist(), off
 
 
-def _apply_givens_chain(qt: np.ndarray, m: int, c: list, s: list, upper: np.ndarray) -> None:
-    """Apply one QL sweep's Givens rotations to rows m-K..m of ``qt`` with one product.
+def eig_sym(A: SymMatrix):
+    """Eigenvalues of ``A``: Householder tridiagonalisation, then implicit QL.
 
-    The sweep applied rotation j = 0, ..., K-1 to rows (i, i+1), i = m-1-j:
-    row i <- c_j row i - s_j row i+1 and row i+1 <- s_j row i + c_j row i+1.
-    Numbered locally by a = K-1-j (rotation a acts on rows a and a+1 and
-    runs after a+1), their product W has the closed form
-    T[a, b] = prod_{p=a}^{b-1} (-s_p) * c'_b for b >= a (c'_K = 1),
-    W[0] = T[0] and W[a+1] = s_a e_a + c_a T[a+1], with no divisions.
-    ``upper`` is a strictly upper triangular mask with at least K+1 rows.
-    """
-    k = len(c)
-    up = upper[: k + 1, : k + 1]
-    c = np.array(c[::-1])
-    s = np.array(s[::-1])
-    # row a of the masked array is 1 up to column a, then -s_a, -s_(a+1), ...
-    w = np.cumprod(np.where(up, np.concatenate(([1.0], -s)), 1.0), axis=1)
-    w[up.T] = 0.0
-    w[:, :k] *= c  # now w = T
-    w[1:] *= c[:, None]
-    w.ravel()[k + 1 :: k + 2] = s  # the subdiagonal: W[a+1, a] = s_a
-    rows = qt[m - k : m + 1]
-    # einsum without ``optimize`` never calls BLAS, so the bytes do not
-    # depend on the BLAS build
-    rows[:] = np.einsum("ij,jk->ik", w, rows)
-
-
-def eig_sym(A: SymMatrix, vectors: bool = True):
-    """Full symmetric eigendecomposition: Householder tridiagonalisation, then implicit QL.
-
-    Returns ``(lam, Q)`` with ``lam`` ascending and ``A = Q diag(lam) Q^T``;
-    ``Q`` is None with ``vectors=False``, which leaves ``lam`` bit for bit
-    the same.  An eigenvalue beyond the largest double is returned as +-inf,
-    which still counts with the right sign.  An off-diagonal entry of T at
-    most ``eps * ||A||_F`` counts as zero, and a 2x2 block is diagonalised
-    in closed form.  The scalar loop records each sweep's rotations and
-    :func:`_apply_givens_chain` applies them to the rows of Q^T as one
-    product.  Raises :class:`ConvergenceError` when one eigenvalue takes
-    more than ``MAX_QL_ITERATIONS`` QL iterations.
+    Returns ``(lam, None)`` with ``lam`` ascending: no eigenvectors are
+    formed, and the None keeps the pair that callers unpack.  An eigenvalue
+    beyond the largest double is returned as +-inf, which still counts with
+    the right sign.  An off-diagonal entry of T at most ``eps * ||A||_F``
+    counts as zero, and a 2x2 block is diagonalised in closed form.  Raises
+    :class:`ConvergenceError` when one eigenvalue takes more than
+    ``MAX_QL_ITERATIONS`` QL iterations.
     """
     n = A.n
     if n == 1:
-        return A.entries[0].copy(), np.eye(1) if vectors else None
+        return A.entries[0].copy(), None
 
     # the solver runs on A / 2^e: exact, the same steps for every power-of-two
     # scaling, and no overflow or underflow
     ex = A._e
-    qt = np.eye(n) if vectors else None
-    upper = np.arange(n)[:, None] < np.arange(n) if vectors else None
     tiny = _EPS * A._s
-    d, off = _tridiagonalize(np.ldexp(A.entries, -ex), qt, tiny)
+    d, off = _tridiagonalize(np.ldexp(A.entries, -ex), tiny)
 
-    # QL with implicit shifts (EISPACK tql2); row i of qt follows column i of Q
+    # QL with implicit shifts (EISPACK tql2)
     for l in range(n):
         for it in range(MAX_QL_ITERATIONS + 1):
             m = l
@@ -361,10 +324,8 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
                 apq, app, aqq = off[l], d[l], d[l + 1]
                 theta = (aqq - app) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
                 d[l], d[l + 1] = app - t * apq, aqq + t * apq
                 off[l] = 0.0
-                cs, ss = [c], [t * c]
             else:
                 if it == MAX_QL_ITERATIONS:
                     raise ConvergenceError(
@@ -376,7 +337,6 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
                 g = d[m] - d[l] + off[l] / (g + math.copysign(r, g))
                 s = c = 1.0
                 p = 0.0
-                cs, ss = [], []
                 for i in range(m - 1, l - 1, -1):
                     f = s * off[i]
                     b = c * off[i]
@@ -394,20 +354,14 @@ def eig_sym(A: SymMatrix, vectors: bool = True):
                     p = s * r
                     d[i + 1] = g + p
                     g = c * r - b
-                    if vectors:
-                        cs.append(c)
-                        ss.append(s)
                 else:
                     d[l] -= p
                     off[l] = g
                     off[m] = 0.0
-            if vectors and cs:
-                _apply_givens_chain(qt, m, cs, ss, upper)
 
     with np.errstate(over="ignore"):
         lam = np.ldexp(np.array(d), ex)
-    order = np.argsort(lam, kind="stable")
-    return lam[order], qt[order].T if vectors else None
+    return np.sort(lam, kind="stable"), None
 
 
 def zero_threshold(A: SymMatrix) -> float:
@@ -419,26 +373,20 @@ def zero_threshold(A: SymMatrix) -> float:
     return math.ldexp(REL_ZERO * A._s, A._e)
 
 
-def spectrum_inertia(A: SymMatrix, lam: np.ndarray) -> Inertia:
-    """The sign counts of ``lam``, the spectrum of ``A``, against :func:`zero_threshold`."""
+def inertia(A: SymMatrix, *, lam: np.ndarray | None = None) -> Inertia:
+    """Count (negative, zero, positive) eigenvalues of ``A`` (of ``lam`` when the
+    caller has A's :func:`eig_sym` spectrum); |lam| <= :func:`zero_threshold` is zero."""
+    lam = eig_sym(A)[0] if lam is None else lam
     thresh = zero_threshold(A)
     n_neg = int(np.sum(lam < -thresh))
     n_pos = int(np.sum(lam > thresh))
     return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)
 
 
-def inertia(A: SymMatrix) -> Inertia:
-    """Count (negative, zero, positive) eigenvalues of ``A``.
-
-    An eigenvalue is treated as zero when |lam| <= :func:`zero_threshold`.
-    """
-    return spectrum_inertia(A, eig_sym(A, vectors=False)[0])
-
-
 def _tridiagonalize_stack(a: np.ndarray, tiny: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_tridiagonalize` on every slice of the (B, N, N) stack ``a`` at once.
 
-    ``a`` is overwritten and no Q is kept; ``tiny`` holds one skip threshold
+    ``a`` is overwritten; ``tiny`` holds one skip threshold
     per slice.  A lane whose column is already reduced gets beta = 0, so the
     update leaves it as it is.  Returns the (B, N) arrays ``d`` and ``off``.
     """

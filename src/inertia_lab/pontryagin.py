@@ -2,18 +2,23 @@
 
 A symmetric matrix A with at most k negative eigenvalues is the Gram matrix
 of n vectors under an inner product with k minus directions.  ``gram_realize``
-produces such vectors explicitly; ``gram_of`` is the inverse map.  The
-leading-minor negativity profile tracks how the negative count fills in as
-coordinates are added, which is the finite shadow of realizing A inside a
-space with a fixed negative index.
+produces such vectors by symmetric indefinite elimination; ``gram_of`` is the
+inverse map.  The leading-minor negativity profile tracks how the negative
+count fills in as coordinates are added, which is the finite shadow of
+realizing A inside a space with a fixed negative index.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, int_in
-from .linalg import N_MAX, SymMatrix, eig_sym, inertia, zero_threshold
+from .linalg import N_MAX, REL_ZERO, STACK_ENTRIES, SymMatrix, eig_sym, inertia, inertia_stack
+
+#: a 1x1 pivot must reach ALPHA * max|S| (Bunch & Parlett, SIAM J. Numer. Anal. 8, 1971)
+ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
 
 def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
@@ -32,45 +37,89 @@ def gram_of(vectors: np.ndarray, signature: tuple[int, int]) -> SymMatrix:
     return SymMatrix((v * j_diag) @ v.T)
 
 
+def _eliminate(s: np.ndarray, tau: float) -> tuple[list, list]:
+    """Columns of s = sum(v v^T, plus) - sum(v v^T, minus) + E, ||E||_2 <= tau.
+
+    Bunch-Parlett complete pivoting on ``s`` (overwritten): a diagonal entry
+    of at least ``ALPHA * max|S|`` is a 1x1 pivot, else the largest entry
+    makes a 2x2 pivot, split in two along the closed-form Jacobi rotation's
+    columns (1, -t) and (t, 1), unnormalised, so each mu carries 1 + t^2.  A
+    pivot mu with column u deflates S -= u u^T / mu and sends u sqrt|mu| / mu
+    to its side.  It stops when the m rows left have m * max|S| <= tau.
+    """
+    n = len(s)
+    plus, minus = cols = ([], [])
+    while True:
+        big = np.abs(s)
+        p, q = divmod(int(np.argmax(big)), n)
+        if (n - len(plus) - len(minus)) * big[p, q] <= tau:
+            return cols
+        i = int(np.argmax(np.diagonal(big)))
+        if big[i, i] >= ALPHA * big[p, q]:
+            pivots, done = [(s[:, i].copy(), s[i, i])], [i]
+        else:
+            a, b, c = s[p, p], s[p, q], s[q, q]
+            theta = (c - a) / (2.0 * b)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+            up, uq, w = s[:, p], s[:, q], 1.0 + t * t
+            pivots, done = [(up - t * uq, (a - t * b) * w), (t * up + uq, (c + t * b) * w)], [p, q]
+        for u, mu in pivots:
+            s -= np.multiply.outer(u, u / mu)
+            cols[int(mu < 0.0)].append(u * (math.sqrt(abs(mu)) / mu) + 0.0)  # no -0.0 printed
+        s[done] = s[:, done] = 0.0
+
+
 def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], float]:
     """Realize A as a Gram matrix with exactly k minus directions.
 
-    Requires n_neg(A) <= k <= N_MAX.  Returns ``(vectors, (plus, minus), err)`` where
-    vectors are rows in an ambient space of dimension (n - r) + k with
-    r = n_neg(A), minus coordinates padded with k - r zeros, and ``err`` is
-    the relative Frobenius reconstruction error of gram_of on the output.
+    Requires r = n_neg(A) <= k <= N_MAX.  Returns ``(vectors, (n - r, k), err)``,
+    rows are vectors, with ``err`` the relative Frobenius error of gram_of on
+    them.  They come from :func:`_eliminate` on A / 2^e at the zero threshold
+    (e the binade of A rounded up to even, so 2^(e/2) scales them back
+    exactly).  Its minus count is at least r (Weyl), and more only through
+    eigenvalues counted as zero: it is padded like r up to k, refused above.
     """
     int_in(k, "k", 0, N_MAX)
-    lam, q = eig_sym(A)
+    lam, _ = eig_sym(A)
     if not np.all(np.isfinite(lam)):
         raise ConfigError("an eigenvalue is beyond the largest double")
-    thresh = zero_threshold(A)
-    neg_idx = [i for i, v in enumerate(lam) if v < -thresh]
-    other_idx = [i for i, v in enumerate(lam) if v >= -thresh]
-    r = len(neg_idx)
+    r = inertia(A, lam=lam).n_neg
     if r > k:
         raise ConfigError(f"matrix has {r} negative eigenvalues, more than k = {k}")
-    n = A.n
-    plus = n - r
-    vectors = np.zeros((n, plus + k))
-    for col, i in enumerate(other_idx):
-        vectors[:, col] = np.sqrt(max(lam[i], 0.0)) * q[:, i]
-    for col, i in enumerate(neg_idx):
-        vectors[:, plus + col] = np.sqrt(-lam[i]) * q[:, i]
-    rebuilt = gram_of(vectors, (plus, k))
+    n, e = A.n, A._e + (A._e & 1)
+    plus, minus = _eliminate(np.ldexp(A.entries, -e), math.ldexp(REL_ZERO * A._s, A._e - e))
+    if len(minus) > k:
+        raise ConfigError(
+            f"eigenvalue {lam[k]:.3e} counts as zero, but elimination takes it as a minus "
+            f"direction ({len(minus)} in all, more than k = {k})"
+        )
+    vectors = np.zeros((n, n - r + k))
+    for at, side in ((0, plus), (n - r, minus)):
+        vectors[:, at : at + len(side)] = np.ldexp(np.reshape(side, (-1, n)).T, e // 2)
+    rebuilt = gram_of(vectors, (n - r, k))
     # the zero matrix is rebuilt exactly
     err = SymMatrix(rebuilt.entries - A.entries).fro / A.fro if A.fro else 0.0
-    return vectors, (plus, k), err
+    return vectors, (n - r, k), err
 
 
 def leading_negativity_profile(A: SymMatrix) -> list[int]:
     """Negative-eigenvalue counts of the leading principal j x j blocks.
 
-    By eigenvalue interlacing the sequence is nondecreasing and ends at
-    n_neg(A).
+    The blocks are counted by :func:`inertia_stack` in order of size, each
+    stack padded to its largest block and kept within ``STACK_ENTRIES``
+    entries (one block alone may pass it).  By eigenvalue interlacing the
+    sequence is nondecreasing and ends at n_neg(A).
     """
-    ent = A.entries
-    return [inertia(SymMatrix(ent[:j, :j])).n_neg for j in range(1, A.n + 1)]
+    profile, n = [], A.n
+    while len(profile) < n:
+        lo = top = len(profile) + 1
+        while top < n and (top + 2 - lo) * (top + 1) ** 2 <= STACK_ENTRIES:
+            top += 1
+        sizes = np.arange(lo, top + 1)
+        keep = np.arange(top) < sizes[:, None]
+        stack = np.where(keep[:, :, None] & keep[:, None, :], A.entries[:top, :top], 0.0)
+        profile += inertia_stack(stack, sizes)[:, 0].tolist()
+    return profile
 
 
 def stabilization_index(profile: list[int], k: int) -> int | None:

@@ -246,3 +246,27 @@ def test_a_builtin_is_refused_at_another_arity():
     with pytest.raises(ConfigError, match="arity 1 does not match box arity 2"):
         forward_difference_test(np.sin, [(0.0, 1.0), (0.0, 1.0)], order=2)
     assert abs(_coeff(maclaurin_estimate(np.exp, 1, 2, step=0.05), (2,)) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: maclaurin_estimate(f, 1, 2, step=400.0),
+        lambda f: boundary_extrapolation(f, step=1e308, levels=3),
+        lambda f: forward_difference_test(f, [[0.0, 800.0]], order=2),
+    ],
+    ids=["maclaurin", "limit", "check"],
+)
+def test_a_scalar_callable_that_raises_is_a_config_error(call):
+    # math.exp takes no arrays, so it runs point by point and raises on overflow
+    with pytest.raises(ConfigError, match="function raised OverflowError on the lattice"):
+        call(math.exp)
+
+
+def test_maclaurin_arity_is_capped_at_the_axes_of_a_numpy_array():
+    # the lattice has an axis per variable: numpy 1.x arrays hold 32 axes, numpy 2.x 64
+    report = maclaurin_estimate(Series(32, {(0,) * 32: 2.5}), 32, 0)
+    assert report["coefficients"] == [{"alpha": [0] * 32, "value": 2.5, "error": 0.0}]
+    for arity in (33, 70):
+        with pytest.raises(ConfigError, match=f"arity {arity} out of range 1..32"):
+            maclaurin_estimate(Series(arity, {(0,) * arity: 2.5}), arity, 0)

@@ -84,7 +84,7 @@ def test_an_eigenvalue_beyond_the_largest_double_still_counts():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(["inertia", "--matrix", BEYOND_THE_DOUBLES])
-        lam, _ = linalg.eig_sym(SymMatrix(json.loads(BEYOND_THE_DOUBLES)), vectors=False)
+        lam, _ = linalg.eig_sym(SymMatrix(json.loads(BEYOND_THE_DOUBLES)))
     assert (code, out, err) == (0, '{"neg":1,"zero":0,"pos":1}\n', "")
     assert lam.tolist() == [-np.inf, np.inf]
 
@@ -273,6 +273,8 @@ def test_non_numeric_json_values_are_config_errors(argv):
         # (order + 1)^arity lattice points: 59^3 = 205379 passes the cap of 200000
         ["absmon", "maclaurin", "--fn", HOMOTHETY_3D, "--order", "58"],
         ["absmon", "maclaurin", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":1000000}', "--order", "1"],
+        # one lattice point, but one array axis per variable: numpy refuses 70 (ValueError)
+        ["absmon", "maclaurin", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":70}', "--order", "0"],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):
@@ -596,6 +598,17 @@ def test_pontryagin_factor_at_extreme_scales(scale):
 def test_pontryagin_rejects_cap_below_negativity():
     code, out, err = run_cli(["pontryagin", "factor", "--matrix", "[[-1,0],[0,-1]]", "--k", "1"])
     assert code == 2
+
+
+def test_pontryagin_factor_exits_2_on_a_near_zero_minus_pivot_above_k():
+    # eigenvalues 2 and -1.5e-9: zero by the eigenvalue rule, a minus pivot by elimination
+    matrix = "[[1.0, 1.0], [1.0, 0.999999997]]"
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", matrix, "--k", "0"])
+    assert (code, out) == (2, "")
+    assert "eigenvalue -1.500e-09 counts as zero" in err
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", matrix, "--k", "1"])
+    assert code == 0
+    assert json.loads(out)["signature"] == {"plus": 2, "minus": 1}
 
 
 def test_pontryagin_factor_caps_k_at_n_max():

@@ -1,4 +1,4 @@
-"""Every eigensolve and inertia count in ``harness.py`` and ``constructions.py`` is known.
+"""Every eigensolve and inertia count in ``harness.py``, ``constructions.py`` and ``pontryagin.py`` is known.
 
 Verify, random search and the lemma suite run through one trial loop,
 ``_stacked``, which counts whole chunks of matrices through ``_count``, one
@@ -9,9 +9,13 @@ the pencil base, counted once per ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler and the recipes' member filler build
 their blocks PSD by construction and call the unchecked builders, so nothing
-on their paths counts.  A scalar trial or suite loop, or a count on the
-sampler's path, coming back fails here until it is added to the list on
-purpose; ``SAMPLER_PATH`` may name only functions that exist.
+on their paths counts.  In ``pontryagin.py`` ``gram_realize`` runs one
+eigensolve and counts that spectrum (``inertia`` given ``lam`` solves
+nothing); its vectors come from elimination.  ``leading_negativity_profile``
+counts its leading blocks as stacks.  A scalar
+trial, suite or profile loop, or a count on the sampler's path, coming back
+fails here until it is added to the list on purpose; ``SAMPLER_PATH`` may
+name only functions that exist.
 """
 
 import ast
@@ -31,8 +35,13 @@ EXPECTED = sorted(
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_suite_pinned", "eig_sym"),
         ("harness.py", "lemma_suite", "inertia"),
+        ("pontryagin.py", "gram_realize", "eig_sym"),
+        ("pontryagin.py", "gram_realize", "inertia"),
+        ("pontryagin.py", "leading_negativity_profile", "inertia_stack"),
     ]
 )
+
+COUNTED = ("constructions.py", "harness.py", "pontryagin.py")
 
 #: the functions a trial's slots are sampled through
 SAMPLER_PATH = {
@@ -61,7 +70,7 @@ def _calls(path: Path) -> list[tuple[str, str, str]]:
 
 
 def test_harness_counts_through_the_stack_and_the_one_judge():
-    found = sorted(c for name in ("constructions.py", "harness.py") for c in _calls(PACKAGE / name))
+    found = sorted(c for name in COUNTED for c in _calls(PACKAGE / name))
     assert found == EXPECTED
     assert not {scope for _, scope, _ in found} & SAMPLER_PATH
 

@@ -26,6 +26,7 @@ from inertia_lab.linalg import (
     is_member,
     sym,
 )
+from inertia_lab.pontryagin import gram_realize
 
 
 def random_sym(rng, n, scale=1.0):
@@ -65,25 +66,22 @@ def test_eig_matches_lapack_on_random_matrices():
     for trial in range(500):
         a = SymMatrix(_eig_input(rng, trial))
         n, fro = a.n, a.fro
-        lam, q = eig_sym(a)
+        lam, no_vectors = eig_sym(a)
+        assert no_vectors is None
         oracle = np.linalg.eigvalsh(a.entries)
         # EIG_CONVERGENCE bounds the eigenvalue error
         assert np.max(np.abs(lam - oracle)) <= linalg.EIG_CONVERGENCE * fro, (trial, n)
         if trial % 5 == 2:
             assert lam.tolist() == sorted(np.diag(a.entries).tolist())
-        # reconstruction and orthogonality, compared on A / ||A||_F
-        if fro:
-            rebuilt = (q * (lam / fro)) @ q.T
-            assert np.linalg.norm(rebuilt - a.entries / fro) <= 1e-13, (trial, n)
-        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13, (trial, n)
         # bitwise repeatable, and the same steps at every power-of-two scale
-        lam2, q2 = eig_sym(a)
-        assert lam.tobytes() == lam2.tobytes() and q.tobytes() == q2.tobytes()
+        assert eig_sym(a)[0].tobytes() == lam.tobytes()
         shift = -600 if fro > 1.0 else 600
-        lam3, q3 = eig_sym(SymMatrix(np.ldexp(a.entries, shift)))
+        lam3, _ = eig_sym(SymMatrix(np.ldexp(a.entries, shift)))
         assert lam3.tobytes() == np.ldexp(lam, shift).tobytes()
-        assert q3.tobytes() == q.tobytes()
-        assert eig_sym(a, vectors=False)[0].tobytes() == lam.tobytes()
+        # the signed Gram factor that replaced the eigenvectors rebuilds A
+        r = inertia(a, lam=lam).n_neg
+        vecs, sig, err = gram_realize(a, r)
+        assert sig == (n - r, r) and err <= 1e-12, (trial, n, err)
 
 
 def test_eig_sorted_ascending():
@@ -97,7 +95,7 @@ def test_eig_sorted_ascending():
 def test_eig_one_by_one():
     lam, q = eig_sym(sym([[3.5]]))
     assert lam[0] == 3.5
-    assert q[0, 0] == 1.0
+    assert q is None
 
 
 def test_eig_diagonal_is_exact():
@@ -117,57 +115,13 @@ def test_eig_raises_when_sweeps_run_out(monkeypatch):
     assert lam.tolist() == [-1.0, 3.0]
 
 
-def _rotation_pairs(rng, k: int) -> tuple[list, list]:
-    """k random (c, s) with c^2 + s^2 = 1, some with s = +-1 (c = 0) or s = 0."""
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=k)
-    c, s = np.cos(theta), np.sin(theta)
-    pick = rng.uniform(size=k)
-    c[pick < 0.15], s[pick < 0.15] = 0.0, rng.choice([-1.0, 1.0], size=int(np.sum(pick < 0.15)))
-    c[pick > 0.9], s[pick > 0.9] = 1.0, 0.0
-    return c.tolist(), s.tolist()
-
-
-def test_givens_chain_product_matches_sequential_rotations():
-    rng = np.random.default_rng(5)
-    for k in range(1, 65):
-        c, s = _rotation_pairs(rng, k)
-        # the full chain, then a partial one as left by a split mid-sweep
-        for kk in (k, int(rng.integers(1, k + 1))):
-            m = k + 1
-            qt = rng.standard_normal((k + 4, 9))
-            want = qt.copy()
-            for j in range(kk):
-                i = m - 1 - j
-                lo, hi = want[i].copy(), want[i + 1].copy()
-                want[i], want[i + 1] = c[j] * lo - s[j] * hi, s[j] * lo + c[j] * hi
-            upper = np.arange(k + 4)[:, None] < np.arange(k + 4)
-            linalg._apply_givens_chain(qt, m, c[:kk], s[:kk], upper)
-            assert np.max(np.abs(qt - want)) <= 4 * k * np.finfo(float).eps, (k, kk)
-            untouched = np.r_[0 : m - kk, m + 1 : k + 4]
-            assert qt[untouched].tobytes() == want[untouched].tobytes()
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_eigenvectors_of_tight_clusters_stay_orthogonal(seed):
-    rng = np.random.default_rng(seed)
-    n = 64
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam0 = 1.0 + 1e-12 * rng.standard_normal(n)
-    if seed:  # two clusters, at -1 and at 1
-        lam0[: n // 2] -= 2.0
-    a = SymMatrix((q * lam0) @ q.T)
-    lam, v = eig_sym(a)
-    assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-13
-    assert np.linalg.norm((v * lam) @ v.T - a.entries) <= 1e-13 * a.fro
-
-
 def _pin_input(n: int) -> np.ndarray:
     i, j = np.indices((n, n))
     return ((7 * (i + j) + 3 * i * j) % 17 - 8).astype(float)
 
 
-# sha256 of the eigenvalue bytes, recorded before eigenvectors were accumulated
-# one QL sweep at a time: eigenvector work must not move an eigenvalue bit
+# sha256 of the eigenvalue bytes, recorded while eig_sym still formed
+# eigenvectors: no change to the vectors, or their removal, moves a bit
 PINNED_SPECTRA = {
     2: "e71a13d2e4151163fc5a674647b89ffeb82220a0bbf8643d2307886974e0a24e",
     3: "4b3965a07f55bb43f23c2f638ae0b3c5c9554856ba59a7fa5f12ce87233b6fa4",
@@ -181,8 +135,7 @@ PINNED_SPECTRA = {
 @pytest.mark.parametrize("n", sorted(PINNED_SPECTRA))
 def test_eigenvalue_bytes_are_pinned(n):
     a = SymMatrix(_pin_input(n))
-    for lam in (eig_sym(a)[0], eig_sym(a, vectors=False)[0]):
-        assert hashlib.sha256(lam.tobytes()).hexdigest() == PINNED_SPECTRA[n]
+    assert hashlib.sha256(eig_sym(a)[0].tobytes()).hexdigest() == PINNED_SPECTRA[n]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inertia_lab import pontryagin
 from inertia_lab.errors import ConfigError
-from inertia_lab.linalg import SymMatrix, inertia, sym
+from inertia_lab.linalg import STACK_ENTRIES, SymMatrix, direct_sum, inertia, sym
 from inertia_lab.pontryagin import (
     gram_of,
     gram_realize,
@@ -153,3 +154,155 @@ def test_gram_realize_signature_counts(n, extra):
     assert plus == tri.n_pos + tri.n_zero or plus == n - tri.n_neg
     assert minus == k
     assert err < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the signed Gram factor by Bunch-Parlett elimination
+# ---------------------------------------------------------------------------
+
+def _round_trip(a: SymMatrix, k: int) -> np.ndarray:
+    """gram_realize's vectors at k, checked: signature (n - r, k) and relative error <= 1e-12."""
+    r = inertia(a).n_neg
+    vecs, sig, err = gram_realize(a, k)
+    assert sig == (a.n - r, k) and vecs.shape == (a.n, a.n - r + k)
+    assert err <= 1e-12
+    j = np.concatenate([np.ones(sig[0]), -np.ones(k)])
+    assert np.linalg.norm((vecs * j) @ vecs.T - a.entries) <= 1e-12 * a.fro
+    return vecs
+
+
+def test_a_zero_diagonal_takes_a_jacobi_split_2x2_pivot():
+    # no diagonal entry can pivot, so [[0, 1], [1, 0]] is split into one plus
+    # and one minus direction, (1, 1) / sqrt(2) and (1, -1) / sqrt(2)
+    vecs = _round_trip(sym([[0.0, 1.0], [1.0, 0.0]]), 1)
+    s = 1.0 / np.sqrt(2.0)
+    assert np.allclose(vecs, [[s, s], [s, -s]], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 16])
+def test_hollow_ones_round_trip(n):
+    h = sym(np.ones((n, n)) - np.eye(n))
+    assert inertia(h).n_neg == n - 1
+    for k in (n - 1, n + 1):
+        _round_trip(h, k)
+
+
+def test_direct_sums_of_hollow_2x2_blocks_round_trip():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        blocks = [b * np.array([[0.0, 1.0], [1.0, 0.0]]) for b in rng.choice([-3.0, 0.5, 2e-3, 7.0], size=4)]
+        if rng.uniform() < 0.5:
+            blocks.append(np.diag(rng.standard_normal(2)))
+        order = rng.permutation(2 * len(blocks))
+        a = SymMatrix(direct_sum([SymMatrix(b) for b in blocks]).entries[np.ix_(order, order)])
+        _round_trip(a, inertia(a).n_neg)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, 1, -1), (-1, -1, 1, -1)], ids=["psd-2", "indef-3", "indef-4"])
+def test_low_rank_matrices_stop_after_their_rank(signs):
+    # rank len(signs): the Schur complement left after that many pivots is
+    # rounding noise, far below the stop rule's tau / m
+    rng = np.random.default_rng(len(signs))
+    for n in (6, 12, 24):
+        b = rng.standard_normal((n, len(signs)))
+        a = SymMatrix((b * np.array(signs, dtype=float)) @ b.T)
+        r = signs.count(-1)
+        assert inertia(a).n_neg == r
+        vecs = _round_trip(a, r + 1)
+        used = np.any(vecs != 0.0, axis=0)
+        assert int(np.sum(used[: n - r])) == len(signs) - r
+        assert int(np.sum(used[n - r :])) == r
+
+
+def test_the_zero_matrix_factors_to_zero_vectors():
+    vecs, sig, err = gram_realize(SymMatrix(np.zeros((3, 3))), 2)
+    assert sig == (3, 2) and err == 0.0
+    assert vecs.shape == (3, 5) and not np.any(vecs)
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_round_trips_up_to_n_64(n):
+    rng = np.random.default_rng(n)
+    for trial in range(4):
+        if trial % 2:  # a spread spectrum, every fourth value negated
+            lam = np.geomspace(0.1, 10.0, n)
+            lam[1::4] *= -1.0
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            a = SymMatrix((q * lam) @ q.T)
+        else:
+            g = rng.standard_normal((n, n))
+            a = SymMatrix(g + g.T)
+        r = inertia(a).n_neg
+        _round_trip(a, r)
+        _round_trip(a, r + 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_factor_of_tight_clusters_round_trips(seed):
+    # the eigenvalue clusters that once tested the orthogonality of eig_sym's vectors
+    rng = np.random.default_rng(seed)
+    n = 64
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam0 = 1.0 + 1e-12 * rng.standard_normal(n)
+    if seed:  # two clusters, at -1 and at 1
+        lam0[: n // 2] -= 2.0
+    a = SymMatrix((q * lam0) @ q.T)
+    _round_trip(a, int(np.sum(lam0 < 0.0)))
+
+
+# eigenvalues 2 and -1.5e-9: the zero rule (threshold 2e-9) calls the second
+# zero, but the last pivot, -3e-9 / 4 on A / 4, passes the stop rule's tau
+NEAR_ZERO = [[1.0, 1.0], [1.0, 1.0 - 3e-9]]
+
+
+def test_a_near_zero_minus_pivot_is_padded_to_the_signature_within_k():
+    a = sym(NEAR_ZERO)
+    assert inertia(a) == (0, 1, 1)
+    vecs = _round_trip(a, 1)
+    # one plus column, the zero pad of the zero eigenvalue, one minus column
+    assert np.any(vecs[:, 0]) and not np.any(vecs[:, 1]) and np.any(vecs[:, 2])
+
+
+def test_a_near_zero_minus_pivot_above_k_is_refused():
+    with pytest.raises(ConfigError, match=r"eigenvalue -1\.500e-09 counts as zero.*more than k = 0"):
+        gram_realize(sym(NEAR_ZERO), 0)
+
+
+# ---------------------------------------------------------------------------
+# the profile as stacks of leading blocks
+# ---------------------------------------------------------------------------
+
+def _spy_stacks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (entries, blocks) of every inertia_stack call the profile makes."""
+    calls = []
+    real = pontryagin.inertia_stack
+
+    def spy(a, n):
+        calls.append((np.asarray(a).size, len(n)))
+        return real(a, n)
+
+    monkeypatch.setattr(pontryagin, "inertia_stack", spy)
+    return calls
+
+
+def test_profile_of_n_100_matches_every_leading_block(monkeypatch):
+    calls = _spy_stacks(monkeypatch)
+    rng = np.random.default_rng(100)
+    g = rng.standard_normal((100, 100))
+    a = SymMatrix(g + g.T)
+    prof = leading_negativity_profile(a)
+    assert prof == [inertia(SymMatrix(a.entries[:j, :j])).n_neg for j in range(1, 101)]
+    assert sum(blocks for _, blocks in calls) == 100
+    assert all(entries <= STACK_ENTRIES for entries, _ in calls)
+
+
+def test_profile_stacks_keep_under_a_small_cap_or_hold_one_block(monkeypatch):
+    rng = np.random.default_rng(30)
+    g = rng.standard_normal((30, 30))
+    a = SymMatrix(g + g.T)
+    want = leading_negativity_profile(a)
+    monkeypatch.setattr(pontryagin, "STACK_ENTRIES", 300)
+    calls = _spy_stacks(monkeypatch)
+    assert leading_negativity_profile(a) == want
+    assert len(calls) > 10 and sum(blocks for _, blocks in calls) == 30
+    assert all(entries <= 300 or blocks == 1 for entries, blocks in calls)

@@ -117,6 +117,12 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     -epsilon * (j-1) * j on the ones-orthogonal completion vectors, so the
     inertia is (k, 0, 1).
     """
+    return SymMatrix(_ones_spike(k, delta, epsilon))
+
+
+def _ones_spike(k: int, delta: float, epsilon: float) -> np.ndarray:
+    """The entries of :func:`ones_spike`, with its checks; they are bitwise
+    symmetric with no -0.0, so :class:`SymMatrix` keeps their bytes."""
     n = int_in(k, "k", 1, N_MAX - 1) + 1
     delta = finite_float(delta, "delta", positive=True)
     epsilon = finite_float(epsilon, "epsilon", positive=True)
@@ -125,7 +131,7 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     for j in range(1, n):
         v = basis[j]
         out -= epsilon * np.outer(v, v)
-    return SymMatrix(out)
+    return out
 
 
 def _equicorrelation(n: int, a: float, b: float) -> np.ndarray:

@@ -21,18 +21,23 @@ and falls back to seeded random search when no recipe applies.
 Forward verification, random search and the ``lemma_suite`` batches run
 through one trial loop, ``_stacked``.  Trial i draws from its own stream
 (one generator, rekeyed) the symmetric arrays to count and a check over
-their counts; trials are packed in index order into chunks of at most
-``STACK_ENTRIES`` zero-padded entries (a single trial may pass it), and
-each chunk is counted as one stack (``linalg.inertia_stack``).  A verify or
+their counts; ``_on_stack`` packs trials in index order into chunks of at
+most ``STACK_ENTRIES`` zero-padded entries (a single trial may pass it) and
+counts each chunk as one stack (``linalg.inertia_stack``).  A verify or
 random-search trial samples a member tuple on plain arrays (its inertia
 fixed in closed form, not counted); its lanes are those of ``_lanes`` (the
 image, and for a lift claim the image gathered to n+3 and n+7) plus slot 1
 for an inertia claim, and ``_breach`` decides from their counts.
-A recipe builds its candidate tuples on plain arrays too.
-``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
-the same lanes one matrix at a time and asks the same ``_breach``: it makes
-the witness of a flagged trial, checks every recipe candidate and is what
-``Witness.revalidate`` runs.  Reports are deterministic for a fixed seed.
+A recipe builds its candidate tuples on plain arrays too, at a scale that
+halves along a ladder.  The ladder's first candidate goes straight to the
+judge; the later ones are screened by the same rules (``_screen``) in
+chunks of 2, 4, 8, ...: each chunk counts every candidate's slots and lanes
+on the stack, and a candidate is flagged when its slots are members and
+``_breach`` flags its counts.  ``_make_witness``, the one judge, wraps each
+slot in SymMatrix once, counts the same lanes one matrix at a time and asks
+the same ``_breach``: it makes the witness of a flagged trial or recipe
+candidate, in order, and is what ``Witness.revalidate`` runs.  Reports are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,12 +55,12 @@ from .constructions import (
     _equicorrelation,
     _gather,
     _lift_rows,
+    _ones_spike,
     _row_map,
     block_pair,
     embed_with_negatives,
     inflate,
     ones_pencil,
-    ones_spike,
     pencil_base,
     two_by_two_pair,
     vandermonde_psd,
@@ -370,6 +375,21 @@ def _breach(claim: str, l: int, out: Inertia, *rest: Inertia) -> Inertia | None:
     raise ConfigError(f"no violation predicate for claim {claim!r}")
 
 
+def _judgeable(fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig) -> bool:
+    """The judge's shape, arity and domain checks: one slot per variable, one
+    shape for all, every entry inside the domain."""
+    return (
+        len(slots) == cfg.k.m == fn.arity
+        and len({np.shape(a) for a in slots}) == 1
+        and all(cfg.dom._inside(a).all() for a in slots)
+    )
+
+
+def _in_class(claim: str, k_p: int, held: Inertia) -> bool:
+    """Slot membership: exactly k_p negatives, at most k_p under closure."""
+    return held.n_neg <= k_p if claim == "closure" else held.n_neg == k_p
+
+
 def _make_witness(
     claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig, clause: str
 ) -> Witness | None:
@@ -383,15 +403,13 @@ def _make_witness(
     judge gives None: a number of slots other than the arity, sizes that
     differ, an entry out of the domain, or a non-finite image.
     """
-    if len(slots) != cfg.k.m or fn.arity != cfg.k.m or len({np.shape(a) for a in slots}) != 1:
-        return None
-    if not all(cfg.dom._inside(a).all() for a in slots):
+    if not _judgeable(fn, slots, cfg):
         return None
     mats = tuple(map(SymMatrix, slots))
     held = []
     for m, k_p in zip(mats, cfg.k.k):
         held.append(inertia(m))
-        if held[-1].n_neg > k_p or (claim != "closure" and held[-1].n_neg != k_p):
+        if not _in_class(claim, k_p, held[-1]):
             return None
     lanes = _lanes(claim, fn, [m.entries for m in mats])
     if lanes is None:
@@ -404,35 +422,50 @@ def _make_witness(
 
 
 def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
-    """Counts of symmetric arrays of any sizes, zero-padded into one :func:`inertia_stack` call."""
-    size = max(len(a) for a in arrays)
-    stack = np.zeros((len(arrays), size, size))
-    for b, a in enumerate(arrays):
-        stack[b, : len(a), : len(a)] = a
-    return [Inertia(*c) for c in inertia_stack(stack, [len(a) for a in arrays]).tolist()]
+    """Counts of symmetric arrays of any sizes in one :func:`inertia_stack`
+    call, zero-padded to the largest when the sizes differ."""
+    sizes = [len(a) for a in arrays]
+    if len(set(sizes)) == 1:
+        stack = np.stack(arrays)
+    else:
+        size = max(sizes, default=0)
+        stack = np.zeros((len(arrays), size, size))
+        for b, a in enumerate(arrays):
+            stack[b, : len(a), : len(a)] = a
+    return [Inertia(*c) for c in inertia_stack(stack, sizes).tolist()]
 
 
-def _stacked(cfg: TrialConfig, stream: int, draw: Callable) -> Iterator:
-    """The checks of trials 0..trials-1, in index order, counted on the stack.
+def _on_stack(trials: Iterable[tuple[list, Callable]]) -> Iterator:
+    """The checks of ``trials``, pairs (arrays to count, check over their
+    counts), in order, counted on the stack.
 
-    Trial i draws from stream ``stream + i`` (one generator, rekeyed):
-    ``draw(rng)`` returns the symmetric arrays to count and a check over
-    their counts.  Trials are packed in index order until the next one would
-    take the zero-padded stack past ``STACK_ENTRIES`` entries (one trial
-    alone may pass it); each chunk is counted by one :func:`_count`.
+    Trials are packed in order until the next one would take the zero-padded
+    stack past ``STACK_ENTRIES`` entries (one trial alone may pass it); each
+    chunk is counted by one :func:`_count`.  ``trials`` is drawn lazily: the
+    next trial is drawn before the chunk it does not fit in is checked.
     """
-    rng = _trial_rng(cfg.seed, 0)
     chunk, lanes, size = [], 0, 0
-    for i in range(cfg.trials + 1):
-        # one past the last trial, an empty draw flushes the last chunk
-        mats, check = draw(_rekey(rng, cfg.seed, stream + i)) if i < cfg.trials else ([], None)
+    # past the last trial, an empty one with no check flushes the last chunk
+    for mats, check in chain(trials, [([], None)]):
         big = max(map(len, mats), default=0)
-        if chunk and (i == cfg.trials or (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES):
+        if chunk and (check is None or (lanes + len(mats)) * max(size, big) ** 2 > STACK_ENTRIES):
             counts = iter(_count([m for t, _ in chunk for m in t]))
             yield from (c(*islice(counts, len(t))) for t, c in chunk)
             chunk, lanes, size = [], 0, 0
         chunk.append((mats, check))
         lanes, size = lanes + len(mats), max(size, big)
+
+
+def _stacked(cfg: TrialConfig, stream: int, draw: Callable) -> Iterator:
+    """The checks of trials 0..trials-1, in index order, counted on the stack
+    (:func:`_on_stack`).
+
+    Trial i draws from stream ``stream + i`` (one generator, rekeyed):
+    ``draw(rng)`` returns the symmetric arrays to count and a check over
+    their counts.
+    """
+    rng = _trial_rng(cfg.seed, 0)
+    return _on_stack(draw(_rekey(rng, cfg.seed, stream + i)) for i in range(cfg.trials))
 
 
 def _run_trials(
@@ -534,8 +567,8 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 #
 # A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples of
 # symmetric arrays at the entry scale t0 (and the open_positive shift eps);
-# the caller hands every candidate to the judge, which wraps each slot in
-# SymMatrix once, and halves both scales until one is a witness.  A
+# the caller halves both scales until a candidate is a witness, screening
+# all but the first on the stack before the judge sees them.  A
 # candidate larger than ``N_MAX`` is a ConfigError, raised before any size
 # that grows with l or the arity is allocated, so the run falls through to
 # random search.
@@ -728,7 +761,7 @@ def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
     if g < 0.0:
         delta = min(t0, abs(g) / (2.0 * c))
         if not dom.one_sided:
-            core = ones_spike(k_p, delta, min(eps, delta / 2.0)).entries
+            core = _ones_spike(k_p, delta, min(eps, delta / 2.0))
         else:
             core = _equicorrelation(k_p + 1, delta / 2.0, delta)
         # a t0 * I pad up to size max(k) + 2; exact negatives kept
@@ -803,18 +836,56 @@ def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterato
         t0, eps = t0 / 2.0, eps / 2.0
 
 
+def _screen(claim: str, fn: FunctionSpec, chunk: list, cfg: TrialConfig) -> Iterator[bool]:
+    """Whether the judge may find a witness in each candidate of ``chunk``,
+    in order, by the trial loop's rules on the stack (:func:`_on_stack`).
+
+    A candidate the judge would refuse (:func:`_judgeable`, or a non-finite
+    image) is not flagged.  The others count their slots and their
+    :func:`_lanes`, and are flagged when every slot is in the class and
+    :func:`_breach` flags the counts.
+    """
+    def trial(slots):
+        if not _judgeable(fn, slots, cfg):
+            return [], lambda: False
+        lanes = _lanes(claim, fn, slots)
+        if lanes is None:
+            return [], lambda: False
+
+        def check(*counts):
+            held, out = counts[: len(slots)], list(counts[len(slots) :])
+            if claim == "inertia":
+                out.append(held[0])
+            members = all(map(partial(_in_class, claim), cfg.k.k, held))
+            return members and _breach(claim, cfg.l, *out) is not None
+
+        return [*slots, *lanes], check
+
+    return _on_stack(map(trial, chunk))
+
+
 def _recipe_witness(
     clause: str, claim: str, fn: FunctionSpec, cfg: TrialConfig
 ) -> tuple[Witness | None, int]:
-    """Judge the clause's recipe candidates in order; the first witness and the candidates judged."""
+    """The first witness among the clause's recipe candidates, and the
+    candidates judged up to it (all of them when there is none).
+
+    The first candidate goes straight to the judge.  The later ones are
+    built and screened (:func:`_screen`) in chunks of 2, 4, 8, ...; only a
+    flagged candidate goes, in order, to the judge, so every witness is the
+    judge's and the count is what judging each candidate in turn gives.
+    """
     recipe = _RECIPES.get(clause)
     if recipe is None:
         return None, 0
+    candidates = _candidates(recipe, fn, cfg)
     attempts = 0
-    for attempts, slots in enumerate(_candidates(recipe, fn, cfg), start=1):
-        w = _make_witness(claim, fn, slots, cfg, clause)
-        if w is not None:
-            return w, attempts
+    while chunk := list(islice(candidates, attempts + 1)):
+        flags = _screen(claim, fn, chunk, cfg) if attempts else [True]
+        for slots, flagged in zip(chunk, flags):
+            attempts += 1
+            if flagged and (w := _make_witness(claim, fn, slots, cfg, clause)) is not None:
+                return w, attempts
     return None, attempts
 
 

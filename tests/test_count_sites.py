@@ -1,11 +1,14 @@
 """Every eigensolve and inertia count in ``harness.py``, ``constructions.py`` and ``pontryagin.py`` is known.
 
 Verify, random search and the lemma suite run through one trial loop,
-``_stacked``, which counts whole chunks of matrices through ``_count``, one
-``inertia_stack`` call per chunk.  The scalar calls left are the one judge
-``_make_witness`` (its slots, then its lanes: the image and, for a lift
-claim, the lifted images), the pinned eigenvalues of ``_suite_pinned`` and
-the pencil base, counted once per ``lemma_suite`` call.
+``_stacked``, whose ``_on_stack`` counts whole chunks of matrices through
+``_count``, one ``inertia_stack`` call per chunk.  A recipe ladder screens its candidates
+after the first through the same ``_count`` (``_screen``), so it adds no
+count site.  The scalar calls left are the one judge ``_make_witness``
+(its slots, then its lanes: the image and, for a lift claim, the lifted
+images), which sees a recipe's first candidate and the flagged ones only,
+the pinned eigenvalues of ``_suite_pinned`` and the pencil base, counted
+once per ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler and the recipes' member filler build
 their blocks PSD by construction and call the unchecked builders, so nothing

@@ -781,3 +781,121 @@ def test_the_size_floor_is_one_rule_for_configs_the_sampler_and_the_recipes():
                     sample_with_inertia(floor - 1, k, dom, rng)
             assert inertia(sample_with_inertia(floor, k, dom, rng)).n_neg == k
             assert inertia(SymMatrix(harness._member_filler(floor, k, dom, 0.125, 0.0625))).n_neg == k
+
+
+# ---------------------------------------------------------------------------
+# a recipe ladder screens its later candidates on the stack; the judge
+# confirms only flagged ones, so reports are those of judging each in turn
+# ---------------------------------------------------------------------------
+
+def _sequential_recipe(clause, claim, fn, cfg):
+    """The reference ladder: the judge on every candidate, in order."""
+    attempts = 0
+    for attempts, slots in enumerate(harness._candidates(harness._RECIPES[clause], fn, cfg), start=1):
+        w = harness._make_witness(claim, fn, slots, cfg, clause)
+        if w is not None:
+            return w, attempts
+    return None, attempts
+
+
+# clause -> (claim, fn, k, l): every RECIPE_CASES clause, plus an inertia
+# claim (slot 1's count is the reference) and a closure claim (at most k_p
+# negatives per slot), whose offsets climb ladders at rho = 1e12
+LADDER_CASES = {
+    **{clause: (clause, *case) for clause, case in RECIPE_CASES.items()},
+    "inertia-claim": ("nonzero-offset", "inertia", Affine(-0.5, 1.0), [1], 1),
+    "closure-claim": ("negative-offset", "closure", Affine(-0.5, 1.0), [2], 2),
+}
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("case", list(LADDER_CASES))
+def test_the_screened_ladder_reports_what_judging_each_candidate_gives(case, rho, monkeypatch):
+    clause, claim, fn, k, l = LADDER_CASES[case]
+    for kind in KINDS:
+        for seed in (5, 2**40 + 3):
+            cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=seed)
+            screened = falsify(claim, fn, cfg, strategy="recipe")
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_recipe_witness", _sequential_recipe)
+                reference = falsify(claim, fn, cfg, strategy="recipe")
+            assert dumps(screened.to_json_dict()) == dumps(reference.to_json_dict())
+            assert screened.trials == reference.trials >= 1
+            assert clause in screened.label
+
+
+@pytest.mark.parametrize("case", list(LADDER_CASES))
+def test_the_screen_flags_exactly_the_candidates_the_judge_confirms(case):
+    clause, claim, fn, k, l = LADDER_CASES[case]
+    for kind, rho in PINNED_DOMAINS:
+        cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
+        candidates = list(harness._candidates(harness._RECIPES[clause], fn, cfg))
+        flags = list(harness._screen(claim, fn, candidates, cfg))
+        assert flags == [harness._make_witness(claim, fn, c, cfg, clause) is not None for c in candidates]
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call of harness.<name>."""
+    calls, real = [], getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
+    counts, judged = _spy(monkeypatch, "_count"), _spy(monkeypatch, "_make_witness")
+    claim, fn, k, l = RECIPE_CASES["nonlinear-term"]
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK(k), l, trials=6, seed=5)
+    w, attempts = harness._recipe_witness("nonlinear-term", claim, fn, cfg)
+    assert w is not None and attempts == 1
+    assert len(judged) == 1 and not counts
+
+
+def test_a_ladder_that_finds_nothing_judges_once_and_counts_a_few_stacks(monkeypatch):
+    counts, judged = _spy(monkeypatch, "_count"), _spy(monkeypatch, "_make_witness")
+    claim, fn, k, l = RECIPE_CASES["negative-coefficient"]
+    cfg = TrialConfig(DomainSpec("two_sided", 1e-12), AdmissibleK(k), l, trials=6, seed=5)
+    w, attempts = harness._recipe_witness("negative-coefficient", claim, fn, cfg)
+    assert w is None and attempts == harness.RECIPE_HALVINGS == 40
+    # chunks of 2, 4, 8, 16 and the last 9 candidates
+    assert len(judged) == 1 and len(counts) == 5
+
+
+def test_candidates_built_past_the_hit_never_reach_the_judge(monkeypatch):
+    claim, fn, k, l = RECIPE_CASES["negative-offset"]
+    cfg = TrialConfig(DomainSpec("two_sided", 1e12), AdmissibleK(k), l, trials=6, seed=5)
+    recipe = harness._RECIPES["negative-offset"]
+    ladder = [s[0].tobytes() for s in harness._candidates(recipe, fn, cfg)]
+    built = []
+
+    def spy(*args):
+        out = recipe(*args)
+        built.extend(out)
+        return out
+
+    monkeypatch.setitem(harness._RECIPES, "negative-offset", spy)
+    judged = _spy(monkeypatch, "_make_witness")
+    w, attempts = harness._recipe_witness("negative-offset", claim, fn, cfg)
+    assert w is not None and attempts == 10
+    # the hit is in the chunk of candidates 8..15
+    assert len(built) == 15
+    assert [ladder.index(args[2][0].tobytes()) + 1 for args in judged] == [1, 10]
+
+
+# each UNJUDGEABLE tuple on both sides of a well-formed witness in one chunk
+@pytest.mark.parametrize("case", list(UNJUDGEABLE))
+def test_the_screen_skips_a_candidate_the_judge_cannot_judge(case):
+    fn, slots = UNJUDGEABLE[case]
+    rho = math.inf if case == "non-finite-image" else 1.5
+    cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,) * fn.arity), 0)
+    well_formed = [np.diag([1.0, -1.0])] * fn.arity
+    with np.errstate(over="ignore"):
+        assert list(harness._screen("exact", fn, [slots, well_formed, slots], cfg)) == [False, True, False]
+
+
+@pytest.mark.parametrize("claim,member", [("closure", True), ("bounded", False)])
+def test_a_closure_slot_may_hold_fewer_negatives_than_k(claim, member):
+    # one negative in a slot with k = 2: a member for closure only; its image breaks l = 0
+    cfg = TrialConfig(DomainSpec("two_sided", 2.0), AdmissibleK((2,)), 0)
+    slots = [np.diag([-1.0, 1.0, 1.0])]
+    assert (harness._make_witness(claim, Homothety(1.0), slots, cfg, "test") is not None) == member
+    assert list(harness._screen(claim, Homothety(1.0), [slots], cfg)) == [member]

@@ -82,9 +82,9 @@ from .linalg import (
     SymMatrix,
     _direct_sum,
     _symmetric,
-    eig_sym,
     inertia,
     inertia_stack,
+    sturm_count,
 )
 
 CLAIMS = ("inertia", "exact", "closure", "bounded", "lift")
@@ -985,9 +985,10 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator):
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
     out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
-    lam, _ = eig_sym(out)
-    # lam ascends, so its first k entries are the negatives
-    pinned = all(abs(x - (a - b)) <= 1e-9 * abs(a - b) for x in lam[:k])
+    # the k negatives lie within 1e-9 |a - b| of a - b: none below, k below the top
+    w = 1e-9 * abs(a - b)
+    low, high = sturm_count(out, [a - b - w, a - b + w])
+    pinned = low == 0 and high >= k
     return [out.entries], lambda c: c.n_neg == k and pinned
 
 

@@ -8,7 +8,8 @@ only, so the whole negativity bookkeeping chain is self-contained and its
 bytes do not depend on the BLAS build; LAPACK never enters the runtime path.
 No eigenvectors are formed.  Many matrices are counted at once by
 :func:`inertia_stack`: the same reduction run on a whole zero-padded stack,
-then a Sturm count instead of QL.
+then a Sturm count instead of QL.  :func:`sturm_count` is that Sturm count
+for one matrix and a few shifts.
 """
 
 from __future__ import annotations
@@ -381,6 +382,29 @@ def inertia(A: SymMatrix, *, lam: np.ndarray | None = None) -> Inertia:
     n_neg = int(np.sum(lam < -thresh))
     n_pos = int(np.sum(lam > thresh))
     return Inertia(n_neg, A.n - n_neg - n_pos, n_pos)
+
+
+def sturm_count(A: SymMatrix, shifts) -> list[int]:
+    """#{lam(A) < sigma} for each sigma of ``shifts``: the Sturm count of
+    :func:`inertia_stack` for one matrix, run on :func:`_tridiagonalize` of
+    A / 2^e, so a power-of-two scaling of A and the shifts keeps the counts.
+    The zero matrix has n eigenvalues below a positive shift, else none."""
+    n, e = A.n, A._e
+    if A._s == 0.0:
+        return [n * (s > 0.0) for s in shifts]
+    d, off = _tridiagonalize(np.ldexp(A.entries, -e), _EPS * A._s)
+    e2 = [x * x for x in off[: n - 1]]
+    pivmin = _TINY * max([1.0, *e2])
+    counts = []
+    for s in shifts:
+        sigma, below = math.ldexp(s, -e), 0
+        for i in range(n):
+            q = d[i] - sigma - (e2[i - 1] / q if i else 0.0)
+            if abs(q) < pivmin:
+                q = -pivmin
+            below += q < 0.0
+        counts.append(below)
+    return counts
 
 
 def _tridiagonalize_stack(a: np.ndarray, tiny: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ import math
 import numpy as np
 
 from .errors import ConfigError, int_in
-from .linalg import N_MAX, REL_ZERO, STACK_ENTRIES, SymMatrix, eig_sym, inertia, inertia_stack
+from .linalg import (
+    N_MAX, REL_ZERO, STACK_ENTRIES, SymMatrix, eig_sym, inertia_stack, sturm_count, zero_threshold,
+)
 
 #: a 1x1 pivot must reach ALPHA * max|S| (Bunch & Parlett, SIAM J. Numer. Anal. 8, 1971)
 ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
@@ -74,23 +76,24 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
 
     Requires r = n_neg(A) <= k <= N_MAX.  Returns ``(vectors, (n - r, k), err)``,
     rows are vectors, with ``err`` the relative Frobenius error of gram_of on
-    them.  They come from :func:`_eliminate` on A / 2^e at the zero threshold
-    (e the binade of A rounded up to even, so 2^(e/2) scales them back
-    exactly).  Its minus count is at least r (Weyl), and more only through
-    eigenvalues counted as zero: it is padded like r up to k, refused above.
+    them.  r is the Sturm count :func:`sturm_count` at minus the zero
+    threshold; only the refusals run :func:`eig_sym`.  The vectors come from
+    :func:`_eliminate` on A / 2^e at the zero threshold (e the binade of A
+    rounded up to even, so 2^(e/2) scales them back exactly).  Its minus
+    count is at least r (Weyl), and more only through eigenvalues counted as
+    zero: it is padded like r up to k, refused above.
     """
     int_in(k, "k", 0, N_MAX)
-    lam, _ = eig_sym(A)
-    if not np.all(np.isfinite(lam)):
+    if not math.isfinite(A.fro) and not np.all(np.isfinite(eig_sym(A)[0])):
         raise ConfigError("an eigenvalue is beyond the largest double")
-    r = inertia(A, lam=lam).n_neg
+    r = sturm_count(A, [-zero_threshold(A)])[0]
     if r > k:
         raise ConfigError(f"matrix has {r} negative eigenvalues, more than k = {k}")
     n, e = A.n, A._e + (A._e & 1)
     plus, minus = _eliminate(np.ldexp(A.entries, -e), math.ldexp(REL_ZERO * A._s, A._e - e))
     if len(minus) > k:
         raise ConfigError(
-            f"eigenvalue {lam[k]:.3e} counts as zero, but elimination takes it as a minus "
+            f"eigenvalue {eig_sym(A)[0][k]:.3e} counts as zero, but elimination takes it as a minus "
             f"direction ({len(minus)} in all, more than k = {k})"
         )
     vectors = np.zeros((n, n - r + k))

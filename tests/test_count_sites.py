@@ -7,15 +7,18 @@ after the first through the same ``_count`` (``_screen``), so it adds no
 count site.  The scalar calls left are the one judge ``_make_witness``
 (its slots, then its lanes: the image and, for a lift claim, the lifted
 images), which sees a recipe's first candidate and the flagged ones only,
-the pinned eigenvalues of ``_suite_pinned`` and the pencil base, counted
-once per ``lemma_suite`` call.
+the pinned eigenvalues of ``_suite_pinned``, two ``sturm_count`` shifts at
+the edges of their window, and the pencil base, counted once per
+``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler and the recipes' member filler build
 their blocks PSD by construction and call the unchecked builders, so nothing
-on their paths counts.  In ``pontryagin.py`` ``gram_realize`` runs one
-eigensolve and counts that spectrum (``inertia`` given ``lam`` solves
-nothing); its vectors come from elimination.  ``leading_negativity_profile``
-counts its leading blocks as stacks.  A scalar
+on their paths counts.  In ``pontryagin.py`` ``gram_realize`` counts its
+negatives with one ``sturm_count`` and forms no eigenvalue; its two
+``eig_sym`` calls run only on its refusals (||A||_F beyond the largest
+double, a zero-counted eigenvalue above k), which name an eigenvalue.  Its
+vectors come from elimination.  ``leading_negativity_profile`` counts its
+leading blocks as stacks.  A scalar
 trial, suite or profile loop, or a count on the sampler's path, coming back
 fails here until it is added to the list on purpose; ``SAMPLER_PATH`` may
 name only functions that exist.
@@ -28,7 +31,7 @@ import inertia_lab
 
 PACKAGE = Path(inertia_lab.__file__).parent
 
-COUNTERS = {"inertia", "eig_sym", "inertia_stack"}
+COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count"}
 
 EXPECTED = sorted(
     [
@@ -36,10 +39,11 @@ EXPECTED = sorted(
         ("harness.py", "_count", "inertia_stack"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_make_witness", "inertia"),
-        ("harness.py", "_suite_pinned", "eig_sym"),
+        ("harness.py", "_suite_pinned", "sturm_count"),
         ("harness.py", "lemma_suite", "inertia"),
         ("pontryagin.py", "gram_realize", "eig_sym"),
-        ("pontryagin.py", "gram_realize", "inertia"),
+        ("pontryagin.py", "gram_realize", "eig_sym"),
+        ("pontryagin.py", "gram_realize", "sturm_count"),
         ("pontryagin.py", "leading_negativity_profile", "inertia_stack"),
     ]
 )

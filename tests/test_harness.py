@@ -345,6 +345,22 @@ def test_lemma_suite_all_green():
     assert rep.label.count("25/25 ok") == 5
 
 
+@pytest.mark.parametrize("shift, pinned", [(0.0, True), (1e-6, False), (-1e-6, False)])
+def test_the_pinned_batch_sees_negatives_moved_off_a_minus_b(monkeypatch, shift, pinned):
+    # the window is 1e-9 |a - b| <= 6e-10 wide; a shift of 1e-6 moves every
+    # eigenvalue out of it, above (lower count) or below (upper count)
+    real = harness.embed_with_negatives
+
+    def moved(a, b, k, eps, block):
+        out = real(a, b, k, eps, block)
+        return SymMatrix(out.entries + shift * np.eye(out.n))
+
+    monkeypatch.setattr(harness, "embed_with_negatives", moved)
+    for seed in range(20):
+        mats, ok = harness._suite_pinned(None, np.random.default_rng(seed))
+        assert ok(inertia(SymMatrix(mats[0]))) is pinned
+
+
 def test_lemma_suite_counts_the_pencil_base_once(monkeypatch):
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=6, seed=5)
     built = []

@@ -24,6 +24,7 @@ from inertia_lab.linalg import (
     inertia,
     inertia_stack,
     is_member,
+    sturm_count,
     sym,
 )
 from inertia_lab.pontryagin import gram_realize
@@ -566,3 +567,72 @@ def test_stack_edge_cases():
     a = np.array([[[1.0, 2.0], [2.0, 1.0]]])
     assert inertia_stack(a, [2]).tolist() == [[1, 0, 1]]
     assert a.tolist() == [[[1.0, 2.0], [2.0, 1.0]]]
+
+
+# ---------------------------------------------------------------------------
+# the scalar Sturm count
+# ---------------------------------------------------------------------------
+
+def _counted(a: SymMatrix) -> Inertia:
+    """inertia(a) from sturm_count at -tau and +tau."""
+    tau = linalg.zero_threshold(a)
+    below, above = sturm_count(a, [-tau, tau])
+    return Inertia(below, above - below, a.n - above)
+
+
+def _spread(rng, n: int) -> SymMatrix:
+    """Q diag(lam) Q^T with O(1) eigenvalues, some of them at 0, +-tau / 2 and
+    +-2 tau: every one at least 1e-3 tau from +-tau."""
+    lam = rng.standard_normal(n)
+    lam[np.abs(lam) < 1e-3] = 1.0
+    tau = linalg.REL_ZERO * float(np.linalg.norm(lam))
+    small = rng.random(n) < 0.3
+    lam[small] = tau * rng.choice([0.0, -0.5, 0.5, -2.0, 2.0], size=int(small.sum()))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return SymMatrix((q * lam) @ q.T)
+
+
+def test_sturm_count_agrees_with_inertia_and_a_one_slice_stack():
+    rng = np.random.default_rng(64)
+    for n in range(1, 65):
+        a = _spread(rng, n)
+        tau = linalg.zero_threshold(a)
+        gap = np.abs(np.abs(np.linalg.eigvalsh(a.entries)) - tau)
+        assert np.min(gap) >= 1e-3 * tau  # the spectrum stays clear of +-tau
+        want = inertia(a)
+        assert _counted(a) == want
+        assert Inertia(*inertia_stack(a.entries[None], [n])[0].tolist()) == want
+
+
+@pytest.mark.parametrize("c", [2.0**-600, 2.0**600, 1e-150, 1e150])
+def test_sturm_count_holds_across_scales_and_at_exact_zeros(c):
+    rng = np.random.default_rng(600)
+    for trial in range(40):
+        # exact zero eigenvalues from repeated rows or from zero rows
+        entries, want = _lane(rng, int(rng.integers(1, 13)))
+        if not entries.any():
+            continue  # the zero matrix has tau = 0; it is counted below
+        a = SymMatrix(entries)
+        with np.errstate(**STRICT):
+            assert _counted(a) == want
+            assert _counted(_scaled(a, c)) == want
+    for n in (1, 2, 7):
+        zero = SymMatrix(np.zeros((n, n)))
+        # tau = 0: at -tau the floor alone would call every zero negative
+        assert sturm_count(zero, [-1.0, -0.0, 0.0, 5e-324, 1.0]) == [0, 0, 0, n, n]
+    # eigenvalues 0 and 2; the shift 1 makes the first pivot exactly zero,
+    # which the pivmin floor takes as negative instead of dividing by it
+    assert sturm_count(sym([[1.0, 1.0], [1.0, 1.0]]), [0.5, 1.0, 3.0]) == [1, 1, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=2**32 - 1))
+def test_sturm_counts_are_identical_under_power_of_two_scaling(n, seed):
+    rng = np.random.default_rng(seed)
+    a = random_sym(rng, n)
+    # shifts on the eigenvalues themselves, where rounding decides the count
+    shifts = np.concatenate([np.linalg.eigvalsh(a.entries), rng.standard_normal(3)]).tolist()
+    counts = sturm_count(a, shifts)
+    for j in (-600, -1, 1, 600):
+        scaled = SymMatrix(np.ldexp(a.entries, j))
+        assert sturm_count(scaled, [math.ldexp(s, j) for s in shifts]) == counts

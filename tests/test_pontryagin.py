@@ -268,6 +268,24 @@ def test_a_near_zero_minus_pivot_above_k_is_refused():
         gram_realize(sym(NEAR_ZERO), 0)
 
 
+def test_a_factor_forms_no_eigenvalue_unless_it_refuses(monkeypatch):
+    calls = []
+    real = pontryagin.eig_sym
+    monkeypatch.setattr(pontryagin, "eig_sym", lambda a: calls.append(a.n) or real(a))
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 24, 63):
+        g = rng.standard_normal((n, n))
+        a = SymMatrix(g + g.T)
+        _round_trip(a, inertia(a).n_neg + n % 3)
+    _round_trip(sym(NEAR_ZERO), 1)
+    _round_trip(SymMatrix(np.zeros((3, 3))), 0)
+    assert calls == []
+    # the refusal that names a zero-counted eigenvalue is the one that solves
+    with pytest.raises(ConfigError, match="counts as zero"):
+        gram_realize(sym(NEAR_ZERO), 0)
+    assert calls == [2]
+
+
 # ---------------------------------------------------------------------------
 # the profile as stacks of leading blocks
 # ---------------------------------------------------------------------------

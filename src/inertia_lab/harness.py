@@ -196,11 +196,14 @@ class TrialConfig:
 # ---------------------------------------------------------------------------
 
 def _random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    sgn = np.sign(np.diag(r))
-    sgn[sgn == 0.0] = 1.0
-    return q * sgn
+    """Q of the QR factorization of an n x n Gaussian matrix.
+
+    Q itself is not Haar (its column signs follow R's diagonal), but the
+    sampler only forms Q diag(lam) Q^T, which no sign flip D of Q's columns
+    changes (Q D diag(lam) D Q^T = Q diag(lam) Q^T): each sample is the one
+    a Haar Q would give.
+    """
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
 
 
 def _random_partition(n: int, s: int, rng: np.random.Generator) -> list[list[int]]:

@@ -264,14 +264,19 @@ def _tridiagonalize(a: np.ndarray, tiny: float) -> tuple[list, list]:
 
     Returns T's diagonal ``d`` and off-diagonal ``off`` (``off[i]`` couples
     ``d[i]`` and ``d[i + 1]``; ``off[n - 1] = 0``).  A column whose entries
-    below the subdiagonal have norm at most ``tiny`` is left as it is.
+    below the subdiagonal have norm at most ``tiny`` is left as it is.  Each
+    step forms its rank-two update v w^T + w v^T once, as the m x m view
+    ``t`` of one n^2 scratch buffer mirrored onto itself (t = v w^T, then
+    t += t^T: w_i v_j == v_j w_i in IEEE arithmetic), and the same view holds
+    the products that sum to p = beta S v.
     """
     n = a.shape[0]
     off = [0.0] * n
+    buf = np.empty(n * n)
     for k in range(n - 2):
         x = a[k + 1 :, k]
         x0 = float(x[0])
-        tail = float(np.sum(x[1:] ** 2))
+        tail = float(np.add.reduce(x[1:] ** 2))
         if tail <= tiny * tiny:
             off[k] = x0
             continue
@@ -281,12 +286,16 @@ def _tridiagonalize(a: np.ndarray, tiny: float) -> tuple[list, list]:
         v = x.copy()
         v[0] -= alpha
         beta = 1.0 / (norm * (norm + abs(x0)))
-        sub = a[k + 1 :, k + 1 :]
-        p = beta * np.sum(sub * v, axis=1)
-        w = p - (0.5 * beta * float(np.sum(p * v))) * v
-        sub -= np.multiply.outer(v, w) + np.multiply.outer(w, v)
+        m = n - k - 1
+        sub, t = a[k + 1 :, k + 1 :], buf[: m * m].reshape(m, m)
+        p = beta * np.add.reduce(np.multiply(sub, v, out=t), axis=1)
+        w = p - (0.5 * beta * float(np.add.reduce(p * v))) * v
+        np.multiply.outer(v, w, out=t)
+        t += t.T
+        sub -= t
         off[k] = alpha
-    off[n - 2] = float(a[n - 1, n - 2])
+    if n > 1:
+        off[n - 2] = float(a[n - 1, n - 2])
     return np.diag(a).tolist(), off
 
 
@@ -412,24 +421,36 @@ def _tridiagonalize_stack(a: np.ndarray, tiny: np.ndarray) -> tuple[np.ndarray, 
 
     ``a`` is overwritten; ``tiny`` holds one skip threshold
     per slice.  A lane whose column is already reduced gets beta = 0, so the
-    update leaves it as it is.  Returns the (B, N) arrays ``d`` and ``off``.
+    update leaves it as it is (it can only turn a -0.0 into +0.0); a column
+    that every lane has reduced is skipped, as :func:`_tridiagonalize` skips
+    it.  The rank-two update is mirrored in one scratch stack, as there.
+    Returns the (B, N) arrays ``d`` and ``off``.
     """
     n = a.shape[1]
     off = np.zeros(a.shape[:2])
+    tiny2 = tiny * tiny
+    buf = np.empty(a.size)
     for k in range(n - 2):
         x = a[:, k + 1 :, k]
         x0 = x[:, 0]
         tail = np.einsum("bi,bi->b", x[:, 1:], x[:, 1:])
-        skip = tail <= tiny * tiny
+        skip = tail <= tiny2
+        if skip.all():
+            off[:, k] = x0
+            continue
         norm = np.sqrt(x0 * x0 + tail)
         alpha = -np.copysign(norm, x0)
         v = x.copy()
         v[:, 0] -= alpha
-        beta = np.where(skip, 0.0, 1.0 / np.where(skip, 1.0, norm * (norm + np.abs(x0))))
-        sub = a[:, k + 1 :, k + 1 :]
+        den = norm * (norm + np.abs(x0))
+        beta = np.divide(1.0, den, out=np.zeros_like(den), where=~skip)
+        m = n - k - 1
+        sub, t = a[:, k + 1 :, k + 1 :], buf[: len(a) * m * m].reshape(-1, m, m)
         p = beta[:, None] * np.einsum("bij,bj->bi", sub, v)
         w = p - (0.5 * beta * np.einsum("bi,bi->b", p, v))[:, None] * v
-        sub -= v[:, :, None] * w[:, None, :] + w[:, :, None] * v[:, None, :]
+        np.multiply(v[:, :, None], w[:, None, :], out=t)
+        t += t.transpose(0, 2, 1)
+        sub -= t
         off[:, k] = np.where(skip, x0, alpha)
     if n > 1:
         off[:, n - 2] = a[:, n - 1, n - 2]

@@ -48,15 +48,18 @@ def _eliminate(s: np.ndarray, tau: float) -> tuple[list, list]:
     columns (1, -t) and (t, 1), unnormalised, so each mu carries 1 + t^2.  A
     pivot mu with column u deflates S -= u u^T / mu and sends u sqrt|mu| / mu
     to its side.  It stops when the m rows left have m * max|S| <= tau.
+    |S| and each deflation's u (u / mu)^T are written into two n x n
+    scratch arrays, allocated once.
     """
-    n = len(s)
+    n = left = len(s)
     plus, minus = cols = ([], [])
+    big, uu = np.empty_like(s), np.empty_like(s)
     while True:
-        big = np.abs(s)
-        p, q = divmod(int(np.argmax(big)), n)
-        if (n - len(plus) - len(minus)) * big[p, q] <= tau:
+        np.abs(s, out=big)
+        p, q = divmod(int(big.argmax()), n)
+        if left * big[p, q] <= tau:
             return cols
-        i = int(np.argmax(np.diagonal(big)))
+        i = int(big.diagonal().argmax())
         if big[i, i] >= ALPHA * big[p, q]:
             pivots, done = [(s[:, i].copy(), s[i, i])], [i]
         else:
@@ -66,9 +69,10 @@ def _eliminate(s: np.ndarray, tau: float) -> tuple[list, list]:
             up, uq, w = s[:, p], s[:, q], 1.0 + t * t
             pivots, done = [(up - t * uq, (a - t * b) * w), (t * up + uq, (c + t * b) * w)], [p, q]
         for u, mu in pivots:
-            s -= np.multiply.outer(u, u / mu)
+            s -= np.multiply.outer(u, u / mu, out=uu)
             cols[int(mu < 0.0)].append(u * (math.sqrt(abs(mu)) / mu) + 0.0)  # no -0.0 printed
         s[done] = s[:, done] = 0.0
+        left -= len(done)
 
 
 def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], float]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -593,6 +594,42 @@ def test_pontryagin_factor_at_extreme_scales(scale):
     rep = json.loads(out)
     assert rep["signature"] == {"plus": 1, "minus": 1}
     assert rep["error"] < 1e-10
+
+
+def _factor_input(name: str) -> np.ndarray:
+    if name == "low-rank-12":
+        # rank 3, one minus direction: elimination stops after three pivots.
+        # The entries are small integers, so the product is exact under any BLAS.
+        i, j = np.indices((12, 3))
+        b = ((5 * i + 3 * j + i * j) % 7 - 3).astype(float)
+        return (b * np.array([1.0, -1.0, 1.0])) @ b.T
+    i, j = np.indices((int(name),) * 2)
+    return ((7 * (i + j) + 3 * i * j) % 17 - 8).astype(float)
+
+
+# sha256 of the stdout up to the "error" field, recorded before the
+# elimination reused its scratch buffers.  Vectors and signature come from
+# elementwise numpy and a Sturm count, so their bytes do not depend on the
+# CPU or the BLAS; the error is measured through gram_of's @ product (see
+# test_blas_free.py), so it is only bounded.
+FACTOR_PINS = {
+    ("5", 4): "e94f798953c499abb455c9ca141a826fe9d996e3793a3c11acf8d92c2143c390",
+    ("24", 9): "91f7b695885a593b2278581c32279e06ebfbeec9ead45fef50a6a5db44e686be",
+    ("63", 9): "717405bd56f93e8fdf227e60e604d0e1c1193430d7b1eefdf1140132f7848554",
+    ("low-rank-12", 1): "044451efb1d8390043545fb16d552882a98247ab514d7301850636f465ba56f5",
+}
+
+
+@pytest.mark.parametrize("name,k", list(FACTOR_PINS))
+def test_pontryagin_factor_bytes_are_pinned(name, k):
+    matrix = json.dumps(_factor_input(name).tolist())
+    code, out, err = run_cli(["pontryagin", "factor", "--matrix", matrix, "--k", str(k)])
+    assert code == 0
+    head, tail = out.split('  "error": ')
+    assert hashlib.sha256(head.encode()).hexdigest() == FACTOR_PINS[name, k]
+    assert float(tail.rstrip("}\n")) < 1e-14
+    if name == "low-rank-12":
+        assert sum(any(col) for col in zip(*json.loads(out)["vectors"])) == 3
 
 
 def test_pontryagin_rejects_cap_below_negativity():

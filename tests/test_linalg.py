@@ -139,6 +139,29 @@ def test_eigenvalue_bytes_are_pinned(n):
     assert hashlib.sha256(eig_sym(a)[0].tobytes()).hexdigest() == PINNED_SPECTRA[n]
 
 
+def _block_input() -> SymMatrix:
+    """Blocks of sizes 4, 2, 5, 1 and 3: the reduction skips a column at the
+    end of each block, which the dense pinned inputs never do."""
+    blocks = [_pin_input(4), np.diag([3.0, -2.0]), _pin_input(5)[::-1, ::-1], np.ones((1, 1)), _pin_input(3)]
+    return SymMatrix(linalg._direct_sum(blocks))
+
+
+def test_reduction_bytes_of_a_block_diagonal_input_are_pinned():
+    # sha256 of (d, off), recorded before the reduction mirrored its rank-two
+    # update in a scratch buffer
+    a = _block_input()
+    d, off = linalg._tridiagonalize(np.ldexp(a.entries, -a._e), linalg._EPS * a._s)
+    assert [k for k, x in enumerate(off) if x == 0.0] == [3, 4, 5, 10, 11, 14]
+    digest = hashlib.sha256(np.array(d).tobytes() + np.array(off).tobytes()).hexdigest()
+    assert digest == "54d3567bf1f06f548a731a85dd7753ebeea8ea7bd96ef60f8b3e0b3eff07750c"
+
+
+def test_a_one_by_one_reduction_has_a_zero_off_diagonal():
+    assert linalg._tridiagonalize(np.array([[3.0]]), 0.0) == ([3.0], [0.0])
+    d, off = linalg._tridiagonalize_stack(np.array([[[3.0]]]), np.zeros(1))
+    assert (d.tolist(), off.tolist()) == ([[3.0]], [[0.0]])
+
+
 # ---------------------------------------------------------------------------
 # inertia on pinned examples
 # ---------------------------------------------------------------------------
@@ -567,6 +590,33 @@ def test_stack_edge_cases():
     a = np.array([[[1.0, 2.0], [2.0, 1.0]]])
     assert inertia_stack(a, [2]).tolist() == [[1, 0, 1]]
     assert a.tolist() == [[[1.0, 2.0], [2.0, 1.0]]]
+
+
+def test_a_column_every_lane_has_reduced_is_skipped():
+    # a diagonal stack skips every column in every lane: it comes back bit
+    # for bit, -0.0 included, with no update applied
+    rng = np.random.default_rng(5)
+    diag = rng.standard_normal((4, 6))
+    diag[1, 2] = -0.0
+    a = np.zeros((4, 6, 6))
+    a[:, range(6), range(6)] = diag
+    d, off = linalg._tridiagonalize_stack(a, np.full(4, 1e-16))
+    assert d.tobytes() == diag.tobytes()
+    assert off.tobytes() == np.zeros((4, 6)).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stack_counts_of_lanes_that_share_block_boundaries(seed):
+    # every lane splits at the same places, so those columns are skipped by
+    # the whole stack while the others are reduced lane by lane
+    rng = np.random.default_rng(seed)
+    parts = _random_partition(12, 4, rng)
+    stack = np.stack([
+        linalg._direct_sum([random_sym(rng, len(p)).entries for p in parts]) for _ in range(7)
+    ])
+    stack[3, :5, :5] = 0.0  # a lane whose first block is already zero
+    got = inertia_stack(stack, [12] * 7).tolist()
+    assert got == [list(inertia(SymMatrix(a))) for a in stack]
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,20 @@ def test_low_rank_matrices_stop_after_their_rank(signs):
         assert int(np.sum(used[n - r :])) == r
 
 
+@pytest.mark.parametrize(
+    "head", [np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]])], ids=["1x1-pivots", "2x2-pivot"]
+)
+def test_the_stop_rule_counts_the_rows_left(head):
+    # a last diagonal entry of 1e-9 lies below tau / m for the one row left,
+    # but above tau / n: elimination stops before it
+    n = len(head) + 1
+    a = np.zeros((n, n))
+    a[:-1, :-1] = head
+    a[-1, -1] = 1e-9
+    vecs, _, _ = gram_realize(SymMatrix(a), 1)
+    assert int(np.sum(np.any(vecs != 0.0, axis=0))) == n - 1
+
+
 def test_the_zero_matrix_factors_to_zero_vectors():
     vecs, sig, err = gram_realize(SymMatrix(np.zeros((3, 3))), 2)
     assert sig == (3, 2) and err == 0.0

@@ -196,8 +196,9 @@ def _lift_rows(n: int, N: int) -> np.ndarray:
 
 
 def _gather(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows][:, rows]: entry (i, j) is a copy of a[rows[i], rows[j]]."""
-    return a.take(rows, 0).take(rows, 1)
+    """a[rows][:, rows]: entry (i, j) is a copy of a[rows[i], rows[j]]; on a
+    (B, n, n) stack, that of every slice (it gathers on the last two axes)."""
+    return a.take(rows, -2).take(rows, -1)
 
 
 def weight_matrix(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:

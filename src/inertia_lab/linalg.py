@@ -153,8 +153,9 @@ class DomainSpec:
 
 def _symmetric(a: np.ndarray) -> np.ndarray:
     """0.5 (a + a^T) + 0.0, the array :class:`SymMatrix` stores for an ``a``
-    whose entries lie below 2^1023, where a + a^T cannot overflow."""
-    return 0.5 * (a + a.T) + 0.0
+    whose entries lie below 2^1023, where a + a^T cannot overflow; on a
+    (B, n, n) stack, that of every slice."""
+    return 0.5 * (a + a.swapaxes(-1, -2)) + 0.0
 
 
 class SymMatrix:

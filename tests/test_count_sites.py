@@ -52,7 +52,7 @@ COUNTED = ("constructions.py", "harness.py", "pontryagin.py")
 
 #: the functions a trial's slots are sampled through
 SAMPLER_PATH = {
-    "_sample_slots", "_sample", "_random_orthogonal", "_random_partition",
+    "_sample_slots", "_sample", "_draw", "_settle", "_spectral", "_random_partition",
     "_equicorrelation", "_gather", "_row_map",
 }
 

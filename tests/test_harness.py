@@ -1,5 +1,9 @@
+import contextlib
 import hashlib
+import io
+import json
 import math
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -7,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertia_lab import harness
+from inertia_lab import cli, harness
 from inertia_lab._json import dumps
 from inertia_lab.constructions import lift_finite
-from inertia_lab.errors import ConfigError, SamplingError
+from inertia_lab.errors import ConfigError, DomainViolation, InertiaLabError, SamplingError
 from inertia_lab.functions import (
     AdmissibleK,
     Affine,
@@ -402,8 +406,8 @@ def test_lemma_suite_splits_the_stack_without_changing_the_label(monkeypatch):
     monkeypatch.setattr(harness, "inertia_stack", spy)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=9)
     whole = lemma_suite(cfg)
-    # one stack per batch
-    assert len(shapes) == len(harness._SUITE)
+    # one stack per suite while it fits: 40 trials of 9 lanes, at most 12 x 12
+    assert shapes == [(40 * 9, 12)]
     lanes = sum(b for b, _ in shapes)
     shapes.clear()
     monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
@@ -519,6 +523,26 @@ def test_sampler_bytes_are_pinned(kind, rho):
     assert _digest(mats) == SAMPLER_DIGESTS[kind, rho]
 
 
+@pytest.mark.parametrize("rho", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_size_group_built_at_once_has_the_bytes_of_its_slots_built_one_at_a_time(kind, rho):
+    """The trial loop builds a chunk's slots of one size in one call; the
+    sampler builds each one alone (a batch of one).  Groups of 1 to 40 slots
+    over every valid (n, k) with n <= 12."""
+    dom = DomainSpec(kind, rho)
+    pairs = [(n, k) for n in range(1, 13) for k in range(n + 1 - dom.one_sided)]
+    for i, (n, k) in enumerate(pairs):
+        size = 1 + i % 40
+        rng = _rng(i)
+        draws = [harness._draw(n, k, dom, rng) for _ in range(size)]
+        group = harness._settle(draws)
+        assert group.shape == (size, n, n)
+        rng = _rng(i)
+        alone = [sample_with_inertia(n, k, dom, rng).entries for _ in range(size)]
+        assert [a.tobytes() for a in group] == [a.tobytes() for a in alone], (n, k, size)
+    assert len(pairs) >= 40
+
+
 # the recipe domains plus rho = 1e-12, where three recipes find no witness
 PINNED_DOMAINS = [p.values for p in RECIPE_DOMAINS] + [(kind, 1e-12) for kind in KINDS]
 
@@ -597,24 +621,35 @@ def test_verify_and_falsify_at_extreme_scales(rho):
 # ---------------------------------------------------------------------------
 
 def _scalar_trials(claim, fn, cfg, clause, closure):
-    """The scalar trial loop: sample, apply and count one trial at a time."""
+    """The scalar trial loop: sample, check, apply and count one trial at a
+    time; a slot outside the domain or a non-finite image raises."""
     witnesses = []
     for i in range(cfg.trials):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        mats = sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)
-        w = harness._make_witness(claim, fn, [m.entries for m in mats], cfg, clause)
+        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)]
+        for p, a in enumerate(slots, start=1):
+            cfg.dom.check_matrix(a, slot=p)
+        if not np.all(np.isfinite(fn(*slots))):
+            raise ConfigError("matrix entries must be finite")
+        w = harness._make_witness(claim, fn, slots, cfg, clause)
         if w is not None:
             witnesses.append(w)
     return len(witnesses), witnesses[: harness.WITNESS_CAP]
 
 
-# (run, claim, fn, kind, k, l): all five claims; constant and affine maps
-# have f(0) != 0, so the stack's padding must be zeroed after f is applied
+# (run, claim, fn, kind, k, l[, config overrides]): all five claims; constant
+# and affine maps have f(0) != 0, so the stack's padding must be zeroed after
+# f is applied.  Over n_range (4, 5) a chunk of the many-chunks runs holds
+# several trials of each size, so size groups cross chunk boundaries; x^26
+# overflows on samples whose peak entry passes 10^(308.25 / 26) ~ 7.2e11.
 STACKED_RUNS = {
     "verify-inertia": (verify_forward, "inertia", Homothety(2.5), "two_sided", [1], 1),
     "verify-exact-constant": (verify_forward, "exact", Constant(-5.0), "closed_left", [1], 1),
     "verify-exact-two-slots": (verify_forward, "exact", Homothety(2.0, 2, 2), "two_sided", [1, 1], 1),
+    "verify-exact-two-sizes": (
+        verify_forward, "exact", Homothety(2.0, 2, 2), "two_sided", [1, 1], 1, {"n_range": (4, 5)},
+    ),
     "verify-closure-affine": (verify_forward, "closure", Affine(0.75, 1.5), "two_sided", [2], 2),
     "verify-bounded": (
         verify_forward, "bounded", Series(1, {(0,): 0.25, (1,): 1.0, (2,): 0.5}), "closed_left", [0], 0,
@@ -626,36 +661,146 @@ STACKED_RUNS = {
     "random-bounded-base": (falsify, "bounded", Series(1, {(1,): 1.0, (2,): -0.5}), "closed_left", [0], 0),
     "random-closure-square": (falsify, "closure", Series(1, {(2,): 1.0}), "two_sided", [1], 1),
     "random-lift": (falsify, "lift", Series(1, {(2,): 1.0}), "open_positive", [2], 2),
+    "overflow-lift": (verify_forward, "lift", Series(1, {(26,): 1.0}), "two_sided", [1], 1, {"rho": 1e12}),
 }
+
+#: the cases whose run raises the scalar loop's error instead of reporting
+RAISING = {"overflow-lift"}
+
+
+def _stacked_run(case, trials):
+    """A STACKED_RUNS case at seed 11 as a call with no arguments, its claim
+    and its config (rho = 1 unless set)."""
+    run, claim, fn, kind, k, l, *overrides = STACKED_RUNS[case]
+    opts = {"rho": 1.0, **dict(*overrides)}
+    cfg = TrialConfig(DomainSpec(kind, opts.pop("rho")), AdmissibleK(k), l, trials=trials, seed=11, **opts)
+    kwargs = {} if run is verify_forward else {"strategy": "random"}
+    return partial(run, claim, fn, cfg, **kwargs), claim, cfg
+
+
+def _outcome(call):
+    """The report of ``call``, or the InertiaLabError it raises."""
+    try:
+        with np.errstate(over="ignore"):
+            return call()
+    except InertiaLabError as exc:
+        return exc
 
 
 @pytest.mark.parametrize("stack_entries", [harness.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
 @pytest.mark.parametrize("case", list(STACKED_RUNS))
 def test_stacked_trials_report_the_bytes_of_the_scalar_loop(case, stack_entries, monkeypatch):
-    run, claim, fn, kind, k, l = STACKED_RUNS[case]
-    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=40, seed=11)
-    kwargs = {} if run is verify_forward else {"strategy": "random"}
+    call, claim, cfg = _stacked_run(case, 40)
     monkeypatch.setattr(harness, "STACK_ENTRIES", stack_entries)
-    stacked = run(claim, fn, cfg, **kwargs)
+    stacked = _outcome(call)
     monkeypatch.setattr(harness, "_run_trials", _scalar_trials)
-    scalar = run(claim, fn, cfg, **kwargs)
+    scalar = _outcome(call)
+    if case in RAISING:
+        assert (type(stacked), str(stacked)) == (type(scalar), str(scalar))
+        assert (type(stacked), str(stacked)) == (ConfigError, "matrix entries must be finite")
+        return
     assert dumps(stacked.to_json_dict()) == dumps(scalar.to_json_dict())
     # every random search but the lift one fails, and carries witnesses
     assert bool(stacked.witnesses) == (case.startswith("random-") and case != "random-lift")
     assert all(w.revalidate(claim, cfg) for w in stacked.witnesses)
 
 
+def test_an_overflowing_image_exits_as_the_scalar_loop_does(monkeypatch):
+    spec = {
+        "theorem": "lift",
+        "fn": {"type": "series", "arity": 1, "terms": [{"alpha": [26], "coeff": 1.0}]},
+        "config": {"domain": {"kind": "two_sided", "rho": 1e12}, "k": [1], "l": 1, "trials": 40, "seed": 11},
+    }
+    outputs = []
+    for loop in (harness._run_trials, _scalar_trials):
+        monkeypatch.setattr(harness, "_run_trials", loop)
+        out, err = io.StringIO(), io.StringIO()
+        with np.errstate(over="ignore"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", json.dumps(spec)])
+        outputs.append((code, out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][:2] == (cli.EXIT_CONFIG, "")
+    assert "matrix entries must be finite" in outputs[0][2]
+
+
+def test_an_overflow_raises_from_the_first_failing_trial(monkeypatch):
+    """When a size group fails, the chunk's trials are checked in index
+    order: here the first failing trial is not in the chunk's first size
+    group, which holds a later failing trial of its own."""
+    fn = Series(1, {(26,): 1.0})
+    cfg = TrialConfig(DomainSpec("two_sided", 1e12), AdmissibleK((1,)), 1, trials=40, seed=5)
+    trials = []
+    for i in range(cfg.trials):
+        rng = harness._trial_rng(cfg.seed, i)
+        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng)]
+        with np.errstate(over="ignore"):
+            trials.append((n, slots, bool(np.all(np.isfinite(fn(*slots))))))
+    first = next(i for i, (_, _, finite) in enumerate(trials) if not finite)
+    assert first > 0 and trials[first][0] != trials[0][0]
+    assert any(n == trials[0][0] and not finite for n, _, finite in trials[first:])
+    seen = _spy(monkeypatch, "_lanes")
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="matrix entries must be finite"):
+        harness._run_trials("lift", fn, cfg, "test", closure=False)
+    # the last lanes asked for are those of the trial that raised
+    assert [a.tobytes() for a in seen[-1][2]] == [a.tobytes() for a in trials[first][1]]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_stacked_domain_check_gives_check_matrix_s_verdict_and_message_at_the_edges(kind, monkeypatch):
+    rho = 1.5
+    dom = DomainSpec(kind, rho)
+    cfg = TrialConfig(dom, AdmissibleK((1, 1)), 1, n_range=(2, 2), trials=6)
+    fn = Homothety(1.0, 2, 2)
+    inner = np.full((2, 2), 0.75)
+    edges = [rho, -rho, np.nextafter(rho, 0.0), np.nextafter(-rho, 0.0), 0.0, -0.0, 5e-324]
+    refused = set()
+    for value in edges:
+        for i, j in ((0, 0), (1, 0)):
+            edge = inner.copy()
+            edge[i, j] = value
+            try:
+                dom.check_matrix(edge, slot=2)
+                want = None
+            except DomainViolation as exc:
+                want = str(exc)
+            # trial 3 of 6 holds the edge in slot 2; all six form one size group
+            queue = iter([(inner, inner)] * 3 + [(inner, edge)] + [(inner, inner)] * 2)
+            monkeypatch.setattr(harness, "_sample_slots", lambda *args: next(queue))
+            try:
+                harness._run_trials("exact", fn, cfg, "test", closure=False)
+                got = None
+            except DomainViolation as exc:
+                got = str(exc)
+            assert got == want, (value, i, j)
+            refused.add(want is not None)
+    # every kind refuses an entry at rho and keeps the entries next to it
+    assert refused == {True, False}
+
+
 @pytest.mark.parametrize("case", [c for c in STACKED_RUNS if c.startswith("verify-")])
 def test_a_passing_verify_builds_no_symmatrix(case, monkeypatch):
     """Trials sample, check and apply f on arrays; only a flagged trial gets SymMatrix slots."""
-    run, claim, fn, kind, k, l = STACKED_RUNS[case]
-    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=50, seed=11)
+    call, _, _ = _stacked_run(case, 50)
     built = []
     real = SymMatrix.__init__
     monkeypatch.setattr(SymMatrix, "__init__", lambda self, entries: built.append(1) or real(self, entries))
-    rep = verify_forward(claim, fn, cfg)
+    rep = call()
     assert rep.label == "pass: 50 trials, 0 failures"
     assert not built
+
+
+def test_size_groups_cross_chunk_boundaries(monkeypatch):
+    groups = _spy(monkeypatch, "_spectral")
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    call, _, cfg = _stacked_run("verify-exact-two-sizes", 40)
+    assert call().failures == 0
+    # one build per size and chunk, both slots of its trials at once: each
+    # size is built in several chunks, and a build holds several trials
+    sizes = [len(draws[0].g) for (draws,) in groups]
+    assert sizes.count(4) > 1 and sizes.count(5) > 1
+    assert sum(len(draws) for (draws,) in groups) == 2 * cfg.trials
+    assert max(len(draws) for (draws,) in groups) > 2
 
 
 def test_many_chunks_really_split_the_trials(monkeypatch):
@@ -675,9 +820,9 @@ def test_many_chunks_really_split_the_trials(monkeypatch):
     assert sizes == [6, 8, 6, 6, 6, 10, 6, 12, 6, 6, 6, 2]
 
 
-@pytest.mark.parametrize("case", list(STACKED_RUNS))
+@pytest.mark.parametrize("case", [c for c in STACKED_RUNS if c not in RAISING])
 def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypatch):
-    run, claim, fn, kind, k, l = STACKED_RUNS[case]
+    call, claim, cfg = _stacked_run(case, 40)
     shapes = []
     real = harness.inertia_stack
 
@@ -687,8 +832,7 @@ def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypat
 
     monkeypatch.setattr(harness, "inertia_stack", spy)
     monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
-    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK(k), l, trials=40, seed=11)
-    run(claim, fn, cfg, **({} if run is verify_forward else {"strategy": "random"}))
+    call()
     lanes = 1 + (claim == "inertia") + 2 * (claim == "lift")
     assert sum(b for b, _ in shapes) == lanes * cfg.trials
     assert all(b * n * n <= 300 or b == lanes for b, n in shapes)

@@ -43,13 +43,7 @@ def block_pair(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     """
     if A.n != B.n:
         raise ConfigError("block_pair needs two matrices of one size")
-    n = A.n
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = A.entries
-    out[n:, n:] = A.entries
-    out[:n, n:] = B.entries
-    out[n:, :n] = B.entries
-    return SymMatrix(out)
+    return SymMatrix(np.block([[A.entries, B.entries], [B.entries, A.entries]]))
 
 
 def replicated_block(A: SymMatrix, k: int, l: int, t0: float) -> SymMatrix:

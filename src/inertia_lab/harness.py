@@ -25,7 +25,8 @@ will count; ``_on_stack`` packs trials in index order, by those sizes
 alone, into chunks of at most ``STACK_ENTRIES`` zero-padded entries (a
 single trial may pass it), settles each chunk into the arrays and a check
 over their counts per trial, and counts the chunk as one stack
-(``linalg.inertia_stack``).  A suite's five batches share one such stream.
+(``linalg.inertia_stack``).  A suite's five batches share one such stream
+and build their trials as plain arrays, with the unchecked builders.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
 settled by size group: the group's two-sided slots are built by one
@@ -68,8 +69,6 @@ from .constructions import (
     _ones_spike,
     _row_map,
     block_pair,
-    embed_with_negatives,
-    inflate,
     ones_pencil,
     pencil_base,
     two_by_two_pair,
@@ -1045,9 +1044,9 @@ def falsify(
 def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator):
     n = int(rng.integers(1, 7))
     scale = cfg.dom.rho_eff / 2.0
-    a = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
-    b = SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n))))
-    mats = [block_pair(a, b).entries, a.entries + b.entries, a.entries - b.entries]
+    a = scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n)))
+    b = scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n)))
+    mats = [np.block([[a, b], [b, a]]), a + b, a - b]
     return mats, lambda lhs, plus, minus: lhs == Inertia(*(x + y for x, y in zip(plus, minus)))
 
 
@@ -1064,8 +1063,8 @@ def _suite_inflation(cfg: TrialConfig, rng: np.random.Generator):
     s = int(rng.integers(1, 6))
     n = s + int(rng.integers(0, 6))
     g = rng.uniform(-1.0, 1.0, size=(s, s))
-    a = SymMatrix(g + g.T)
-    mats = [a.entries, inflate(a, _random_partition(n, s, rng)).entries]
+    a = g + g.T
+    mats = [a, _gather(a, _row_map(_random_partition(n, s, rng), n))]
     return mats, lambda before, after: (before.n_neg, before.n_pos) == (after.n_neg, after.n_pos)
 
 
@@ -1076,18 +1075,20 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator):
     eps = rng.uniform(0.0, 0.2)
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
-    out = embed_with_negatives(a, b, k, eps, SymMatrix(v @ v.T))
+    # v v^T is PSD, so the embedding keeps exactly k negatives uncounted
+    psd = _symmetric(np.einsum("ik,jk->ij", v, v))
+    out = _direct_sum([_equicorrelation(k + 1, a, b), psd], eps)
     # the k negatives lie within 1e-9 |a - b| of a - b: none below, k below the top
     w = 1e-9 * abs(a - b)
-    low, high = sturm_count(out, [a - b - w, a - b + w])
+    low, high = sturm_count(SymMatrix(out), [a - b - w, a - b + w])
     pinned = low == 0 and high >= k
-    return [out.entries], lambda c: c.n_neg == k and pinned
+    return [out], lambda c: c.n_neg == k and pinned
 
 
-def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator):
+def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator, base: np.ndarray):
     k = int(rng.integers(1, 5))
     t = float(rng.uniform(1.05, 10.0))
-    return [ones_pencil(k, t).entries], lambda c: c.n_neg == k - 1
+    return [_direct_sum([base] * k, t)], lambda c: c.n_neg == k - 1
 
 
 _SUITE = [
@@ -1107,17 +1108,19 @@ def lemma_suite(cfg: TrialConfig) -> VerdictReport:
     """
     started = time.perf_counter()
     # every pencil trial stands on one fixed matrix: with the wrong count, none is drawn
-    skipped = _suite_pencil if inertia(pencil_base()) != Inertia(1, 0, 2) else None
+    base = pencil_base()
+    pencil = partial(_suite_pencil, base=base.entries) if inertia(base) == Inertia(1, 0, 2) else None
+    batches = [(name, pencil if batch is _suite_pencil else batch) for name, batch in _SUITE]
     # trial i of batch j draws from stream (j << 40) + i, apart from every
     # verify and falsify stream
     checks = _stacked(cfg, [
         (j << 40, lambda rng, batch=batch: _built(batch(cfg, rng)))
-        for j, (_, batch) in enumerate(_SUITE, start=1) if batch is not skipped
+        for j, (_, batch) in enumerate(batches, start=1) if batch is not None
     ])
     failures = 0
     parts = []
-    for name, batch in _SUITE:
-        bad = cfg.trials if batch is skipped else sum(not ok for ok in islice(checks, cfg.trials))
+    for name, batch in batches:
+        bad = cfg.trials if batch is None else sum(not ok for ok in islice(checks, cfg.trials))
         failures += bad
         parts.append(f"{name}: {cfg.trials - bad}/{cfg.trials} ok")
     label = "; ".join(parts)

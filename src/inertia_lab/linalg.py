@@ -1,15 +1,16 @@
 """Symmetric matrices, inertia counting, and the basic matrix algebra.
 
-Everything downstream (constructions, the verification harness, the CLI)
-speaks :class:`SymMatrix`.  Eigenvalues come from a hand-written Householder
-reduction to tridiagonal form followed by implicit-shift QL (Golub & Van Loan,
-*Matrix Computations*, section 8.3; EISPACK ``tql2``), in elementwise numpy
-only, so the whole negativity bookkeeping chain is self-contained and its
-bytes do not depend on the BLAS build; LAPACK never enters the runtime path.
-No eigenvectors are formed.  Many matrices are counted at once by
+The public API (constructions, the CLI, the harness's judge) speaks
+:class:`SymMatrix`; the harness's trial loop, recipes and suite build plain
+arrays.  Eigenvalues come from a hand-written Householder reduction to
+tridiagonal form followed by implicit-shift QL (Golub & Van Loan, *Matrix
+Computations*, section 8.3; EISPACK ``tql2``), in elementwise numpy only, so
+the whole negativity bookkeeping chain is self-contained and its bytes do not
+depend on the BLAS build; LAPACK never enters the runtime path.  No
+eigenvectors are formed.  Many matrices are counted at once by
 :func:`inertia_stack`: the same reduction run on a whole zero-padded stack,
-then a Sturm count instead of QL.  :func:`sturm_count` is that Sturm count
-for one matrix and a few shifts.
+then a Sturm count instead of QL.  :func:`sturm_count` is that Sturm count for
+one matrix and a few shifts.
 """
 
 from __future__ import annotations

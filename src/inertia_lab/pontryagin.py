@@ -114,8 +114,9 @@ def leading_negativity_profile(A: SymMatrix) -> list[int]:
 
     The blocks are counted by :func:`inertia_stack` in order of size, each
     stack padded to its largest block and kept within ``STACK_ENTRIES``
-    entries (one block alone may pass it).  By eigenvalue interlacing the
-    sequence is nondecreasing and ends at n_neg(A).
+    entries (one block alone may pass it).  Block j counts against its own
+    zero threshold, ``REL_ZERO`` * ||A_j||_F, so the sequence ends at n_neg(A)
+    but can fall: ``[[-1, 0], [0, 1e10]]`` gives [1, 0].
     """
     profile, n = [], A.n
     while len(profile) < n:

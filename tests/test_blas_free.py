@@ -4,13 +4,13 @@
 counting chain (``linalg``, ``constructions``, ``functions``) forms no ``@``
 product and calls no LAPACK routine.  ``np.dot``, ``np.matmul``,
 ``np.tensordot``, ``np.inner``, ``np.vdot``, a ``.dot(`` method and an
-``einsum`` given ``optimize`` route to BLAS as ``@`` does, so they count too.  The only ones left are in the sampler,
-in the pinned-inertia suite batch and in ``pontryagin.gram_of``.  Some of
-their bytes do reach reports: a witness that carries sampled slots (from
-random search or the constant-map recipe) prints them, and ``pontryagin
-factor`` prints the error that ``gram_of`` measures; those bytes may differ
-between BLAS builds.  A new one fails here until it is added to the list on
-purpose.
+``einsum`` given ``optimize`` route to BLAS as ``@`` does, so they count
+too.  The only ones left are in the sampler and in ``pontryagin.gram_of``.
+Some of their bytes do reach reports: a witness that carries sampled slots
+(from random search or the constant-map recipe) prints them, and
+``pontryagin factor`` prints the error that ``gram_of`` measures; those
+bytes may differ between BLAS builds.  A new one fails here until it is
+added to the list on purpose.
 """
 
 import ast
@@ -26,7 +26,6 @@ ALLOWED = sorted(
         ("harness.py", "_spectral", "@"),
         ("harness.py", "_draw", "@"),
         ("harness.py", "_draw", "@"),
-        ("harness.py", "_suite_pinned", "@"),
         ("pontryagin.py", "gram_of", "@"),
     ]
 )

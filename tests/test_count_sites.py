@@ -11,9 +11,9 @@ the pinned eigenvalues of ``_suite_pinned``, two ``sturm_count`` shifts at
 the edges of their window, and the pencil base, counted once per
 ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
-a caller's block is PSD.  The sampler and the recipes' member filler build
-their blocks PSD by construction and call the unchecked builders, so nothing
-on their paths counts.  In ``pontryagin.py`` ``gram_realize`` counts its
+a caller's block is PSD.  The sampler, the pinned suite batch and the
+recipes' member filler build their blocks PSD by construction and call the
+unchecked builders, so nothing on their paths counts.  In ``pontryagin.py`` ``gram_realize`` counts its
 negatives with one ``sturm_count`` and forms no eigenvalue; its two
 ``eig_sym`` calls run only on its refusals (||A||_F beyond the largest
 double, a zero-counted eigenvalue above k), which name an eigenvalue.  Its

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 
 from inertia_lab import cli, harness
 from inertia_lab._json import dumps
-from inertia_lab.constructions import lift_finite
+from inertia_lab.constructions import (
+    block_pair,
+    embed_with_negatives,
+    inflate,
+    lift_finite,
+    ones_pencil,
+    pencil_base,
+)
 from inertia_lab.errors import ConfigError, DomainViolation, InertiaLabError, SamplingError
 from inertia_lab.functions import (
     AdmissibleK,
@@ -353,13 +360,13 @@ def test_lemma_suite_all_green():
 def test_the_pinned_batch_sees_negatives_moved_off_a_minus_b(monkeypatch, shift, pinned):
     # the window is 1e-9 |a - b| <= 6e-10 wide; a shift of 1e-6 moves every
     # eigenvalue out of it, above (lower count) or below (upper count)
-    real = harness.embed_with_negatives
+    real = harness._direct_sum
 
-    def moved(a, b, k, eps, block):
-        out = real(a, b, k, eps, block)
-        return SymMatrix(out.entries + shift * np.eye(out.n))
+    def moved(blocks, eps):
+        out = real(blocks, eps)
+        return out + shift * np.eye(len(out))
 
-    monkeypatch.setattr(harness, "embed_with_negatives", moved)
+    monkeypatch.setattr(harness, "_direct_sum", moved)
     for seed in range(20):
         mats, ok = harness._suite_pinned(None, np.random.default_rng(seed))
         assert ok(inertia(SymMatrix(mats[0]))) is pinned
@@ -383,12 +390,56 @@ def _eigvalsh_counts(a) -> tuple[int, int, int]:
     return neg, len(a) - neg - pos, pos
 
 
+def _public_block_identity(cfg, rng):
+    n = int(rng.integers(1, 7))
+    scale = cfg.dom.rho_eff / 2.0
+    a, b = (SymMatrix(scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n)))) for _ in "ab")
+    return [block_pair(a, b).entries, a.entries + b.entries, a.entries - b.entries]
+
+
+def _public_inflation(cfg, rng):
+    s = int(rng.integers(1, 6))
+    n = s + int(rng.integers(0, 6))
+    a = SymMatrix((lambda g: g + g.T)(rng.uniform(-1.0, 1.0, size=(s, s))))
+    return [a.entries, inflate(a, harness._random_partition(n, s, rng)).entries]
+
+
+def _public_pinned(cfg, rng):
+    k = int(rng.integers(1, 5))
+    a = rng.uniform(0.0, 0.3)
+    b = a + rng.uniform(0.1, 0.5)
+    eps = rng.uniform(0.0, 0.2)
+    nb = int(rng.integers(1, 5))
+    v = rng.uniform(0.1, 1.0, size=(nb, nb))
+    return [embed_with_negatives(a, b, k, eps, SymMatrix(np.einsum("ik,jk->ij", v, v))).entries]
+
+
+def _public_pencil(cfg, rng):
+    k = int(rng.integers(1, 5))
+    return [ones_pencil(k, float(rng.uniform(1.05, 10.0))).entries]
+
+
+#: each array-built batch's trial, drawn the same way but built by the public
+#: constructions it stands for (the rank-one batch stands for none)
+_PUBLIC = {
+    "block-identity": _public_block_identity,
+    "inflation": _public_inflation,
+    "pinned-negatives": _public_pinned,
+    "pencil-counts": _public_pencil,
+}
+
+
 @pytest.mark.parametrize("rho", [1.0, 1e-100])
 @pytest.mark.parametrize("j,name,batch", [(j, *b) for j, b in enumerate(harness._SUITE, start=1)])
 def test_suite_batches_count_on_the_stack_as_inertia_and_eigvalsh_do(j, name, batch, rho):
     cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,)), 1, trials=150, seed=3)
+    if batch is harness._suite_pencil:
+        batch = partial(batch, base=pencil_base().entries)
     for i in range(cfg.trials):
         mats, check = batch(cfg, harness._trial_rng(cfg.seed, (j << 40) + i))
+        if name in _PUBLIC:
+            public = _PUBLIC[name](cfg, harness._trial_rng(cfg.seed, (j << 40) + i))
+            assert [(m.shape, m.tobytes()) for m in mats] == [(m.shape, m.tobytes()) for m in public]
         counts = harness._count(mats)
         assert counts == [inertia(SymMatrix(m)) for m in mats], (name, i)
         assert [tuple(c) for c in counts] == [_eigvalsh_counts(m) for m in mats], (name, i)

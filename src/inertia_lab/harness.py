@@ -21,12 +21,15 @@ and falls back to seeded random search when no recipe applies.
 Forward verification, random search and the ``lemma_suite`` batches run
 through one trial loop, ``_stacked``.  Trial i draws from its own stream
 (one generator, rekeyed) and names the sizes of the symmetric arrays it
-will count; ``_on_stack`` packs trials in index order, by those sizes
-alone, into chunks of at most ``STACK_ENTRIES`` zero-padded entries (a
-single trial may pass it), settles each chunk into the arrays and a check
-over their counts per trial, and counts the chunk as one stack
-(``linalg.inertia_stack``).  A suite's five batches share one such stream
-and build their trials as plain arrays, with the unchecked builders.
+will count.  ``linalg._on_stack``, the one packer of every batch count,
+packs trials in index order, by those sizes alone, into chunks of at most
+``linalg.STACK_ENTRIES`` zero-padded entries (a single trial may pass it),
+settles each chunk into the arrays and a check over their counts per
+trial, and counts the chunk as one stack.  A suite's five batches share
+one such stream and build their trials as plain arrays, with the unchecked
+builders; each check reads its lanes' counts alone, so the pinned-negatives
+batch counts out - (a - b) I as a second lane: exactly k zero eigenvalues
+and none below.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
 settled by size group: the group's two-sided slots are built by one
@@ -47,8 +50,10 @@ on the stack, and a candidate is flagged when its slots are members and
 ``_breach`` flags its counts.  ``_make_witness``, the one judge, wraps each
 slot in SymMatrix once, counts the same lanes one matrix at a time and asks
 the same ``_breach``: it makes the witness of a flagged trial or recipe
-candidate, in order, and is what ``Witness.revalidate`` runs.  Reports are
-deterministic for a fixed seed.
+candidate, in order, and is what ``Witness.revalidate`` runs.  Outside the
+judge, only ``sample_with_inertia`` builds a SymMatrix, and only the pencil
+base (once per suite) is counted alone.  Reports are deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,15 +90,14 @@ from .functions import (
 )
 from .linalg import (
     N_MAX,
-    STACK_ENTRIES,
     DomainSpec,
     Inertia,
     SymMatrix,
+    _built,
     _direct_sum,
+    _on_stack,
     _symmetric,
     inertia,
-    inertia_stack,
-    sturm_count,
 )
 
 CLAIMS = ("inertia", "exact", "closure", "bounded", "lift")
@@ -469,51 +473,6 @@ def _make_witness(
         counts.append(held[0])
     out = _breach(claim, cfg.l, *counts)
     return None if out is None else Witness(mats, fn, out, clause)
-
-
-def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
-    """Counts of symmetric arrays of any sizes in one :func:`inertia_stack`
-    call, zero-padded to the largest when the sizes differ."""
-    sizes = [len(a) for a in arrays]
-    if len(set(sizes)) == 1:
-        stack = np.stack(arrays)
-    else:
-        size = max(sizes, default=0)
-        stack = np.zeros((len(arrays), size, size))
-        for b, a in enumerate(arrays):
-            stack[b, : len(a), : len(a)] = a
-    return [Inertia(*c) for c in inertia_stack(stack, sizes).tolist()]
-
-
-def _built(trial: tuple[list, Callable]) -> tuple[list[int], tuple[list, Callable]]:
-    """A trial (arrays to count, check over their counts) whose arrays are
-    built, as :func:`_on_stack` takes it: its lane sizes and itself."""
-    return [len(a) for a in trial[0]], trial
-
-
-def _on_stack(trials: Iterable[tuple[list[int], object]], settle: Callable = list) -> Iterator:
-    """The checks of ``trials``, pairs (lane sizes, draw), in order, counted
-    on the stack.
-
-    Trials are packed in order, by their lane sizes alone, until the next one
-    would take the zero-padded stack past ``STACK_ENTRIES`` entries (one
-    trial alone may pass it).  Then ``settle`` turns the chunk's draws, in
-    one call, into pairs (arrays of those sizes to count, check over their
-    counts), and the chunk is counted by one :func:`_count`.  By default a
-    draw is that pair already (:func:`_built`).  ``trials`` is drawn lazily:
-    the next trial is drawn before the chunk it does not fit in is settled.
-    """
-    chunk, lanes, size = [], 0, 0
-    # past the last trial, one with no lanes and no draw flushes the last chunk
-    for sizes, draw in chain(trials, [((), None)]):
-        big = max(sizes, default=0)
-        if chunk and (draw is None or (lanes + len(sizes)) * max(size, big) ** 2 > STACK_ENTRIES):
-            pairs = settle(chunk)
-            counts = iter(_count([a for t, _ in pairs for a in t]))
-            yield from (c(*islice(counts, len(t))) for t, c in pairs)
-            chunk, lanes, size = [], 0, 0
-        chunk.append(draw)
-        lanes, size = lanes + len(sizes), max(size, big)
 
 
 def _stacked(
@@ -1078,11 +1037,10 @@ def _suite_pinned(cfg: TrialConfig, rng: np.random.Generator):
     # v v^T is PSD, so the embedding keeps exactly k negatives uncounted
     psd = _symmetric(np.einsum("ik,jk->ij", v, v))
     out = _direct_sum([_equicorrelation(k + 1, a, b), psd], eps)
-    # the k negatives lie within 1e-9 |a - b| of a - b: none below, k below the top
-    w = 1e-9 * abs(a - b)
-    low, high = sturm_count(SymMatrix(out), [a - b - w, a - b + w])
-    pinned = low == 0 and high >= k
-    return [out], lambda c: c.n_neg == k and pinned
+    # the k negatives are a - b: out - (a - b) I has exactly k zeros, nothing below
+    n = len(out)
+    pinned = Inertia(0, k, n - k)
+    return [out, out - (a - b) * np.eye(n)], lambda c, s: c.n_neg == k and s == pinned
 
 
 def _suite_pencil(cfg: TrialConfig, rng: np.random.Generator, base: np.ndarray):

@@ -9,15 +9,19 @@ the whole negativity bookkeeping chain is self-contained and its bytes do not
 depend on the BLAS build; LAPACK never enters the runtime path.  No
 eigenvectors are formed.  Many matrices are counted at once by
 :func:`inertia_stack`: the same reduction run on a whole zero-padded stack,
-then a Sturm count instead of QL.  :func:`sturm_count` is that Sturm count for
-one matrix and a few shifts.
+then a Sturm count instead of QL.  :func:`_on_stack` is the one packer of
+such stacks: the trial loop, the recipe screen, the lemma suite and the
+leading negativity profile hand it their matrices, and only it knows the
+``STACK_ENTRIES`` rule.  :func:`sturm_count` is the same Sturm count for one
+matrix and a few shifts; its one caller is ``pontryagin.gram_realize``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,9 +65,9 @@ RHO_MIN, RHO_MAX = 1e-150, 1e150
 #: build from a count: the cap bounds the memory one matrix can ask for
 N_MAX = 256
 
-#: entries in one counted stack (2 MiB of doubles): callers of
-#: :func:`inertia_stack` split their matrices into stacks of this size, so
-#: memory stays flat in the number of matrices
+#: entries in one counted stack (2 MiB of doubles): :func:`_on_stack` splits
+#: the matrices it counts into stacks of this size, so memory stays flat in
+#: the number of matrices
 STACK_ENTRIES = 1 << 18
 
 
@@ -498,6 +502,51 @@ def inertia_stack(a, n) -> np.ndarray:
     neg = np.where(flat, 0, below[0])
     pos = np.where(flat, 0, size - below[1])
     return np.stack([neg, n - neg - pos, pos], axis=1)
+
+
+def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
+    """Counts of symmetric arrays of any sizes in one :func:`inertia_stack`
+    call, zero-padded to the largest when the sizes differ."""
+    sizes = [len(a) for a in arrays]
+    if len(set(sizes)) == 1:
+        stack = np.stack(arrays)
+    else:
+        size = max(sizes, default=0)
+        stack = np.zeros((len(arrays), size, size))
+        for b, a in enumerate(arrays):
+            stack[b, : len(a), : len(a)] = a
+    return [Inertia(*c) for c in inertia_stack(stack, sizes).tolist()]
+
+
+def _built(trial: tuple[list, Callable]) -> tuple[list[int], tuple[list, Callable]]:
+    """A trial (arrays to count, check over their counts) whose arrays are
+    built, as :func:`_on_stack` takes it: its lane sizes and itself."""
+    return [len(a) for a in trial[0]], trial
+
+
+def _on_stack(trials: Iterable[tuple[list[int], object]], settle: Callable = list) -> Iterator:
+    """The checks of ``trials``, pairs (lane sizes, draw), in order, counted
+    on the stack.
+
+    Trials are packed in order, by their lane sizes alone, until the next one
+    would take the zero-padded stack past ``STACK_ENTRIES`` entries (one
+    trial alone may pass it).  Then ``settle`` turns the chunk's draws, in
+    one call, into pairs (arrays of those sizes to count, check over their
+    counts), and the chunk is counted by one :func:`_count`.  By default a
+    draw is that pair already (:func:`_built`).  ``trials`` is drawn lazily:
+    the next trial is drawn before the chunk it does not fit in is settled.
+    """
+    chunk, lanes, size = [], 0, 0
+    # past the last trial, one with no lanes and no draw flushes the last chunk
+    for sizes, draw in chain(trials, [((), None)]):
+        big = max(sizes, default=0)
+        if chunk and (draw is None or (lanes + len(sizes)) * max(size, big) ** 2 > STACK_ENTRIES):
+            pairs = settle(chunk)
+            counts = iter(_count([a for t, _ in pairs for a in t]))
+            yield from (c(*islice(counts, len(t))) for t, c in pairs)
+            chunk, lanes, size = [], 0, 0
+        chunk.append(draw)
+        lanes, size = lanes + len(sizes), max(size, big)
 
 
 def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> bool:

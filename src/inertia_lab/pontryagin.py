@@ -15,9 +15,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, int_in
-from .linalg import (
-    N_MAX, REL_ZERO, STACK_ENTRIES, SymMatrix, eig_sym, inertia_stack, sturm_count, zero_threshold,
-)
+from .linalg import N_MAX, REL_ZERO, SymMatrix, _built, _on_stack, eig_sym, sturm_count, zero_threshold
 
 #: a 1x1 pivot must reach ALPHA * max|S| (Bunch & Parlett, SIAM J. Numer. Anal. 8, 1971)
 ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
@@ -103,31 +101,23 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
     vectors = np.zeros((n, n - r + k))
     for at, side in ((0, plus), (n - r, minus)):
         vectors[:, at : at + len(side)] = np.ldexp(np.reshape(side, (-1, n)).T, e // 2)
-    rebuilt = gram_of(vectors, (n - r, k))
-    # the zero matrix is rebuilt exactly
-    err = SymMatrix(rebuilt.entries - A.entries).fro / A.fro if A.fro else 0.0
+    gap = SymMatrix(gram_of(vectors, (n - r, k)).entries - A.entries)
+    # from the norms over 2^e, finite when ||A||_F is not; the zero matrix is rebuilt exactly
+    err = math.ldexp(gap._s / A._s, gap._e - A._e) if A._s else 0.0
     return vectors, (n - r, k), err
 
 
 def leading_negativity_profile(A: SymMatrix) -> list[int]:
     """Negative-eigenvalue counts of the leading principal j x j blocks.
 
-    The blocks are counted by :func:`inertia_stack` in order of size, each
-    stack padded to its largest block and kept within ``STACK_ENTRIES``
-    entries (one block alone may pass it).  Block j counts against its own
-    zero threshold, ``REL_ZERO`` * ||A_j||_F, so the sequence ends at n_neg(A)
-    but can fall: ``[[-1, 0], [0, 1e10]]`` gives [1, 0].
+    The blocks go in order of size to ``linalg._on_stack``, the packer of
+    every batch count: each stack is padded to its largest block and kept
+    within the packer's entry cap (one block alone may pass it).  Block j
+    counts against its own zero threshold, ``REL_ZERO`` * ||A_j||_F, so the
+    sequence ends at n_neg(A) but can fall: ``[[-1, 0], [0, 1e10]]`` gives
+    [1, 0].
     """
-    profile, n = [], A.n
-    while len(profile) < n:
-        lo = top = len(profile) + 1
-        while top < n and (top + 2 - lo) * (top + 1) ** 2 <= STACK_ENTRIES:
-            top += 1
-        sizes = np.arange(lo, top + 1)
-        keep = np.arange(top) < sizes[:, None]
-        stack = np.where(keep[:, :, None] & keep[:, None, :], A.entries[:top, :top], 0.0)
-        profile += inertia_stack(stack, sizes)[:, 0].tolist()
-    return profile
+    return list(_on_stack(_built(([A.entries[:j, :j]], lambda c: c.n_neg)) for j in range(1, A.n + 1)))
 
 
 def stabilization_index(profile: list[int], k: int) -> int | None:

@@ -1,25 +1,28 @@
 """Every eigensolve and inertia count in ``harness.py``, ``constructions.py`` and ``pontryagin.py`` is known.
 
-Verify, random search and the lemma suite run through one trial loop,
-``_stacked``, whose ``_on_stack`` counts whole chunks of matrices through
-``_count``, one ``inertia_stack`` call per chunk.  A recipe ladder screens its candidates
-after the first through the same ``_count`` (``_screen``), so it adds no
-count site.  The scalar calls left are the one judge ``_make_witness``
-(its slots, then its lanes: the image and, for a lift claim, the lifted
-images), which sees a recipe's first candidate and the flagged ones only,
-the pinned eigenvalues of ``_suite_pinned``, two ``sturm_count`` shifts at
-the edges of their window, and the pencil base, counted once per
-``lemma_suite`` call.
+Every batch count goes through ``linalg._on_stack``, the one packer: it
+packs matrices into zero-padded chunks within ``STACK_ENTRIES`` entries and
+counts each chunk with one ``inertia_stack`` call.  Its callers are the
+trial loop ``_stacked`` (verify, random search and the lemma suite, whose
+pinned-negatives batch counts its window as a second lane), the recipe
+screen ``_screen``, which sees a ladder's candidates after the first, and
+``leading_negativity_profile``, whose leading blocks are packed there too.
+The scalar calls left are the one judge ``_make_witness`` (its slots, then
+its lanes: the image and, for a lift claim, the lifted images), which sees
+a recipe's first candidate and the flagged ones only, and the pencil base,
+counted once per ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler, the pinned suite batch and the
 recipes' member filler build their blocks PSD by construction and call the
-unchecked builders, so nothing on their paths counts.  In ``pontryagin.py`` ``gram_realize`` counts its
-negatives with one ``sturm_count`` and forms no eigenvalue; its two
-``eig_sym`` calls run only on its refusals (||A||_F beyond the largest
-double, a zero-counted eigenvalue above k), which name an eigenvalue.  Its
-vectors come from elimination.  ``leading_negativity_profile`` counts its
-leading blocks as stacks.  A scalar
-trial, suite or profile loop, or a count on the sampler's path, coming back
+unchecked builders, so nothing on their paths counts.  In ``pontryagin.py``
+``gram_realize`` counts its negatives with one ``sturm_count``, that
+function's only caller, and forms no eigenvalue; its two ``eig_sym`` calls
+run only on its refusals (||A||_F beyond the largest double, a
+zero-counted eigenvalue above k), which name an eigenvalue.  Its vectors
+come from elimination.  Only ``linalg`` knows the packing rule: no other
+module names ``STACK_ENTRIES`` or ``inertia_stack``, apart from the
+package's re-export of ``inertia_stack``.  A scalar trial, suite or profile
+loop, a packer of its own, or a count on the sampler's path, coming back
 fails here until it is added to the list on purpose; ``SAMPLER_PATH`` may
 name only functions that exist.
 """
@@ -31,24 +34,27 @@ import inertia_lab
 
 PACKAGE = Path(inertia_lab.__file__).parent
 
-COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count"}
+COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack"}
 
 EXPECTED = sorted(
     [
         ("constructions.py", "embed_with_negatives", "inertia"),
-        ("harness.py", "_count", "inertia_stack"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_make_witness", "inertia"),
-        ("harness.py", "_suite_pinned", "sturm_count"),
+        ("harness.py", "_screen", "_on_stack"),
+        ("harness.py", "_stacked", "_on_stack"),
         ("harness.py", "lemma_suite", "inertia"),
         ("pontryagin.py", "gram_realize", "eig_sym"),
         ("pontryagin.py", "gram_realize", "eig_sym"),
         ("pontryagin.py", "gram_realize", "sturm_count"),
-        ("pontryagin.py", "leading_negativity_profile", "inertia_stack"),
+        ("pontryagin.py", "leading_negativity_profile", "_on_stack"),
     ]
 )
 
 COUNTED = ("constructions.py", "harness.py", "pontryagin.py")
+
+#: the names of the packing rule, which only ``linalg`` may use
+RULE = {"STACK_ENTRIES", "inertia_stack"}
 
 #: the functions a trial's slots are sampled through
 SAMPLER_PATH = {
@@ -90,3 +96,38 @@ def test_the_sampler_path_names_only_defined_functions():
         if isinstance(node, ast.FunctionDef)
     }
     assert SAMPLER_PATH <= defined
+
+
+def _rule_uses(path: Path) -> list[str]:
+    """Each use of a name of ``RULE``: a name, an attribute, an import or a definition."""
+    return [
+        name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if name in RULE and isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.FunctionDef))
+    ]
+
+
+def test_only_linalg_names_the_packing_rule():
+    found = sorted(
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        if path.name != "linalg.py"
+        for name in _rule_uses(path)
+    )
+    # the package re-exports inertia_stack from linalg
+    assert found == [("__init__.py", "inertia_stack")]
+
+
+def test_every_use_of_the_packing_rule_is_found(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from .linalg import STACK_ENTRIES, inertia_stack\n"
+        "def f(a, n):\n"
+        "    return linalg.inertia_stack(a, n), len(a) <= STACK_ENTRIES\n"
+        "def inertia_stack(a, n):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    # the two imports, the attribute, the name and the definition
+    assert sorted(_rule_uses(src)) == ["STACK_ENTRIES"] * 2 + ["inertia_stack"] * 3

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertia_lab import cli, harness
+from inertia_lab import cli, harness, linalg
 from inertia_lab._json import dumps
 from inertia_lab.constructions import (
     block_pair,
@@ -39,7 +39,7 @@ from inertia_lab.harness import (
     sample_with_inertia,
     verify_forward,
 )
-from inertia_lab.linalg import DomainSpec, SymMatrix, inertia, is_member
+from inertia_lab.linalg import DomainSpec, Inertia, SymMatrix, inertia, is_member, sturm_count
 
 
 def _rng(seed=0):
@@ -286,13 +286,13 @@ def test_falsify_random_strategy_skips_recipes():
 
 def test_random_search_on_a_lift_claim_checks_the_lift(monkeypatch):
     sizes = []
-    real = harness.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         sizes.extend(n)
         return real(a, n)
 
-    monkeypatch.setattr(harness, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=5, seed=2)
     rep = falsify("lift", Series(1, {(2,): 1.0}), cfg, strategy="random")
     assert rep.failures == 0
@@ -358,8 +358,9 @@ def test_lemma_suite_all_green():
 
 @pytest.mark.parametrize("shift, pinned", [(0.0, True), (1e-6, False), (-1e-6, False)])
 def test_the_pinned_batch_sees_negatives_moved_off_a_minus_b(monkeypatch, shift, pinned):
-    # the window is 1e-9 |a - b| <= 6e-10 wide; a shift of 1e-6 moves every
-    # eigenvalue out of it, above (lower count) or below (upper count)
+    # the second lane's zero window is REL_ZERO ||out - (a - b) I||_F < 1e-7
+    # wide; a shift of 1e-6 moves the k pinned eigenvalues out of it, to
+    # positive (no zeros) or to negative (k below)
     real = harness._direct_sum
 
     def moved(blocks, eps):
@@ -369,7 +370,33 @@ def test_the_pinned_batch_sees_negatives_moved_off_a_minus_b(monkeypatch, shift,
     monkeypatch.setattr(harness, "_direct_sum", moved)
     for seed in range(20):
         mats, ok = harness._suite_pinned(None, np.random.default_rng(seed))
-        assert ok(inertia(SymMatrix(mats[0]))) is pinned
+        assert ok(*linalg._count(mats)) is pinned
+        assert ok(*(inertia(SymMatrix(m)) for m in mats)) is pinned
+
+
+def _old_pinned_verdict(out: np.ndarray, count: Inertia, rng) -> bool:
+    """The pinned batch's former rule on its trial ``out``, with k, a and b
+    replayed from the trial's stream: n_neg(out) == k, and one Sturm count
+    at a - b -+ 1e-9 |a - b| finds none below the window and at least k
+    below its top."""
+    k = int(rng.integers(1, 5))
+    a = rng.uniform(0.0, 0.3)
+    b = a + rng.uniform(0.1, 0.5)
+    w = 1e-9 * abs(a - b)
+    low, high = sturm_count(SymMatrix(out), [a - b - w, a - b + w])
+    return count.n_neg == k and low == 0 and high >= k
+
+
+def test_the_pinned_lane_gives_the_verdicts_of_the_sturm_window():
+    draws = [harness._suite_pinned(None, harness._trial_rng(0, i)) for i in range(2000)]
+    counts = iter(linalg._count([m for mats, _ in draws for m in mats]))
+    for i, (mats, ok) in enumerate(draws):
+        out, lane = next(counts), next(counts)
+        verdict = ok(out, lane)
+        assert verdict == _old_pinned_verdict(mats[0], out, harness._trial_rng(0, i)), i
+        assert verdict, i
+        # the new window, REL_ZERO ||out - (a - b) I||_F, stays narrow
+        assert linalg.REL_ZERO * float(np.linalg.norm(mats[1])) < 1e-7, i
 
 
 def test_lemma_suite_counts_the_pencil_base_once(monkeypatch):
@@ -411,7 +438,8 @@ def _public_pinned(cfg, rng):
     eps = rng.uniform(0.0, 0.2)
     nb = int(rng.integers(1, 5))
     v = rng.uniform(0.1, 1.0, size=(nb, nb))
-    return [embed_with_negatives(a, b, k, eps, SymMatrix(np.einsum("ik,jk->ij", v, v))).entries]
+    out = embed_with_negatives(a, b, k, eps, SymMatrix(np.einsum("ik,jk->ij", v, v))).entries
+    return [out, out - (a - b) * np.eye(len(out))]
 
 
 def _public_pencil(cfg, rng):
@@ -440,7 +468,7 @@ def test_suite_batches_count_on_the_stack_as_inertia_and_eigvalsh_do(j, name, ba
         if name in _PUBLIC:
             public = _PUBLIC[name](cfg, harness._trial_rng(cfg.seed, (j << 40) + i))
             assert [(m.shape, m.tobytes()) for m in mats] == [(m.shape, m.tobytes()) for m in public]
-        counts = harness._count(mats)
+        counts = linalg._count(mats)
         assert counts == [inertia(SymMatrix(m)) for m in mats], (name, i)
         assert [tuple(c) for c in counts] == [_eigvalsh_counts(m) for m in mats], (name, i)
         assert check(*counts), (name, i)
@@ -448,20 +476,20 @@ def test_suite_batches_count_on_the_stack_as_inertia_and_eigvalsh_do(j, name, ba
 
 def test_lemma_suite_splits_the_stack_without_changing_the_label(monkeypatch):
     shapes = []
-    real = harness.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         shapes.append(a.shape[:2])
         return real(a, n)
 
-    monkeypatch.setattr(harness, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=9)
     whole = lemma_suite(cfg)
-    # one stack per suite while it fits: 40 trials of 9 lanes, at most 12 x 12
-    assert shapes == [(40 * 9, 12)]
+    # one stack per suite while it fits: 40 trials of 10 lanes, at most 12 x 12
+    assert shapes == [(40 * 10, 12)]
     lanes = sum(b for b, _ in shapes)
     shapes.clear()
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     split = lemma_suite(cfg)
     assert split.label == whole.label
     assert split.failures == whole.failures == 0
@@ -738,11 +766,11 @@ def _outcome(call):
         return exc
 
 
-@pytest.mark.parametrize("stack_entries", [harness.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("stack_entries", [linalg.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
 @pytest.mark.parametrize("case", list(STACKED_RUNS))
 def test_stacked_trials_report_the_bytes_of_the_scalar_loop(case, stack_entries, monkeypatch):
     call, claim, cfg = _stacked_run(case, 40)
-    monkeypatch.setattr(harness, "STACK_ENTRIES", stack_entries)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", stack_entries)
     stacked = _outcome(call)
     monkeypatch.setattr(harness, "_run_trials", _scalar_trials)
     scalar = _outcome(call)
@@ -843,7 +871,7 @@ def test_a_passing_verify_builds_no_symmatrix(case, monkeypatch):
 
 def test_size_groups_cross_chunk_boundaries(monkeypatch):
     groups = _spy(monkeypatch, "_spectral")
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     call, _, cfg = _stacked_run("verify-exact-two-sizes", 40)
     assert call().failures == 0
     # one build per size and chunk, both slots of its trials at once: each
@@ -856,14 +884,14 @@ def test_size_groups_cross_chunk_boundaries(monkeypatch):
 
 def test_many_chunks_really_split_the_trials(monkeypatch):
     sizes = []
-    real = harness.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         sizes.append(len(n))
         return real(a, n)
 
-    monkeypatch.setattr(harness, "inertia_stack", spy)
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK((1,)), 1, trials=40, seed=11)
     verify_forward("inertia", Homothety(2.5), cfg)
     # two lanes per trial, packed while the padded stack holds at most 300
@@ -875,14 +903,14 @@ def test_many_chunks_really_split_the_trials(monkeypatch):
 def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypatch):
     call, claim, cfg = _stacked_run(case, 40)
     shapes = []
-    real = harness.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         shapes.append(a.shape[:2])
         return real(a, n)
 
-    monkeypatch.setattr(harness, "inertia_stack", spy)
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 300)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     call()
     lanes = 1 + (claim == "inertia") + 2 * (claim == "lift")
     assert sum(b for b, _ in shapes) == lanes * cfg.trials
@@ -899,13 +927,13 @@ def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypat
 )
 def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch):
     stacks = []
-    real = harness.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         stacks.append((a.copy(), list(n)))
         return real(a, n)
 
-    monkeypatch.setattr(harness, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
     cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK((1,) * fn.arity), 1, trials=6, seed=5)
     harness._run_trials("lift", fn, cfg, "test", closure=False)
     (stack, sizes), = stacks
@@ -1045,15 +1073,15 @@ def test_the_screen_flags_exactly_the_candidates_the_judge_confirms(case):
         assert flags == [harness._make_witness(claim, fn, c, cfg, clause) is not None for c in candidates]
 
 
-def _spy(monkeypatch, name):
-    """Record the arguments of every call of harness.<name>."""
-    calls, real = [], getattr(harness, name)
-    monkeypatch.setattr(harness, name, lambda *args: calls.append(args) or real(*args))
+def _spy(monkeypatch, name, module=harness):
+    """Record the arguments of every call of module.<name>."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     return calls
 
 
 def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
-    counts, judged = _spy(monkeypatch, "_count"), _spy(monkeypatch, "_make_witness")
+    counts, judged = _spy(monkeypatch, "_count", linalg), _spy(monkeypatch, "_make_witness")
     claim, fn, k, l = RECIPE_CASES["nonlinear-term"]
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK(k), l, trials=6, seed=5)
     w, attempts = harness._recipe_witness("nonlinear-term", claim, fn, cfg)
@@ -1062,7 +1090,7 @@ def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
 
 
 def test_a_ladder_that_finds_nothing_judges_once_and_counts_a_few_stacks(monkeypatch):
-    counts, judged = _spy(monkeypatch, "_count"), _spy(monkeypatch, "_make_witness")
+    counts, judged = _spy(monkeypatch, "_count", linalg), _spy(monkeypatch, "_make_witness")
     claim, fn, k, l = RECIPE_CASES["negative-coefficient"]
     cfg = TrialConfig(DomainSpec("two_sided", 1e-12), AdmissibleK(k), l, trials=6, seed=5)
     w, attempts = harness._recipe_witness("negative-coefficient", claim, fn, cfg)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inertia_lab import pontryagin
+from inertia_lab import linalg, pontryagin
 from inertia_lab.errors import ConfigError
 from inertia_lab.linalg import STACK_ENTRIES, SymMatrix, direct_sum, inertia, sym
 from inertia_lab.pontryagin import (
@@ -88,6 +90,26 @@ def test_gram_error_is_scale_free(c):
         errs.append(err)
     assert max(errs) > 0.0
     assert gram_realize(SymMatrix(np.zeros((3, 3))), 0)[2] == 0.0
+
+
+def test_gram_error_stays_positive_past_the_largest_double():
+    # ||A||_F passes the largest double at 2^1023; the ratio comes from the
+    # norms over 2^e, so it is still the residual's and not gap / inf = 0
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((6, 6))
+    a = (g + g.T) / np.max(np.abs(g + g.T))
+    errs = {}
+    for j in (-1000, 0, 1000, 1023):
+        vecs, sig, errs[j] = gram_realize(SymMatrix(np.ldexp(a, j)), 6)
+    assert errs[-1000] == errs[0] == errs[1000] > 0.0
+    assert not math.isfinite(SymMatrix(np.ldexp(a, 1023)).fro)
+    # numpy's residual of the same vectors, all scaled down by 2^-1000
+    v = np.ldexp(vecs, -500)
+    j_diag = np.concatenate([np.ones(sig[0]), -np.ones(sig[1])])
+    ref = np.ldexp(a, 23)
+    want = np.linalg.norm((v * j_diag) @ v.T - ref) / np.linalg.norm(ref)
+    assert errs[1023] > 0.0
+    assert errs[1023] == pytest.approx(want, rel=1e-12)
 
 
 def test_profile_of_hollow_ones():
@@ -307,13 +329,13 @@ def test_a_factor_forms_no_eigenvalue_unless_it_refuses(monkeypatch):
 def _spy_stacks(monkeypatch) -> list[tuple[int, int]]:
     """Record (entries, blocks) of every inertia_stack call the profile makes."""
     calls = []
-    real = pontryagin.inertia_stack
+    real = linalg.inertia_stack
 
     def spy(a, n):
         calls.append((np.asarray(a).size, len(n)))
         return real(a, n)
 
-    monkeypatch.setattr(pontryagin, "inertia_stack", spy)
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
     return calls
 
 
@@ -333,7 +355,7 @@ def test_profile_stacks_keep_under_a_small_cap_or_hold_one_block(monkeypatch):
     g = rng.standard_normal((30, 30))
     a = SymMatrix(g + g.T)
     want = leading_negativity_profile(a)
-    monkeypatch.setattr(pontryagin, "STACK_ENTRIES", 300)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     calls = _spy_stacks(monkeypatch)
     assert leading_negativity_profile(a) == want
     assert len(calls) > 10 and sum(blocks for _, blocks in calls) == 30

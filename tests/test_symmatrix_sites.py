@@ -2,9 +2,10 @@
 
 The sampler, the trial loop, the witness recipes and the lemma-suite batches
 work on plain symmetric arrays.  A slot becomes a ``SymMatrix`` only in the
-one judge, ``_make_witness``, which wraps each slot and each lane once; the
-public sampler ``sample_with_inertia`` wraps what it returns, and the pinned
-suite batch wraps its one trial for ``sturm_count``.  Any other use of the
+one judge, ``_make_witness``, which wraps each slot and each lane once, and
+in the public sampler ``sample_with_inertia``, which wraps what it returns;
+the pinned suite batch counts its window as a second lane of the suite's
+stack, with no wrap and no scalar count.  Any other use of the
 class outside a type annotation, as a call or passed as a value
 (``map(SymMatrix, ...)``), fails here until it is added to the list on
 purpose.  A suite batch calls no public function of ``constructions`` or
@@ -25,7 +26,6 @@ EXPECTED = sorted(
     [
         "_make_witness",
         "_make_witness",
-        "_suite_pinned",
         "sample_with_inertia",
     ]
 )

@@ -8,12 +8,16 @@ and nowhere else: a number is a JSON number.  :func:`int_in` takes a Python
 finite; a bool (JSON ``true``/``false``) or a numeric string is neither, and
 either helper raises :class:`ConfigError` for it.  Both check one value and
 run inside the sampler, once per trial; a caller with many entries (the
-rows of a JSON matrix) checks them in one pass of its own.
+rows of a JSON matrix) checks them in one pass of its own.  :func:`int_of`
+takes a count that a caller may have computed with numpy (a profile
+entry): an ``int`` or a numpy integer, never a bool.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 class InertiaLabError(Exception):
@@ -68,6 +72,14 @@ def int_in(value, what: str, lo: int = 0, hi: int | None = None) -> int:
     if hi is None:
         raise ConfigError(f"{what} must be an int >= {lo}, got {value!r}")
     raise ConfigError(f"{what} {value!r} out of range {lo}..{hi}")
+
+
+def int_of(value, what: str) -> int:
+    """``int(value)``; :class:`ConfigError` unless it is an int or a numpy
+    integer (a bool, Python's or numpy's, is neither)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{what} must be an int, got {value!r}")
 
 
 def finite_float(value, what: str, positive: bool = False) -> float:

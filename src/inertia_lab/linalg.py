@@ -14,6 +14,10 @@ such stacks: the trial loop, the recipe screen, the lemma suite and the
 leading negativity profile hand it their matrices, and only it knows the
 ``STACK_ENTRIES`` rule.  :func:`sturm_count` is the same Sturm count for one
 matrix and a few shifts; its one caller is ``pontryagin.gram_realize``.
+:func:`_leading_counts` counts every leading block of one matrix by a single
+unpivoted LDL^T elimination at two shifts (Jacobi's signature rule), keeps
+the counts that its backward-error bound certifies, and hands only the other
+blocks to :func:`_on_stack`.
 """
 
 from __future__ import annotations
@@ -547,6 +551,69 @@ def _on_stack(trials: Iterable[tuple[list[int], object]], settle: Callable = lis
             chunk, lanes, size = [], 0, 0
         chunk.append(draw)
         lanes, size = lanes + len(sizes), max(size, big)
+
+
+def _leading_counts(A: SymMatrix) -> list[int]:
+    """n_neg of every leading block A_j, each against its own zero threshold
+    tau_j = ``REL_ZERO`` * ||A_j||_F: one elimination certifies what it can,
+    and :func:`_on_stack` counts the rest, as it counted every block before.
+
+    Jacobi's signature rule (Gantmacher, *The Theory of Matrices* I, ch. X):
+    while no pivot of the unpivoted LDL^T of M = A - sigma I vanishes, the
+    negative pivots among the first j number #{lam(A_j) < sigma}.  The
+    elimination runs once, on a = A / 2^e, at sigma_lo = -2 tau_n and
+    sigma_hi = -tau_1 / 2, which bracket every -tau_j with room tau_j / 4 on
+    each side.  The computed factors of M_j are exact for M_j + E_j with
+    ||E_j||_2 <= err_j = gamma * (|| |M_j| + |L_j| |D_j| |L_j^T| ||_F +
+    j * 2^-511) (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    chs. 9-11).  Block j keeps its pivot count when it is certified: every
+    pivot up to j is finite and nonzero at both shifts, the two counts
+    agree, err_j <= tau_n / 2 at sigma_lo and err_j <= tau_j / 4 at sigma_hi.
+    Then no eigenvalue of A_j lies within tau_j / 4 of -tau_j, while
+    :func:`inertia_stack` is off only within about 1e-4 tau_j of it, so the
+    two counts are equal.  gamma = 4 (n + 1) u covers the roundings that
+    each update and pivot division add to Higham's gamma_n.  The term
+    j * 2^-511 covers what underflow takes: squares below 2^-1022 in the norm
+    sums (j^2 of them), subnormal entries that the scaling by 2^-e rounds,
+    and products that gradual underflow rounds in the elimination; it leaves
+    to the stack a block whose norm lies below about 1e-160 (n = 2) to
+    1e-157 (n = 256) of A's largest entry.  The factors come from the lower triangle alone: each update is
+    w l^T, with w the pivot column and l = w / pivot, and what it writes
+    above the diagonal enters only the bound, where it equals its mirror
+    entry up to rounding.
+    """
+    n = A.n
+    a = np.ldexp(A.entries, -A._e)
+    # the 2-D cumulative sum of a^2 holds ||a_j||_F^2 on its diagonal
+    tau = REL_ZERO * np.sqrt(np.diagonal(np.cumsum(np.cumsum(a * a, axis=0), axis=1)))
+    diag = np.arange(n)
+    m = np.stack([a, a])
+    m[:, diag, diag] += np.array([[2.0 * tau[-1]], [0.5 * tau[0]]])
+    # |M| + |L| |D| |L^T|: |M| plus the magnitude of every update
+    bound = np.abs(m)
+    buf = np.empty(m.size)
+    with np.errstate(all="ignore"):  # a zero pivot leaves inf and nan, which certify nothing
+        for k in range(n):
+            w = m[:, k:, k]
+            t = buf[: w.size * (n - k)].reshape(2, n - k, n - k)
+            np.multiply(w[:, :, None], (w / w[:, :1])[:, None, :], out=t)
+            m[:, k + 1 :, k + 1 :] -= t[:, 1:, 1:]
+            bound[:, k:, k:] += np.abs(t, out=t)
+        d = m[:, diag, diag]
+        fro = np.sqrt(np.diagonal(np.cumsum(np.cumsum(bound * bound, axis=1), axis=2), axis1=1, axis2=2))
+        err = 4.0 * (n + 1) * (0.5 * _EPS) * (fro + np.ldexp(diag + 1.0, -511))
+        below = np.cumsum(d < 0.0, axis=1)
+        sure = (
+            np.logical_and.accumulate(np.isfinite(d) & (d != 0.0), axis=1).all(axis=0)
+            & (below[0] == below[1])
+            & (err[0] <= 0.5 * tau[-1])
+            & (err[1] <= 0.25 * tau)
+        )
+    counts = below[0].tolist()
+    loose = [j for j in range(1, n + 1) if not sure[j - 1]]
+    for j, c in zip(loose, _on_stack(_built(([A.entries[:j, :j]], lambda c: c.n_neg)) for j in loose)):
+        counts[j - 1] = c
+    return counts
 
 
 def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> bool:

@@ -5,7 +5,8 @@ of n vectors under an inner product with k minus directions.  ``gram_realize``
 produces such vectors by symmetric indefinite elimination; ``gram_of`` is the
 inverse map.  The leading-minor negativity profile tracks how the negative
 count fills in as coordinates are added, which is the finite shadow of
-realizing A inside a space with a fixed negative index.
+realizing A inside a space with a fixed negative index; ``linalg`` counts it,
+by one certified elimination with the stack as its fallback.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, int_in
-from .linalg import N_MAX, REL_ZERO, SymMatrix, _built, _on_stack, eig_sym, sturm_count, zero_threshold
+from .errors import ConfigError, int_in, int_of
+from .linalg import N_MAX, REL_ZERO, SymMatrix, _leading_counts, eig_sym, sturm_count, zero_threshold
 
 #: a 1x1 pivot must reach ALPHA * max|S| (Bunch & Parlett, SIAM J. Numer. Anal. 8, 1971)
 ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
@@ -110,14 +111,16 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
 def leading_negativity_profile(A: SymMatrix) -> list[int]:
     """Negative-eigenvalue counts of the leading principal j x j blocks.
 
-    The blocks go in order of size to ``linalg._on_stack``, the packer of
-    every batch count: each stack is padded to its largest block and kept
-    within the packer's entry cap (one block alone may pass it).  Block j
-    counts against its own zero threshold, ``REL_ZERO`` * ||A_j||_F, so the
-    sequence ends at n_neg(A) but can fall: ``[[-1, 0], [0, 1e10]]`` gives
-    [1, 0].
+    Block j counts against its own zero threshold, ``REL_ZERO`` *
+    ||A_j||_F, so the sequence ends at n_neg(A) but can fall:
+    ``[[-1, 0], [0, 1e10]]`` gives [1, 0].  ``linalg._leading_counts``
+    counts every block with one unpivoted LDL^T elimination at two shifts
+    (Jacobi's signature rule) and keeps each count that its backward-error
+    bound certifies; the blocks left go in order of size to
+    ``linalg._on_stack`` and are counted there as every block was before,
+    so the profile is the same.
     """
-    return list(_on_stack(_built(([A.entries[:j, :j]], lambda c: c.n_neg)) for j in range(1, A.n + 1)))
+    return _leading_counts(A)
 
 
 def stabilization_index(profile: list[int], k: int) -> int | None:
@@ -129,7 +132,7 @@ def stabilization_index(profile: list[int], k: int) -> int | None:
     returned.
     """
     int_in(k, "k")
-    prof = [int(v) for v in profile]
+    prof = [int_of(v, "profile value") for v in profile]
     if not prof:
         raise ConfigError("profile must be nonempty")
     for v in prof:

@@ -577,6 +577,29 @@ def test_pontryagin_profile_and_stabilization():
     assert rep["stabilization"] == 4
 
 
+@pytest.mark.parametrize(
+    "matrix, k, want",
+    [
+        ("[[-1,0],[0,1e10]]", None, '{\n  "profile": [\n    1,\n    0\n  ]\n}\n'),
+        (
+            "[[-1,0,0],[0,-1,0],[0,0,1e10]]",
+            "2",
+            '{\n  "profile": [\n    1,\n    2,\n    0\n  ],\n  "stabilization": 3\n}\n',
+        ),
+        (
+            "[[-1,0,0],[0,1e10,0],[0,0,-2e10]]",
+            "2",
+            '{\n  "profile": [\n    1,\n    0,\n    1\n  ],\n  "stabilization": null\n}\n',
+        ),
+    ],
+    ids=["falls", "falls-at-the-end", "falls-and-rises"],
+)
+def test_pontryagin_profile_counts_each_block_against_its_own_threshold(matrix, k, want):
+    # block j counts against REL_ZERO * ||A_j||_F, so a profile can fall
+    argv = ["pontryagin", "profile", "--matrix", matrix] + (["--k", k] if k else [])
+    assert run_cli(argv) == (0, want, "")
+
+
 def test_pontryagin_factor_identity_split():
     code, out, err = run_cli(["pontryagin", "factor", "--matrix", "[[1,0],[0,-1]]", "--k", "1"])
     assert code == 0

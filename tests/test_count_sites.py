@@ -6,7 +6,9 @@ counts each chunk with one ``inertia_stack`` call.  Its callers are the
 trial loop ``_stacked`` (verify, random search and the lemma suite, whose
 pinned-negatives batch counts its window as a second lane), the recipe
 screen ``_screen``, which sees a ladder's candidates after the first, and
-``leading_negativity_profile``, whose leading blocks are packed there too.
+``linalg._leading_counts``, which packs there the leading blocks that its
+one elimination cannot certify; ``leading_negativity_profile`` is one call
+of it.
 The scalar calls left are the one judge ``_make_witness`` (its slots, then
 its lanes: the image and, for a lift claim, the lifted images), which sees
 a recipe's first candidate and the flagged ones only, and the pencil base,
@@ -34,7 +36,7 @@ import inertia_lab
 
 PACKAGE = Path(inertia_lab.__file__).parent
 
-COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack"}
+COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack", "_leading_counts"}
 
 EXPECTED = sorted(
     [
@@ -47,7 +49,7 @@ EXPECTED = sorted(
         ("pontryagin.py", "gram_realize", "eig_sym"),
         ("pontryagin.py", "gram_realize", "eig_sym"),
         ("pontryagin.py", "gram_realize", "sturm_count"),
-        ("pontryagin.py", "leading_negativity_profile", "_on_stack"),
+        ("pontryagin.py", "leading_negativity_profile", "_leading_counts"),
     ]
 )
 

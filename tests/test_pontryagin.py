@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from inertia_lab import linalg, pontryagin
 from inertia_lab.errors import ConfigError
-from inertia_lab.linalg import STACK_ENTRIES, SymMatrix, direct_sum, inertia, sym
+from inertia_lab.linalg import REL_ZERO, SymMatrix, direct_sum, inertia, sym
 from inertia_lab.pontryagin import (
     gram_of,
     gram_realize,
@@ -162,6 +162,23 @@ def test_stabilization_index_rejects_profile_above_cap():
 def test_stabilization_index_rejects_empty_profile():
     with pytest.raises(ConfigError):
         stabilization_index([], 1)
+
+
+@pytest.mark.parametrize(
+    "profile", [[0, 1.5], [0, 1.0], [True, True], [0, "1"], [np.float64(0.0)], [np.True_], [None]],
+    ids=["fraction", "whole-float", "bools", "string", "numpy-float", "numpy-bool", "none"],
+)
+def test_stabilization_index_refuses_entries_that_are_not_ints(profile):
+    with pytest.raises(ConfigError, match="profile value must be an int"):
+        stabilization_index(profile, 2)
+
+
+def test_stabilization_index_takes_numpy_ints_and_keeps_its_range_messages():
+    assert stabilization_index([np.int64(0), np.int32(1), np.uint8(1)], 1) == 2
+    with pytest.raises(ConfigError, match="must be nonnegative"):
+        stabilization_index([0, np.int64(-1)], 1)
+    with pytest.raises(ConfigError, match="exceeds the cap"):
+        stabilization_index([np.int64(2)], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,16 +340,16 @@ def test_a_factor_forms_no_eigenvalue_unless_it_refuses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the profile as stacks of leading blocks
+# the profile by one certified elimination, the rest on the stack
 # ---------------------------------------------------------------------------
 
-def _spy_stacks(monkeypatch) -> list[tuple[int, int]]:
-    """Record (entries, blocks) of every inertia_stack call the profile makes."""
+def _spy_stacks(monkeypatch) -> list[tuple[int, list[int]]]:
+    """Record (entries, block sizes) of every inertia_stack call the profile makes."""
     calls = []
     real = linalg.inertia_stack
 
     def spy(a, n):
-        calls.append((np.asarray(a).size, len(n)))
+        calls.append((np.asarray(a).size, [int(j) for j in n]))
         return real(a, n)
 
     monkeypatch.setattr(linalg, "inertia_stack", spy)
@@ -340,23 +357,119 @@ def _spy_stacks(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_profile_of_n_100_matches_every_leading_block(monkeypatch):
+    # the elimination certifies every block of a generic matrix: none is stacked
     calls = _spy_stacks(monkeypatch)
     rng = np.random.default_rng(100)
     g = rng.standard_normal((100, 100))
     a = SymMatrix(g + g.T)
     prof = leading_negativity_profile(a)
+    assert calls == []
     assert prof == [inertia(SymMatrix(a.entries[:j, :j])).n_neg for j in range(1, 101)]
-    assert sum(blocks for _, blocks in calls) == 100
-    assert all(entries <= STACK_ENTRIES for entries, _ in calls)
+
+
+def test_a_seeded_n_64_profile_makes_no_stack_call(monkeypatch):
+    calls = _spy_stacks(monkeypatch)
+    rng = np.random.default_rng(64)
+    lam = np.geomspace(0.1, 10.0, 64)
+    lam[1::4] *= -1.0
+    q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+    a = SymMatrix((q * lam) @ q.T)
+    prof = leading_negativity_profile(a)
+    assert calls == []
+    assert prof[-1] == 16
+    assert prof == [_eigvalsh_neg(a.entries[:j, :j]) for j in range(1, 65)]
+
+
+@pytest.mark.parametrize(
+    "rows, want, stacked",
+    [
+        # -1 sits far below -tau_1 but above sigma_lo = -2 tau_2: neither
+        # block's bracket holds, and the stack counts both
+        ([[-1.0, 0.0], [0.0, 1e10]], [1, 0], [1, 2]),
+        # the first two blocks are certified; the third has -1 between sigma_lo and sigma_hi
+        ([[1.0, 0.0, 0.0], [0.0, 1e10, 0.0], [0.0, 0.0, -1.0]], [0, 0, 0], [3]),
+    ],
+    ids=["both-stacked", "last-stacked"],
+)
+def test_the_stack_counts_exactly_the_uncertified_blocks(monkeypatch, rows, want, stacked):
+    calls = _spy_stacks(monkeypatch)
+    assert leading_negativity_profile(sym(rows)) == want
+    assert [sizes for _, sizes in calls] == [stacked]
 
 
 def test_profile_stacks_keep_under_a_small_cap_or_hold_one_block(monkeypatch):
+    # with a_11 = 0 the first pivot at sigma_hi = -tau_1 / 2 = 0 vanishes, so
+    # no block is certified and all 30 go to the packer
     rng = np.random.default_rng(30)
     g = rng.standard_normal((30, 30))
-    a = SymMatrix(g + g.T)
-    want = leading_negativity_profile(a)
+    a = g + g.T
+    a[0, 0] = 0.0
+    a = SymMatrix(a)
+    want = [inertia(SymMatrix(a.entries[:j, :j])).n_neg for j in range(1, 31)]
     monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     calls = _spy_stacks(monkeypatch)
     assert leading_negativity_profile(a) == want
-    assert len(calls) > 10 and sum(blocks for _, blocks in calls) == 30
-    assert all(entries <= 300 or blocks == 1 for entries, blocks in calls)
+    assert len(calls) > 10 and [j for _, sizes in calls for j in sizes] == list(range(1, 31))
+    assert all(entries <= 300 or len(sizes) == 1 for entries, sizes in calls)
+
+
+def test_subnormal_blocks_go_to_the_stack():
+    # a leading block of subnormal entries: without the underflow term in the
+    # error bound, the elimination would certify [0, 0, 0] for its counts
+    rows = [
+        [2.493e-320, -1.8725e-320, 1.86e-320, 0.0],
+        [-1.8725e-320, 8.4727e-320, 7.08e-321, 0.0],
+        [1.86e-320, 7.08e-321, 2.015e-320, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+    a = np.array(rows)
+    stack = [int(linalg.inertia_stack(a[None, :j, :j], [j])[0, 0]) for j in range(1, 5)]
+    assert stack == [0, 0, 1, 0]
+    assert leading_negativity_profile(sym(rows)) == stack
+
+
+# ---------------------------------------------------------------------------
+# the profile against each leading block's own count
+# ---------------------------------------------------------------------------
+
+def _profile_inputs() -> list[np.ndarray]:
+    """Seeded symmetric arrays, n up to 64: generic, with exact zeros, with
+    a_11 = 0, rank-deficient, and direct sums of blocks 1e10 apart."""
+    rng = np.random.default_rng(2028)
+    out = []
+    for n in (1, 2, 3, 5, 8, 13, 24, 40, 64):
+        g = rng.standard_normal((n, n))
+        a = g + g.T
+        keep = np.triu(rng.uniform(size=(n, n)) < 0.4)
+        sparse = np.where(keep | keep.T, a, 0.0)
+        hollow = a.copy()
+        hollow[0, 0] = 0.0
+        b = rng.standard_normal((n, max(1, n // 3)))
+        low = (b * rng.choice([-1.0, 1.0], size=b.shape[1])) @ b.T
+        out += [a, sparse, hollow, low]
+        if n > 1:
+            h = rng.standard_normal((n, n))
+            cut = n // 2
+            small, big = (h + h.T)[:cut, :cut], 1e10 * (h + h.T)[cut:, cut:]
+            out += [direct_sum([SymMatrix(small), SymMatrix(big)]).entries,
+                    direct_sum([SymMatrix(big), SymMatrix(small)]).entries]
+    return out
+
+
+def _eigvalsh_neg(a: np.ndarray) -> int:
+    lam = np.linalg.eigvalsh(a)
+    return int(np.sum(lam < -REL_ZERO * np.linalg.norm(a)))
+
+
+def test_profile_equals_every_blocks_stack_count_and_eigvalsh_count():
+    for a in _profile_inputs():
+        n = len(a)
+        prof = leading_negativity_profile(SymMatrix(a))
+        stack = [int(linalg.inertia_stack(a[None, :j, :j], [j])[0, 0]) for j in range(1, n + 1)]
+        assert prof == stack == [_eigvalsh_neg(a[:j, :j]) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("c", [2.0**600, 2.0**-600, 1e150, 1e-150], ids=["2^600", "2^-600", "1e150", "1e-150"])
+def test_profile_is_scale_free(c):
+    for a in _profile_inputs():
+        assert leading_negativity_profile(SymMatrix(c * a)) == leading_negativity_profile(SymMatrix(a))

@@ -118,7 +118,14 @@ def forward_difference_test(
 
     counts = []
     for lo, hi in axes:
-        total = int(math.floor((hi - lo) / step + 1e-12)) + 1
+        span = (hi - lo) / step
+        # one axis past the cap passes it alone; an infinite span has no int
+        if span > _MAX_LATTICE:
+            raise ConfigError(
+                f"axis [{lo}, {hi}] at step {step:g} holds over {_MAX_LATTICE} lattice points "
+                f"(cap {_MAX_LATTICE})"
+            )
+        total = int(math.floor(span + 1e-12)) + 1
         if total - order < 1:
             raise ConfigError(
                 f"axis [{lo}, {hi}] holds {total} lattice points, "

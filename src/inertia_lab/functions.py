@@ -212,7 +212,7 @@ def fn_from_json_dict(d: dict) -> FunctionSpec:
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError('function JSON must be an object with a "type" key')
     kind = d["type"]
-    if kind not in _FN_TYPES:
+    if not isinstance(kind, str) or kind not in _FN_TYPES:
         raise ConfigError(f"unknown function type {kind!r}")
     body = {k: v for k, v in d.items() if k != "type"}
     try:

@@ -30,27 +30,31 @@ one such stream and build their trials as plain arrays, with the unchecked
 builders; each check reads its lanes' counts alone, so the pinned-negatives
 batch counts out - (a - b) I as a second lane: exactly k zero eigenvalues
 and none below.
+One rule decides every tuple that can be judged: ``_trial`` gives the
+arrays it counts, its slots and then the lanes of ``_lanes`` (the image,
+and for a lift claim the image gathered to n+3 and n+7), and ``_breach``
+reads the counts of the counted slots (all, slot 1 alone, or none), then
+of the lanes.  Its three callers differ only in how they count and which
+slots they count.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
 settled by size group: the group's two-sided slots are built by one
-stacked QR factorization and one stacked product (``_spectral``), and the
-domain check, f and ``_lanes`` run once on the group's (B, n, n) slot
-stacks.  Each slice has the bytes of the same slot built alone, which is
-how ``sample_with_inertia`` builds it (a batch of one).  A slot's inertia
-is fixed in closed form, not counted; a trial's lanes are those of
-``_lanes`` (the image, and for a lift claim the image gathered to n+3 and
-n+7) plus slot 1 for an inertia claim, and ``_breach`` decides from their
-counts.  A slot outside the domain or a non-finite image raises the error
-of the first such trial in index order.
+stacked QR factorization and one stacked product (``_spectral``), and
+``_trial`` runs once on the group's (B, n, n) slot stacks.  Each slice has
+the bytes of the same slot built alone, which is how
+``sample_with_inertia`` builds it (a batch of one).  A slot's inertia is
+fixed in closed form, so a trial counts the lanes alone, after slot 1 for
+an inertia claim.  A group ``_trial`` refuses raises the error of the first
+trial, in index order, that it refuses.
 A recipe builds its candidate tuples on plain arrays too, at a scale that
 halves along a ladder.  The ladder's first candidate goes straight to the
-judge; the later ones are screened by the same rules (``_screen``) in
-chunks of 2, 4, 8, ...: each chunk counts every candidate's slots and lanes
-on the stack, and a candidate is flagged when its slots are members and
-``_breach`` flags its counts.  ``_make_witness``, the one judge, wraps each
-slot in SymMatrix once, counts the same lanes one matrix at a time and asks
-the same ``_breach``: it makes the witness of a flagged trial or recipe
-candidate, in order, and is what ``Witness.revalidate`` runs.  Outside the
+judge; the later ones are screened (``_screen``) in chunks of 2, 4, 8,
+...: each chunk counts the arrays of every candidate's ``_trial`` on the
+stack, and a candidate is flagged when ``_breach`` returns a count.
+``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
+all the arrays of ``_trial`` one matrix at a time and asks the same
+``_breach``: it makes the witness of a flagged trial or recipe candidate,
+in order, and is what ``Witness.revalidate`` runs.  Outside the
 judge, only ``sample_with_inertia`` builds a SymMatrix, and only the pencil
 base (once per suite) is counted alone.  Reports are deterministic for a
 fixed seed.
@@ -110,6 +114,9 @@ WITNESS_CAP = 10
 
 #: scale halvings a recipe may take before giving up
 RECIPE_HALVINGS = 40
+
+#: a lift claim compares the image at n against its lifts to n + e, e in LIFTS
+LIFTS = (3, 7)
 
 
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -400,7 +407,8 @@ class VerdictReport:
 
 def _lanes(claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray]) -> list[np.ndarray] | None:
     """f[slots] and, for a lift claim, f[slots] gathered by the lift's row map
-    to n+3 and n+7 (f commutes with the lift); None when f[slots] is not finite.
+    to n + e for each e of ``LIFTS`` (f commutes with the lift); None when
+    f[slots] is not finite.
 
     The slots are n x n arrays, or (B, n, n) stacks of B tuples at once: f
     acts entrywise and :func:`_gather` on the last two axes.
@@ -408,40 +416,51 @@ def _lanes(claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray]) -> list[np
     image = fn(*slots)
     if not np.all(np.isfinite(image)):
         return None
-    n, extras = image.shape[-1], ((3, 7) if claim == "lift" else ())
-    return [image, *(_gather(image, _lift_rows(n, n + e)) for e in extras)]
+    n = image.shape[-1]
+    return [image, *(_gather(image, _lift_rows(n, n + e)) for e in (LIFTS if claim == "lift" else ()))]
 
 
-def _breach(claim: str, l: int, out: Inertia, *rest: Inertia) -> Inertia | None:
-    """The count that breaks the claim, or None.
+def _trial(
+    claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig
+) -> tuple[list[np.ndarray], Callable] | None:
+    """The arrays a tuple counts, the slots then the lanes of :func:`_lanes`,
+    and the rule its counts answer to (:func:`_breach`); None for a tuple
+    that cannot be judged: a number of slots other than the arity, sizes
+    that differ, an entry outside the domain, or a non-finite image.
 
-    ``out`` counts f[A]; ``rest`` is slot 1's count for an inertia claim and
-    the counts of the lifted images for a lift claim.
+    The slots are n x n arrays, or (B, n, n) stacks of B tuples at once.
     """
-    if claim == "lift":
-        return next((up for up in rest if up.n_neg != out.n_neg), None)
-    if claim == "inertia":
-        return out if out != rest[0] else None
-    if claim == "exact":
-        return out if out.n_neg != l else None
-    if claim in ("bounded", "closure"):
-        return out if out.n_neg > l else None
-    raise ConfigError(f"no violation predicate for claim {claim!r}")
-
-
-def _judgeable(fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig) -> bool:
-    """The judge's shape, arity and domain checks: one slot per variable, one
-    shape for all, every entry inside the domain."""
-    return (
+    if not (
         len(slots) == cfg.k.m == fn.arity
         and len({np.shape(a) for a in slots}) == 1
         and all(cfg.dom._inside(a).all() for a in slots)
-    )
+    ):
+        return None
+    lanes = _lanes(claim, fn, slots)
+    return None if lanes is None else ([*slots, *lanes], partial(_breach, claim, cfg))
 
 
-def _in_class(claim: str, k_p: int, held: Inertia) -> bool:
-    """Slot membership: exactly k_p negatives, at most k_p under closure."""
-    return held.n_neg <= k_p if claim == "closure" else held.n_neg == k_p
+def _breach(claim: str, cfg: TrialConfig, *counts: Inertia) -> Inertia | None:
+    """The count that breaks the claim, or None.
+
+    ``counts`` holds the counts of the counted slots (all of them, slot 1
+    alone, or none), then those of the lanes of :func:`_lanes`.  A counted
+    slot outside the class (exactly k_p negatives, at most k_p under
+    closure) breaks nothing; slot 1 is an inertia claim's reference.
+    """
+    split = len(counts) - (1 + len(LIFTS) if claim == "lift" else 1)
+    held, (out, *lifted) = counts[:split], counts[split:]
+    if any(h.n_neg > k_p if claim == "closure" else h.n_neg != k_p for h, k_p in zip(held, cfg.k.k)):
+        return None
+    if claim == "lift":
+        return next((up for up in lifted if up.n_neg != out.n_neg), None)
+    if claim == "inertia":
+        return out if out != held[0] else None
+    if claim == "exact":
+        return out if out.n_neg != cfg.l else None
+    if claim in ("bounded", "closure"):
+        return out if out.n_neg > cfg.l else None
+    raise ConfigError(f"no violation predicate for claim {claim!r}")
 
 
 def _make_witness(
@@ -449,29 +468,18 @@ def _make_witness(
 ) -> Witness | None:
     """The one judge: a Witness of the tuple ``slots`` when the claim fails on it, else None.
 
-    Each slot is wrapped in SymMatrix once and its domain and count are
-    checked; the lanes of :func:`_lanes` are counted one matrix at a time
-    (slot 1's count is an inertia claim's reference) and :func:`_breach`
-    decides.  A lift claim's witness holds the size-n tuple, and its
-    ``observed`` is the lifted image's count that differs.  A tuple it cannot
-    judge gives None: a number of slots other than the arity, sizes that
-    differ, an entry out of the domain, or a non-finite image.
+    Each slot is wrapped in SymMatrix once; the arrays of :func:`_trial`
+    are counted one matrix at a time and its :func:`_breach` decides.  A
+    lift claim's witness holds the size-n tuple, and its ``observed`` is the
+    lifted image's count that differs.  A tuple :func:`_trial` cannot judge
+    gives None.
     """
-    if not _judgeable(fn, slots, cfg):
+    trial = _trial(claim, fn, slots, cfg)
+    if trial is None:
         return None
+    arrays, breach = trial
     mats = tuple(map(SymMatrix, slots))
-    held = []
-    for m, k_p in zip(mats, cfg.k.k):
-        held.append(inertia(m))
-        if not _in_class(claim, k_p, held[-1]):
-            return None
-    lanes = _lanes(claim, fn, [m.entries for m in mats])
-    if lanes is None:
-        return None
-    counts = [inertia(SymMatrix(a)) for a in lanes]
-    if claim == "inertia":
-        counts.append(held[0])
-    out = _breach(claim, cfg.l, *counts)
+    out = breach(*(inertia(m) for m in [*mats, *map(SymMatrix, arrays[len(mats) :])]))
     return None if out is None else Witness(mats, fn, out, clause)
 
 
@@ -498,35 +506,35 @@ def _run_trials(
     """Run trials 0..trials-1; returns the failure count and the first witnesses.
 
     Trial i makes the draws of a member tuple from stream i (its size n, then
-    each slot's, :func:`_draw`); its lanes on the stack (:func:`_stacked`)
-    are those of :func:`_lanes`, plus slot 1 for an inertia claim, so their
-    sizes follow from n.  A chunk is settled by size group: the group's
-    slots are built as (B, n, n) stacks (:func:`_settle`), and its domain
-    check, ``fn`` and :func:`_lanes` run once on them.  When a group fails
-    either check, the chunk's trials are checked one by one in index order,
-    and the first that fails raises the error the scalar loop raised for it.
-    Membership is not counted, since the sampler fixes each slot's count by
-    construction.  A trial :func:`_breach` flags goes to
-    :func:`_make_witness`, so its witness is what :meth:`Witness.revalidate`
-    recomputes.
+    each slot's, :func:`_draw`), and declares the sizes of the arrays it
+    counts on the stack (:func:`_stacked`), which follow from n.  A chunk is
+    settled by size group: the group's slots are built as (B, n, n) stacks
+    (:func:`_settle`), and :func:`_trial` runs once on them.  It counts the
+    lanes of :func:`_lanes`, after slot 1 for an inertia claim (its one
+    slot); the other slots are not counted, since the sampler fixes each
+    slot's count by construction.  When :func:`_trial` refuses a group, the
+    chunk's trials go through it one by one in index order, and the first
+    it refuses raises the error the scalar loop raised for it.  A trial
+    :func:`_breach` flags goes to :func:`_make_witness`, so its witness is
+    what :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
-    # past the image's lane: the lifted images' for a lift claim, slot 1's for an inertia claim
-    extras = {"lift": [3, 7], "inertia": [0]}.get(claim, [])
+    # the counted arrays start at slot 1 for an inertia claim, else at the image
+    first = 0 if claim == "inertia" else cfg.k.m
 
     def draw(rng):
         n = int(rng.integers(lo, hi + 1))
-        return [n, *(n + e for e in extras)], (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
+        sizes = [n] * (cfg.k.m - first + 1) + [n + e for e in LIFTS if claim == "lift"]
+        return sizes, (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
 
     def refuse(slots):
-        for p, a in enumerate(slots, start=1):
-            cfg.dom.check_matrix(a, slot=p)
-        if _lanes(claim, fn, slots) is None:
+        if _trial(claim, fn, slots, cfg) is None:
+            for p, a in enumerate(slots, start=1):
+                cfg.dom.check_matrix(a, slot=p)
             raise ConfigError("matrix entries must be finite")
 
-    def check(slots, *counts):
-        breached = _breach(claim, cfg.l, *counts) is not None
-        return _make_witness(claim, fn, slots, cfg, clause) if breached else None
+    def check(breach, slots, *counts):
+        return _make_witness(claim, fn, slots, cfg, clause) if breach(*counts) is not None else None
 
     def settle(chunk):
         groups, where = {}, []
@@ -538,15 +546,14 @@ def _run_trials(
             n: _settle([a for column in zip(*group) for a in column]).reshape(cfg.k.m, len(group), n, n)
             for n, group in groups.items()
         }
-        lanes = {n: _lanes(claim, fn, list(s)) if cfg.dom._inside(s).all() else None for n, s in built.items()}
-        if any(v is None for v in lanes.values()):
+        trials = {n: _trial(claim, fn, list(s), cfg) for n, s in built.items()}
+        if None in trials.values():
             for n, b in where:
-                refuse(built[n][:, b])
+                refuse(list(built[n][:, b]))
         pairs = []
         for n, b in where:
-            slots = list(built[n][:, b])
-            out = [lane[b] for lane in lanes[n]] + ([slots[0]] if claim == "inertia" else [])
-            pairs.append((out, partial(check, slots)))
+            arrays, breach = trials[n]
+            pairs.append(([a[b] for a in arrays[first:]], partial(check, breach, list(built[n][:, b]))))
         return pairs
 
     failures, witnesses = 0, []
@@ -888,30 +895,12 @@ def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterato
 
 def _screen(claim: str, fn: FunctionSpec, chunk: list, cfg: TrialConfig) -> Iterator[bool]:
     """Whether the judge may find a witness in each candidate of ``chunk``,
-    in order, by the trial loop's rules on the stack (:func:`_on_stack`).
-
-    A candidate the judge would refuse (:func:`_judgeable`, or a non-finite
-    image) is not flagged.  The others count their slots and their
-    :func:`_lanes`, and are flagged when every slot is in the class and
-    :func:`_breach` flags the counts.
+    in order: the arrays of :func:`_trial` counted on the stack
+    (:func:`_on_stack`), flagged when its :func:`_breach` returns a count.
+    A candidate :func:`_trial` refuses is not flagged.
     """
-    def trial(slots):
-        if not _judgeable(fn, slots, cfg):
-            return [], lambda: False
-        lanes = _lanes(claim, fn, slots)
-        if lanes is None:
-            return [], lambda: False
-
-        def check(*counts):
-            held, out = counts[: len(slots)], list(counts[len(slots) :])
-            if claim == "inertia":
-                out.append(held[0])
-            members = all(map(partial(_in_class, claim), cfg.k.k, held))
-            return members and _breach(claim, cfg.l, *out) is not None
-
-        return [*slots, *lanes], check
-
-    return _on_stack(_built(trial(slots)) for slots in chunk)
+    trials = (_trial(claim, fn, slots, cfg) or ([], lambda: None) for slots in chunk)
+    return (out is not None for out in _on_stack(map(_built, trials)))
 
 
 def _recipe_witness(

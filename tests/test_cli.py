@@ -276,6 +276,13 @@ def test_non_numeric_json_values_are_config_errors(argv):
         ["absmon", "maclaurin", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":1000000}', "--order", "1"],
         # one lattice point, but one array axis per variable: numpy refuses 70 (ValueError)
         ["absmon", "maclaurin", "--fn", '{"type":"homothety","c":1.0,"slot":1,"arity":70}', "--order", "0"],
+        # (hi - lo) / step overflows to inf, which has no int (OverflowError: exit 1)
+        ["absmon", "check", "--fn", "exp", "--box", "0:1", "--step", "5e-324"],
+        ["absmon", "check", "--fn", "exp", "--box=0:1e308", "--step", "1e-10"],
+        ["absmon", "check", "--fn", "exp", "--box=-1e308:1e308", "--step", "1"],
+        # an unhashable "type" (TypeError: exit 1)
+        ["apply", "--fn", '{"type":["series"]}', "--matrix", "[[1]]"],
+        ["apply", "--fn", '{"type":{"series":1}}', "--matrix", "[[1]]"],
     ],
 )
 def test_malformed_partitions_nodes_and_bool_counts_are_config_errors(argv):

@@ -9,10 +9,11 @@ screen ``_screen``, which sees a ladder's candidates after the first, and
 ``linalg._leading_counts``, which packs there the leading blocks that its
 one elimination cannot certify; ``leading_negativity_profile`` is one call
 of it.
-The scalar calls left are the one judge ``_make_witness`` (its slots, then
-its lanes: the image and, for a lift claim, the lifted images), which sees
-a recipe's first candidate and the flagged ones only, and the pencil base,
-counted once per ``lemma_suite`` call.
+The scalar calls left are the one judge ``_make_witness``, whose one count
+runs over the arrays of ``_trial`` (its slots, then its lanes: the image
+and, for a lift claim, the lifted images) and which sees a recipe's first
+candidate and the flagged ones only, and the pencil base, counted once per
+``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler, the pinned suite batch and the
 recipes' member filler build their blocks PSD by construction and call the
@@ -41,7 +42,6 @@ COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack", "
 EXPECTED = sorted(
     [
         ("constructions.py", "embed_with_negatives", "inertia"),
-        ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_screen", "_on_stack"),
         ("harness.py", "_stacked", "_on_stack"),

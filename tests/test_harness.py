@@ -918,6 +918,43 @@ def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypat
     assert len(shapes) > 1
 
 
+# one case per claim
+@pytest.mark.parametrize(
+    "case", ["verify-inertia", "verify-exact-two-sizes", "verify-closure-affine", "verify-bounded", "verify-lift"],
+)
+def test_the_trial_loop_declares_the_sizes_of_the_arrays_it_settles(case, monkeypatch):
+    """The packer packs by the sizes a trial declares and counts the arrays
+    its chunk settles into: they agree trial by trial, in order."""
+    call, claim, cfg = _stacked_run(case, 40)
+    declared, settled = [], []
+    real = harness._on_stack
+
+    def spy(trials, settle):
+        def settle_spy(chunk):
+            pairs = settle(chunk)
+            settled.extend(list(arrays) for arrays, _ in pairs)
+            return pairs
+
+        return real(((declared.append(sizes) or sizes, draw) for sizes, draw in trials), settle_spy)
+
+    monkeypatch.setattr(harness, "_on_stack", spy)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
+    call()
+    fn = call.args[1]
+    assert len(declared) == len(settled) == cfg.trials
+    for i, (sizes, arrays) in enumerate(zip(declared, settled)):
+        rng = harness._trial_rng(cfg.seed, i)
+        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=claim == "closure")]
+        # slot 1 for an inertia claim, then the image, then the lifts for a lift claim
+        want = [n] * (claim == "inertia") + [n] + [n + 3, n + 7] * (claim == "lift")
+        assert list(sizes) == want
+        assert [a.shape for a in arrays] == [(s, s) for s in want]
+        assert arrays[claim == "inertia"].tobytes() == fn(*slots).tobytes()
+        if claim == "inertia":
+            assert arrays[0].tobytes() == slots[0].tobytes()
+
+
 @pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize(

@@ -2,7 +2,8 @@
 
 The sampler, the trial loop, the witness recipes and the lemma-suite batches
 work on plain symmetric arrays.  A slot becomes a ``SymMatrix`` only in the
-one judge, ``_make_witness``, which wraps each slot and each lane once, and
+one judge, ``_make_witness``, which wraps each slot and each lane of
+``_trial`` once, and
 in the public sampler ``sample_with_inertia``, which wraps what it returns;
 the pinned suite batch counts its window as a second lane of the suite's
 stack, with no wrap and no scalar count.  Any other use of the

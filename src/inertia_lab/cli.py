@@ -157,7 +157,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    result = args.builder(args)
+    with np.errstate(over="ignore", invalid="ignore"):  # SymMatrix refuses a non-finite entry
+        result = args.builder(args)
     if isinstance(result, SymMatrix):
         payload = {
             "matrix": result.to_json_dict(),

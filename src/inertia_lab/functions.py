@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -245,7 +245,8 @@ def apply_entrywise(
         if m.n != n:
             raise ConfigError("all matrices in a tuple must share one size")
         dom.check_matrix(m, slot=p)
-    return SymMatrix(f(*(m.entries for m in mats)))
+    with np.errstate(over="ignore", invalid="ignore"):  # SymMatrix refuses a non-finite entry
+        return SymMatrix(f(*(m.entries for m in mats)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,20 +324,33 @@ class PreserverVerdict:
         }
 
 
-def _decompose(f: FunctionSpec, m0: int):
-    """Split the terms into (constant, base, linear, bad) parts.
+class _Parts(NamedTuple):
+    """The terms of f split by the slots a claim constrains, those past the
+    first ``m0``: the constant, the ``base`` terms on the free slots alone,
+    the ``linear`` coefficients of pure slopes on constrained slots (1-based)
+    and the ``bad`` terms that touch a constrained slot otherwise, each with
+    the clause it breaks; all in canonical term order, which the
+    classifier's first-offender messages rely on."""
 
-    ``base`` collects terms supported on the first ``m0`` (unconstrained)
-    variables, excluding the constant.  ``linear`` maps 1-based slots of
-    constrained variables to their pure-linear coefficients.  ``bad`` lists
-    terms that touch a constrained variable in any other way.  Every part
-    keeps the canonical term order, which the classifier's first-offender
-    messages rely on.
-    """
-    const = 0.0
-    base: dict[tuple[int, ...], float] = {}
-    linear: dict[int, float] = {}
-    bad: list[tuple[tuple[int, ...], float, str]] = []
+    m0: int
+    const: float
+    base: dict[tuple[int, ...], float]
+    linear: dict[int, float]
+    bad: list[tuple[tuple[int, ...], float, str]]
+
+    @property
+    def touched(self) -> list[int]:
+        """The constrained slots (1-based, ascending) that f depends on."""
+        in_bad = {p for a, _, _ in self.bad for p, e in enumerate(a, 1) if e and p > self.m0}
+        return sorted(set(self.linear) | in_bad)
+
+
+def _parts(f: FunctionSpec, ks: AdmissibleK, mode: str) -> _Parts:
+    """The terms of f split by the slots a claim in ``mode`` constrains: all
+    of them for an inertia claim, also at k = 0, where the zero count is kept
+    too; else all but the leading slots with k_p = 0 (``ks.m0`` of them)."""
+    m0 = 0 if mode == "inertia" else ks.m0
+    const, base, linear, bad = 0.0, {}, {}, []
     for alpha, c in f.terms:
         total = sum(alpha)
         constrained = [(p, e) for p, e in enumerate(alpha, start=1) if e and p > m0]
@@ -350,12 +364,7 @@ def _decompose(f: FunctionSpec, m0: int):
             bad.append((alpha, c, "nonlinear-term"))
         else:
             bad.append((alpha, c, "mixed-term"))
-    return const, base, linear, bad
-
-
-def _constrained_slots(linear: dict[int, float], bad: list, m0: int) -> list[int]:
-    """The constrained slots (1-based, ascending) that f depends on."""
-    return sorted(set(linear) | {p for a, _, _ in bad for p, e in enumerate(a, 1) if e and p > m0})
+    return _Parts(m0, const, base, linear, bad)
 
 
 def _regime_covered(ks: AdmissibleK, l: int) -> bool:
@@ -393,6 +402,7 @@ def classify(
     if f.arity != ks.m:
         raise ConfigError(f"function arity {f.arity} does not match k arity {ks.m}")
 
+    parts = _parts(f, ks, mode)
     if mode in ("exact", "inertia"):
         distinct = set(ks.k)
         if len(distinct) != 1:
@@ -402,8 +412,8 @@ def classify(
             raise ConfigError(f"exact claims need l == k, got l={l}, k={kstar}")
         if mode == "exact" and kstar == 0:
             # exactly-PSD image on PSD inputs is the l = 0 bounded regime
-            return _classify_bounded(f, ks, 0)
-        return _classify_rigid(f, ks, l, mode)
+            return _classify_bounded(parts, ks, 0)
+        return _classify_rigid(parts, ks, l, mode)
 
     if not _regime_covered(ks, l):
         kmin = ks.min_positive
@@ -411,33 +421,33 @@ def classify(
         raise RegimeNotCovered(
             f"no decision for k={ks.k} with l={l}; covered: l == 0, or {window}"
         )
-    return _classify_bounded(f, ks, l)
+    return _classify_bounded(parts, ks, l)
 
 
-def _offender(linear: dict[int, float], bad: list) -> tuple[str, str] | None:
+def _offender(parts: _Parts) -> tuple[str, str] | None:
     """The first offender every claim rejects, as (clause, detail), or None.
 
     In order: a term that is not a pure slope on one constrained slot, the
     first negative slope, slopes on two or more slots.
     """
-    if bad:
-        alpha, c, reason = bad[0]
+    if parts.bad:
+        alpha, c, reason = parts.bad[0]
         return reason, f"term {alpha} with coefficient {c:g}"
-    for slot, c in sorted(linear.items()):
+    for slot, c in sorted(parts.linear.items()):
         if c < 0.0:
             return "negative-linear-coefficient", f"slope {c:g} on slot {slot}"
-    if len(linear) > 1:
-        return "multiple-linear-variables", f"slots {sorted(linear)}"
+    if len(parts.linear) > 1:
+        return "multiple-linear-variables", f"slots {sorted(parts.linear)}"
     return None
 
 
-def _classify_rigid(f: FunctionSpec, ks: AdmissibleK, l: int, mode: str) -> PreserverVerdict:
+def _classify_rigid(parts: _Parts, ks: AdmissibleK, l: int, mode: str) -> PreserverVerdict:
     """Exact and inertia claims: f must be one positive slope and nothing else.
 
     Every slot is constrained here (m0 = 0), so there are no base terms.
     """
-    const, _, linear, bad = _decompose(f, m0=0)
-    offender = _offender(linear, bad)
+    _, const, _, linear, _ = parts
+    offender = _offender(parts)
     if offender:
         return PreserverVerdict(False, mode, *offender)
     if not linear:
@@ -452,14 +462,14 @@ def _classify_rigid(f: FunctionSpec, ks: AdmissibleK, l: int, mode: str) -> Pres
     return PreserverVerdict(True, mode, "homothety", f"f = {c:g} * x_{slot}")
 
 
-def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerdict:
-    const, base, linear, bad = _decompose(f, m0=ks.m0)
+def _classify_bounded(parts: _Parts, ks: AdmissibleK, l: int) -> PreserverVerdict:
+    _, const, base, linear, _ = parts
     negative_base = next((f"coefficient {c:g} on {a}" for a, c in base.items() if c < 0.0), None)
 
     if l == 0:
         # image must be PSD: no dependence on constrained slots at all,
         # and every coefficient (constant included) nonnegative
-        slots = _constrained_slots(linear, bad, ks.m0)
+        slots = parts.touched
         if slots:
             return PreserverVerdict(
                 False, "bounded", "constrained-dependence",
@@ -483,7 +493,7 @@ def _classify_bounded(f: FunctionSpec, ks: AdmissibleK, l: int) -> PreserverVerd
         return PreserverVerdict(True, "bounded", "series-nonnegative", "")
 
     # some slot is genuinely constrained
-    offender = _offender(linear, bad)
+    offender = _offender(parts)
     if offender:
         return PreserverVerdict(False, "bounded", *offender)
     if negative_base:

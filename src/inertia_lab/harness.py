@@ -88,8 +88,8 @@ from .functions import (
     AdmissibleK,
     FunctionSpec,
     PreserverVerdict,
-    _constrained_slots,
-    _decompose,
+    _parts,
+    _Parts,
     classify,
 )
 from .linalg import (
@@ -413,7 +413,8 @@ def _lanes(claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray]) -> list[np
     The slots are n x n arrays, or (B, n, n) stacks of B tuples at once: f
     acts entrywise and :func:`_gather` on the last two axes.
     """
-    image = fn(*slots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = fn(*slots)
     if not np.all(np.isfinite(image)):
         return None
     n = image.shape[-1]
@@ -622,13 +623,14 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 # witness recipes
 # ---------------------------------------------------------------------------
 #
-# A recipe maps (fn, cfg, rng, t0, eps) to a list of candidate tuples of
-# symmetric arrays at the entry scale t0 (and the open_positive shift eps);
-# the caller halves both scales until a candidate is a witness, screening
-# all but the first on the stack before the judge sees them.  A
-# candidate larger than ``N_MAX`` is a ConfigError, raised before any size
-# that grows with l or the arity is allocated, so the run falls through to
-# random search.
+# A recipe maps (fn, cfg, parts, rng, t0, eps) to a list of candidate tuples
+# of symmetric arrays at the entry scale t0 (and the open_positive shift
+# eps); ``parts`` are f's terms split as the classifier splits them, once a
+# ladder (``functions._parts``).  The caller halves both scales until a
+# candidate is a witness, screening all but the first on the stack before
+# the judge sees them.  A candidate larger than ``N_MAX`` is a ConfigError,
+# raised before any size that grows with l or the arity is allocated, so the
+# run falls through to random search.
 
 def _shift(dom: DomainSpec, eps: float) -> float:
     """``eps`` over open_positive, where zero entries are out of domain, else 0."""
@@ -672,11 +674,10 @@ def _fill_slots(
     )
 
 
-def _recipe_nonlinear(fn, cfg, rng, t0, eps):
+def _recipe_nonlinear(fn, cfg, parts, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
-    _, _, _, bad = _decompose(fn, ks.m0)
-    alpha = bad[0][0]
-    p = next(q for q, e in enumerate(alpha, start=1) if e and q > ks.m0)
+    alpha = parts.bad[0][0]
+    p = next(q for q, e in enumerate(alpha, start=1) if e and q > parts.m0)
     k_p = ks.k[p - 1]
     if k_p >= 2:
         # block_pair(0, V): [[0, V], [V, 0]]
@@ -685,8 +686,10 @@ def _recipe_nonlinear(fn, cfg, rng, t0, eps):
         core = np.block([[zero, v], [v, zero]])
         if dom.one_sided:
             core = core + eps
-    else:
+    elif k_p:
         core = block_pair(*two_by_two_pair(t0)).entries
+    else:
+        core = vandermonde_psd(2, t0).entries  # PSD of rank 2: entrywise powers raise its rank
     # every slot the offending term touches gets the same core, so its
     # structure survives the entrywise product
     placed = {
@@ -695,22 +698,20 @@ def _recipe_nonlinear(fn, cfg, rng, t0, eps):
     return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
-def _recipe_negative_linear(fn, cfg, rng, t0, eps):
+def _recipe_negative_linear(fn, cfg, parts, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
-    _, _, linear, _ = _decompose(fn, ks.m0)
-    p = min(q for q, c in linear.items() if c < 0.0)
+    p = min(q for q, c in parts.linear.items() if c < 0.0)
     k_p = ks.k[p - 1]
     # a pad block of size l + 3 on every domain kind
     core = _member_filler(k_p + cfg.l + 3 + dom.one_sided, k_p, dom, t0, eps)
     return [_fill_slots(len(core), {p: core}, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
-def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
-    ks, dom = cfg.k, cfg.dom
-    _, _, linear, _ = _decompose(fn, ks.m0)
+def _recipe_multiple_linear(fn, cfg, parts, rng, t0, eps):
+    ks, dom, linear = cfg.k, cfg.dom, parts.linear
     # the classifier reports this clause only once every slope is positive
     min_c = min(linear.values())
-    constrained = range(ks.m0 + 1, ks.m + 1)
+    constrained = range(parts.m0 + 1, ks.m + 1)
     blocks = {q: ks.k[q - 1] + 1 for q in constrained}
     n = int_in(sum(blocks.values()), "candidate size", 1, N_MAX)
     eta = t0 * min_c / (4.0 * sum(linear.values()))
@@ -729,12 +730,11 @@ def _recipe_multiple_linear(fn, cfg, rng, t0, eps):
     return [_fill_slots(n, placed, np.full((n, n), eps / 4), ks, dom, t0, eps)]
 
 
-def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
+def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
-    _, _, linear, bad = _decompose(fn, ks.m0)
-    p = _constrained_slots(linear, bad, ks.m0)[0]
+    p = parts.touched[0]
     k_p = ks.k[p - 1]
-    constrained = list(range(ks.m0 + 1, ks.m + 1))
+    constrained = list(range(parts.m0 + 1, ks.m + 1))
     out = []
     if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
         # smallest possible witness: a tuple of 1x1 matrices
@@ -762,9 +762,8 @@ def _recipe_constrained_dependence(fn, cfg, rng, t0, eps):
     return out
 
 
-def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
-    ks, dom = cfg.k, cfg.dom
-    _, base, _, _ = _decompose(fn, ks.m0)
+def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
+    ks, dom, base = cfg.k, cfg.dom, parts.base
     kmax = max(ks.k)
     negative = [a for a in base if base[a] < 0.0]
     if not negative:
@@ -800,7 +799,7 @@ def _recipe_negative_coefficient(fn, cfg, rng, t0, eps):
     return [_fill_slots(n, placed, np.full((n, n), min(t0, scale) / 8), ks, dom, eta, shift)]
 
 
-def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
+def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
     """Witnesses for a bad constant offset next to a positive slope.
 
     A negative base value g is exposed by small negatives on the slope's
@@ -809,12 +808,11 @@ def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
     which case there is no candidate.
     """
     ks, dom = cfg.k, cfg.dom
-    _, _, linear, _ = _decompose(fn, ks.m0)
-    (p, c), = linear.items()
+    (p, c), = parts.linear.items()
     k_p = ks.k[p - 1]
     s = t0 / 4.0
     # f with the free slots at s and the constrained ones at 0
-    g = float(fn(*(s if q <= ks.m0 else 0.0 for q in range(1, ks.m + 1))))
+    g = float(fn(*(s if q <= parts.m0 else 0.0 for q in range(1, ks.m + 1))))
     if g < 0.0:
         delta = min(t0, abs(g) / (2.0 * c))
         if not dom.one_sided:
@@ -835,7 +833,7 @@ def _recipe_offset(fn, cfg, rng, t0, eps, negative_only=False):
     return [_fill_slots(len(core), {p: core}, np.full(core.shape, s), ks, dom, t0, eps)]
 
 
-def _recipe_constant_map(fn, cfg, rng, t0, eps):
+def _recipe_constant_map(fn, cfg, parts, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     kstar = max(ks.k)
     if not dom.one_sided and kstar == 1:
@@ -847,11 +845,10 @@ def _recipe_constant_map(fn, cfg, rng, t0, eps):
     return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
-def _recipe_budget(fn, cfg, rng, t0, eps):
+def _recipe_budget(fn, cfg, parts, rng, t0, eps):
     """Slope on a slot whose negativity exceeds the claimed budget l."""
     ks, dom = cfg.k, cfg.dom
-    _, _, linear, _ = _decompose(fn, ks.m0)
-    (p, _), = linear.items()
+    (p, _), = parts.linear.items()
     k_p = ks.k[p - 1]
     if not dom.one_sided:
         n0 = k_p + 1
@@ -878,7 +875,7 @@ _RECIPES: dict[str, Callable] = {
 }
 
 
-def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterator[tuple[np.ndarray, ...]]:
+def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts) -> Iterator[tuple]:
     """The recipe's candidates at t0 = rho/8, eps = rho/16, then at both halved,
     ``RECIPE_HALVINGS`` times; a scale with a candidate past ``N_MAX`` gives none."""
     # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
@@ -887,7 +884,7 @@ def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig) -> Iterato
     t0, eps = cfg.dom.rho_eff / 8.0, cfg.dom.rho_eff / 16.0
     for _ in range(RECIPE_HALVINGS):
         try:
-            yield from recipe(fn, cfg, rng, t0, eps)
+            yield from recipe(fn, cfg, parts, rng, t0, eps)
         except ConfigError:
             pass
         t0, eps = t0 / 2.0, eps / 2.0
@@ -917,7 +914,7 @@ def _recipe_witness(
     recipe = _RECIPES.get(clause)
     if recipe is None:
         return None, 0
-    candidates = _candidates(recipe, fn, cfg)
+    candidates = _candidates(recipe, fn, cfg, _parts(fn, cfg.k, _CLAIM_TO_MODE[claim]))
     attempts = 0
     while chunk := list(islice(candidates, attempts + 1)):
         flags = _screen(claim, fn, chunk, cfg) if attempts else [True]

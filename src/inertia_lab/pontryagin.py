@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, int_in, int_of
-from .linalg import N_MAX, REL_ZERO, SymMatrix, _leading_counts, eig_sym, sturm_count, zero_threshold
+from .linalg import N_MAX, REL_ZERO, SymMatrix, _leading_counts, eig_sym, sturm_count
 
 #: a 1x1 pivot must reach ALPHA * max|S| (Bunch & Parlett, SIAM J. Numer. Anal. 8, 1971)
 ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
@@ -79,21 +79,24 @@ def gram_realize(A: SymMatrix, k: int) -> tuple[np.ndarray, tuple[int, int], flo
 
     Requires r = n_neg(A) <= k <= N_MAX.  Returns ``(vectors, (n - r, k), err)``,
     rows are vectors, with ``err`` the relative Frobenius error of gram_of on
-    them.  r is the Sturm count :func:`sturm_count` at minus the zero
-    threshold; only the refusals run :func:`eig_sym`.  The vectors come from
-    :func:`_eliminate` on A / 2^e at the zero threshold (e the binade of A
-    rounded up to even, so 2^(e/2) scales them back exactly).  Its minus
+    them.  r and the vectors share one scale and one threshold: A / 2^e (e
+    the binade of A rounded up to even, so 2^(e/2) scales the vectors back
+    exactly) and its zero threshold, which stays normal where that of A
+    would underflow.  r is the Sturm count :func:`sturm_count` at minus the
+    threshold, and the vectors come from :func:`_eliminate`, whose minus
     count is at least r (Weyl), and more only through eigenvalues counted as
-    zero: it is padded like r up to k, refused above.
+    zero: it is padded like r up to k, refused above.  Only the refusals
+    run :func:`eig_sym`.
     """
     int_in(k, "k", 0, N_MAX)
     if not math.isfinite(A.fro) and not np.all(np.isfinite(eig_sym(A)[0])):
         raise ConfigError("an eigenvalue is beyond the largest double")
-    r = sturm_count(A, [-zero_threshold(A)])[0]
+    n, e = A.n, A._e + (A._e & 1)
+    s, tau = np.ldexp(A.entries, -e), math.ldexp(REL_ZERO * A._s, A._e - e)
+    r = sturm_count(SymMatrix(s), [-tau])[0]
     if r > k:
         raise ConfigError(f"matrix has {r} negative eigenvalues, more than k = {k}")
-    n, e = A.n, A._e + (A._e & 1)
-    plus, minus = _eliminate(np.ldexp(A.entries, -e), math.ldexp(REL_ZERO * A._s, A._e - e))
+    plus, minus = _eliminate(s, tau)
     if len(minus) > k:
         raise ConfigError(
             f"eigenvalue {eig_sym(A)[0][k]:.3e} counts as zero, but elimination takes it as a minus "

@@ -110,6 +110,34 @@ def test_an_asymmetry_beyond_the_largest_double_is_refused_without_a_warning():
     assert "asymmetric" in err
 
 
+CUBE_AT_1E150 = {
+    "fn": {"type": "series", "arity": 1, "terms": [{"alpha": [3], "coeff": 1.0}]},
+    "config": {"domain": {"kind": "closed_left", "rho": 1e150}, "k": [0], "l": 0, "trials": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--fn", json.dumps(CUBE_AT_1E150["fn"]), "--matrix", "[[1e150,0],[0,1]]"],
+        ["verify", json.dumps({"theorem": "bounded", **CUBE_AT_1E150})],
+        ["falsify", "--strategy", "random", json.dumps({"theorem": "exact", **CUBE_AT_1E150})],
+        ["construct", "ones-spike", "--k", "255", "--delta", "1", "--epsilon", "1e308"],
+        ["construct", "two-by-two", "--t0", "1e308"],
+        ["construct", "vandermonde", "--k", "3", "--t0", "1e308"],
+        ["construct", "embed", "--a", "1e308", "--b", "1.7e308", "--k", "1", "--epsilon", "1.7e308",
+         "--block", "[[1.7e308]]"],
+    ],
+    ids=["apply", "verify", "falsify", "ones-spike", "two-by-two", "vandermonde", "embed"],
+)
+def test_an_overflowing_matrix_is_refused_without_a_warning(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "inertia-lab: error: matrix entries must be finite\n"
+
+
 def test_asymmetry_is_judged_relative_to_the_entries():
     code, out, err = run_cli(["inertia", "--matrix", "[[1e-13,2e-13],[3e-13,1e-13]]"])
     assert code == 3

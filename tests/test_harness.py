@@ -29,7 +29,9 @@ from inertia_lab.functions import (
     Homothety,
     Series,
     SplitForm,
+    _parts,
     apply_entrywise,
+    classify,
 )
 from inertia_lab.harness import (
     TrialConfig,
@@ -239,7 +241,7 @@ def test_recipe_candidates_are_tuples_of_bitwise_symmetric_arrays(clause, kind, 
     assert set(RECIPE_CASES) == set(harness._RECIPES)
     claim, fn, k, l = RECIPE_CASES[clause]
     cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
-    candidates = list(islice(harness._candidates(harness._RECIPES[clause], fn, cfg), 6))
+    candidates = list(islice(_ladder(clause, claim, fn, cfg), 6))
     assert candidates
     for slots in candidates:
         assert type(slots) is tuple and len(slots) == len(k)
@@ -1064,10 +1066,17 @@ def test_the_size_floor_is_one_rule_for_configs_the_sampler_and_the_recipes():
 # confirms only flagged ones, so reports are those of judging each in turn
 # ---------------------------------------------------------------------------
 
+def _ladder(clause, claim, fn, cfg):
+    """The candidates of the clause's recipe ladder, built from the parts of f
+    that the claim's classification splits off, as ``_recipe_witness`` builds them."""
+    parts = _parts(fn, cfg.k, harness._CLAIM_TO_MODE[claim])
+    return harness._candidates(harness._RECIPES[clause], fn, cfg, parts)
+
+
 def _sequential_recipe(clause, claim, fn, cfg):
     """The reference ladder: the judge on every candidate, in order."""
     attempts = 0
-    for attempts, slots in enumerate(harness._candidates(harness._RECIPES[clause], fn, cfg), start=1):
+    for attempts, slots in enumerate(_ladder(clause, claim, fn, cfg), start=1):
         w = harness._make_witness(claim, fn, slots, cfg, clause)
         if w is not None:
             return w, attempts
@@ -1105,7 +1114,7 @@ def test_the_screen_flags_exactly_the_candidates_the_judge_confirms(case):
     clause, claim, fn, k, l = LADDER_CASES[case]
     for kind, rho in PINNED_DOMAINS:
         cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
-        candidates = list(harness._candidates(harness._RECIPES[clause], fn, cfg))
+        candidates = list(_ladder(clause, claim, fn, cfg))
         flags = list(harness._screen(claim, fn, candidates, cfg))
         assert flags == [harness._make_witness(claim, fn, c, cfg, clause) is not None for c in candidates]
 
@@ -1136,11 +1145,42 @@ def test_a_ladder_that_finds_nothing_judges_once_and_counts_a_few_stacks(monkeyp
     assert len(judged) == 1 and len(counts) == 5
 
 
+def test_a_ladder_splits_f_once_as_the_classifier_does(monkeypatch):
+    split = _spy(monkeypatch, "_parts")
+    claim, fn, k, l = RECIPE_CASES["negative-coefficient"]
+    cfg = TrialConfig(DomainSpec("two_sided", 1e-12), AdmissibleK(k), l, trials=6, seed=5)
+    assert harness._recipe_witness("negative-coefficient", claim, fn, cfg)[1] == 40
+    assert split == [(fn, cfg.k, "bounded")]
+
+
+# an inertia claim constrains its one slot also at k = 0: f must keep the
+# zero count of a PSD input too, so a recipe places PSD slots that f breaks
+INERTIA_AT_K_0 = {
+    "nonlinear-term": Series(1, {(2,): 1.0}),
+    "negative-linear-coefficient": Series(1, {(1,): -1.0}),
+    "constant-and-powers": Series(1, {(0,): 0.5, (2,): -1.0, (3,): 0.75}),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", list(INERTIA_AT_K_0))
+def test_an_inertia_claim_at_k_0_gets_a_recipe_witness(case, kind):
+    fn = INERTIA_AT_K_0[case]
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK((0,)), 0, trials=5, seed=0)
+    clause = classify(fn, (0,), 0, cfg.dom, mode="inertia").clause
+    assert clause == ("nonlinear-term" if case == "constant-and-powers" else case)
+    rep = falsify("inertia", fn, cfg, strategy="recipe")
+    assert rep.label == f"witness found via recipe for clause '{clause}'"
+    w = rep.witnesses[0]
+    assert w.revalidate("inertia", cfg)
+    assert inertia(w.mats[0]).n_neg == 0 and w.observed != inertia(w.mats[0])
+
+
 def test_candidates_built_past_the_hit_never_reach_the_judge(monkeypatch):
     claim, fn, k, l = RECIPE_CASES["negative-offset"]
     cfg = TrialConfig(DomainSpec("two_sided", 1e12), AdmissibleK(k), l, trials=6, seed=5)
     recipe = harness._RECIPES["negative-offset"]
-    ladder = [s[0].tobytes() for s in harness._candidates(recipe, fn, cfg)]
+    ladder = [s[0].tobytes() for s in _ladder("negative-offset", claim, fn, cfg)]
     built = []
 
     def spy(*args):

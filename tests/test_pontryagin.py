@@ -112,6 +112,18 @@ def test_gram_error_stays_positive_past_the_largest_double():
     assert errs[1023] == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_subnormal_matrix_counts_its_zero_eigenvalue_as_zero(k):
+    # REL_ZERO * ||A||_F underflows to 0.0 below about 5e-315; the count is
+    # taken on A / 2^e at its threshold, as the elimination is, so the zero
+    # eigenvalue stays a plus direction at every binade
+    for scale in (1.0, 1e-300, 1e-315, 5e-324):
+        a = SymMatrix([[0.0, 0.0], [0.0, -scale]])
+        assert inertia(a) == (1, 1, 0)
+        vecs, sig, err = gram_realize(a, k)
+        assert sig == (1, k) and err == 0.0
+
+
 def test_profile_of_hollow_ones():
     h = sym(np.ones((4, 4)) - np.eye(4))
     assert leading_negativity_profile(h) == [0, 1, 2, 3]

@@ -35,6 +35,15 @@ if len(witnesses) != 1:
     sys.exit(f"inertia-lab falsify printed {len(witnesses)} witnesses, expected 1")
 '
 
+# an offset next to a slope on a slot with k = 0: the recipe's core is PSD of rank one
+inertia-lab falsify '{"theorem":"inertia","fn":{"type":"series","arity":1,"terms":[{"alpha":[0],"coeff":1},{"alpha":[1],"coeff":1}]},"config":{"k":[0],"l":0,"trials":5}}' \
+  | python3 -c '
+import json, sys
+witnesses = json.load(sys.stdin)["witnesses"]
+if len(witnesses) != 1:
+    sys.exit(f"inertia-lab falsify printed {len(witnesses)} witnesses, expected 1")
+'
+
 # a subnormal matrix: its zero eigenvalue is a plus direction, not a minus one
 inertia-lab pontryagin factor --matrix '[[0,0],[0,-1e-315]]' --k 1 | python3 -c '
 import json, sys

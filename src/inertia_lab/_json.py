@@ -24,6 +24,11 @@ def dumps(obj: Any, indent: int | None = None) -> str:
     return "".join(out)
 
 
+#: the element types of a row written in one join: exact types, so that
+#: numpy scalars and bools take the generic path
+_ROWS = ({float}, {int})
+
+
 def _float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
@@ -50,11 +55,12 @@ def _write(obj: Any, nl: str, pad: str, out: list[str]) -> None:
         out[-1] = nl + "}" if obj else "{}"  # the last "," or the "{"
     elif not isinstance(obj, (list, tuple)):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    elif obj and all(isinstance(x, float) for x in obj):
-        # a row of floats, the bulk of a matrix, is one join
-        if not all(map(math.isfinite, obj)):
+    elif obj and (kinds := set(map(type, obj))) in _ROWS:
+        # a row of plain floats or of plain ints, the bulk of a matrix, is one
+        # join; repr is float.__repr__ or int.__repr__ on these exact types
+        if float in kinds and not all(map(math.isfinite, obj)):
             _float(next(x for x in obj if not math.isfinite(x)))
-        out.append(f"[{inner}{(',' + inner).join(map(float.__repr__, obj))}{nl}]")
+        out.append(f"[{inner}{(',' + inner).join(map(repr, obj))}{nl}]")
     else:
         out.append("[")
         for value in obj:

@@ -43,7 +43,13 @@ def block_pair(A: SymMatrix, B: SymMatrix) -> SymMatrix:
     """
     if A.n != B.n:
         raise ConfigError("block_pair needs two matrices of one size")
-    return SymMatrix(np.block([[A.entries, B.entries], [B.entries, A.entries]]))
+    return SymMatrix(_block_pair(A.entries, B.entries))
+
+
+def _block_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[[a, b], [b, a]] for square arrays a and b of one size, unchecked; for
+    two (H, n, n) stacks, the (H, 2n, 2n) stack of the pairs of their slices."""
+    return np.concatenate([np.concatenate([a, b], -1), np.concatenate([b, a], -1)], -2)
 
 
 def replicated_block(A: SymMatrix, k: int, l: int, t0: float) -> SymMatrix:
@@ -63,8 +69,16 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     entrywise squaring pushes the rank up to min(2k-1, k(k+1)/2).  Defaults to
     equispaced nodes u_i = (i + 1) / (2k) in (0, 1).
     """
-    size = 2 * int_in(k, "k", 1, (N_MAX + 1) // 2) - 1
+    int_in(k, "k", 1, (N_MAX + 1) // 2)
     t0 = finite_float(t0, "t0", positive=True)
+    return SymMatrix(t0 * _moments(k, u))
+
+
+def _moments(k: int, u: Sequence[float] | None = None) -> np.ndarray:
+    """sum_{j<k} (u^j)(u^j)^T, the entries of :func:`vandermonde_psd` at
+    t0 = 1, with its checks of k and u: bitwise symmetric and positive, so
+    t0 times it, for a t0 of any shape, is what :class:`SymMatrix` keeps."""
+    size = 2 * int_in(k, "k", 1, (N_MAX + 1) // 2) - 1
     if u is None:
         u = [(i + 1) / (2 * k) for i in range(size)]
     if not (isinstance(u, (list, tuple, np.ndarray)) and len(u) == size):
@@ -76,7 +90,11 @@ def vandermonde_psd(k: int, t0: float, u: Sequence[float] | None = None) -> SymM
     for j in range(k):
         col = u_arr**j
         out += np.outer(col, col)
-    return SymMatrix(t0 * out)
+    return out
+
+
+#: the pair of :func:`two_by_two_pair` at t0 = 1
+_PAIR = (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[2.0, 3.0], [3.0, 5.0]]))
 
 
 def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
@@ -87,9 +105,7 @@ def two_by_two_pair(t0: float) -> tuple[SymMatrix, SymMatrix]:
     expands to t0^(2j) * (10^j - 9^j - 8^j + 6^j + 6^j - 5^j) > 0.
     """
     t0 = finite_float(t0, "t0", positive=True)
-    a = SymMatrix(t0 * np.array([[1.0, 2.0], [2.0, 4.0]]))
-    b = SymMatrix(t0 * np.array([[2.0, 3.0], [3.0, 5.0]]))
-    return a, b
+    return SymMatrix(t0 * _PAIR[0]), SymMatrix(t0 * _PAIR[1])
 
 
 def ones_orthogonal_basis(size: int) -> np.ndarray:
@@ -111,15 +127,18 @@ def ones_spike(k: int, delta: float, epsilon: float) -> SymMatrix:
     -epsilon * (j-1) * j on the ones-orthogonal completion vectors, so the
     inertia is (k, 0, 1).
     """
+    int_in(k, "k", 1, N_MAX - 1)
+    delta = finite_float(delta, "delta", positive=True)
+    epsilon = finite_float(epsilon, "epsilon", positive=True)
     return SymMatrix(_ones_spike(k, delta, epsilon))
 
 
-def _ones_spike(k: int, delta: float, epsilon: float) -> np.ndarray:
-    """The entries of :func:`ones_spike`, with its checks; they are bitwise
-    symmetric with no -0.0, so :class:`SymMatrix` keeps their bytes."""
+def _ones_spike(k: int, delta, epsilon) -> np.ndarray:
+    """The entries of :func:`ones_spike`, with its check of k but not its
+    positivity checks; they are bitwise symmetric with no -0.0, so
+    :class:`SymMatrix` keeps their bytes.  For delta and epsilon of shape
+    (H, 1, 1), the (H, k+1, k+1) stack of the entries at each pair."""
     n = int_in(k, "k", 1, N_MAX - 1) + 1
-    delta = finite_float(delta, "delta", positive=True)
-    epsilon = finite_float(epsilon, "epsilon", positive=True)
     basis = ones_orthogonal_basis(n)
     out = delta * np.ones((n, n))
     for j in range(1, n):

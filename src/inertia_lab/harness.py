@@ -46,11 +46,14 @@ the bytes of the same slot built alone, which is how
 fixed in closed form, so a trial counts the lanes alone, after slot 1 for
 an inertia claim.  A group ``_trial`` refuses raises the error of the first
 trial, in index order, that it refuses.
-A recipe builds its candidate tuples on plain arrays too, at a scale that
-halves along a ladder.  The ladder's first candidate goes straight to the
-judge; the later ones are screened (``_screen``) in chunks of 2, 4, 8,
-...: each chunk counts the arrays of every candidate's ``_trial`` on the
-stack, and a candidate is flagged when ``_breach`` returns a count.
+A recipe builds its candidate tuples on plain arrays too, as (H, n, n)
+stacks over a run of H rungs of a ladder, whose scale halves from one rung
+to the next.  The ladder (``_ladder``) builds its first rung alone, and
+its first candidate goes straight to the judge; that rung's others are
+screened (``_screen``), and the later rungs are built in runs that
+``_on_stack`` packs: a run is one recipe call, ``_trial`` runs once on
+each candidate's stacks, the run is counted as one stack, and a candidate
+is flagged when ``_breach`` returns a count.
 ``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
 all the arrays of ``_trial`` one matrix at a time and asks the same
 ``_breach``: it makes the witness of a flagged trial or recipe candidate,
@@ -72,16 +75,16 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .constructions import (
+    _PAIR,
+    _block_pair,
     _equicorrelation,
     _gather,
     _lift_rows,
+    _moments,
     _ones_spike,
     _row_map,
-    block_pair,
     ones_pencil,
     pencil_base,
-    two_by_two_pair,
-    vandermonde_psd,
 )
 from .errors import ConfigError, SamplingError, int_in
 from .functions import (
@@ -112,7 +115,7 @@ _CLAIM_TO_MODE = {"inertia": "inertia", "exact": "exact", "closure": "bounded", 
 #: cap on witnesses stored in a report (keeps files small and deterministic)
 WITNESS_CAP = 10
 
-#: scale halvings a recipe may take before giving up
+#: rungs of a recipe ladder, each at half the scale of the one before
 RECIPE_HALVINGS = 40
 
 #: a lift claim compares the image at n against its lifts to n + e, e in LIFTS
@@ -441,6 +444,12 @@ def _trial(
     return None if lanes is None else ([*slots, *lanes], partial(_breach, claim, cfg))
 
 
+def _lane_sizes(claim: str, counted: int, n: int) -> list[int]:
+    """The sizes of the arrays a size-n tuple counts on the stack: ``counted``
+    of its slots, then the lanes of :func:`_lanes`."""
+    return [n] * (counted + 1) + [n + e for e in LIFTS if claim == "lift"]
+
+
 def _breach(claim: str, cfg: TrialConfig, *counts: Inertia) -> Inertia | None:
     """The count that breaks the claim, or None.
 
@@ -525,8 +534,7 @@ def _run_trials(
 
     def draw(rng):
         n = int(rng.integers(lo, hi + 1))
-        sizes = [n] * (cfg.k.m - first + 1) + [n + e for e in LIFTS if claim == "lift"]
-        return sizes, (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
+        return _lane_sizes(claim, cfg.k.m - first, n), (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
 
     def refuse(slots):
         if _trial(claim, fn, slots, cfg) is None:
@@ -623,29 +631,41 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 # witness recipes
 # ---------------------------------------------------------------------------
 #
-# A recipe maps (fn, cfg, parts, rng, t0, eps) to a list of candidate tuples
-# of symmetric arrays at the entry scale t0 (and the open_positive shift
-# eps); ``parts`` are f's terms split as the classifier splits them, once a
-# ladder (``functions._parts``).  The caller halves both scales until a
-# candidate is a witness, screening all but the first on the stack before
-# the judge sees them.  A candidate larger than ``N_MAX`` is a ConfigError,
-# raised before any size that grows with l or the arity is allocated, so the
-# run falls through to random search.
+# A recipe maps (fn, cfg, parts, rng, t0, eps) to its candidates at a run
+# of H rungs of a ladder: t0 and eps, of shape (H, 1, 1), are each rung's
+# entry scale and open_positive shift.  A candidate is a pair (slots, at):
+# one (len(at), n, n) stack per slot, at the rungs ``at`` of the run.  It
+# is at every rung but where ``_recipe_offset`` splits the run by the sign
+# of f's offset, or where a positivity check (``_ones_spike``'s) refuses a
+# rung.  Slice b of a stack has the bytes of the candidate built at its
+# rung alone.  ``parts`` are f's terms split as the classifier splits them
+# (``functions._parts``), and ``rng()`` is the ladder's one generator,
+# drawn in ladder order.  A candidate larger than ``N_MAX`` is a
+# ConfigError, raised before any size that grows with l or the arity is
+# allocated; no size depends on the scale, so the ladder has no candidate
+# and the run falls through to random search.
 
-def _shift(dom: DomainSpec, eps: float) -> float:
+def _shift(dom: DomainSpec, eps):
     """``eps`` over open_positive, where zero entries are out of domain, else 0."""
     return eps if dom.kind == "open_positive" else 0.0
 
 
-def _member_filler(n: int, k_q: int, dom: DomainSpec, t0: float, eps: float) -> np.ndarray:
-    """A size-n array with exactly k_q negatives, valid in dom."""
+def _everywhere(*candidates: tuple[np.ndarray, ...]) -> list[tuple[tuple, Sequence[int]]]:
+    """Candidates given as slot stacks, each at every rung of its run."""
+    return [(slots, range(len(slots[0]))) for slots in candidates]
+
+
+def _member_filler(n: int, k_q: int, dom: DomainSpec, t0, eps) -> np.ndarray:
+    """A size-n array with exactly k_q negatives, valid in dom; for t0 and
+    eps of shape (H, 1, 1), the (H, n, n) stack of one per scale."""
     int_in(n, "candidate size", 1, N_MAX)
     if k_q == 0:
-        return np.full((n, n), t0)
+        return np.full(np.shape(t0)[:-2] + (n, n), t0)
     if n < _min_size(k_q, dom):
         raise ConfigError(f"cannot place {k_q} negatives in size {n} over {dom.kind}")
     if not dom.one_sided:
-        return np.diag(np.concatenate([-t0 * np.ones(k_q), t0 * np.ones(n - k_q)]))
+        # diag(-t0, ..., -t0, t0, ..., t0) with k_q entries -t0
+        return np.where(np.eye(n, dtype=bool), np.where(np.arange(n) < k_q, -t0, t0), 0.0)
     if n == k_q + 1:
         return _equicorrelation(n, t0, 2 * t0)
     # embed_with_negatives uncounted: the t0 * I pad is PSD by construction
@@ -658,10 +678,10 @@ def _fill_slots(
     free: np.ndarray,
     ks: AdmissibleK,
     dom: DomainSpec,
-    t0: float,
-    eps: float,
+    t0,
+    eps,
 ) -> tuple[np.ndarray, ...]:
-    """One size-n array per slot.
+    """One size-n array (or stack of them) per slot.
 
     Slot q gets ``placed[q]`` where given, else ``free`` when it is
     unconstrained, else a member filler with exactly k_q negatives.  Every
@@ -674,28 +694,30 @@ def _fill_slots(
     )
 
 
+# t0 is a positive normal double at every rung (rho_eff / 8 >= 1.25e-151,
+# halved 39 times), so the positivity checks of ``vandermonde_psd`` and
+# ``two_by_two_pair`` refuse no rung
 def _recipe_nonlinear(fn, cfg, parts, rng, t0, eps):
     ks, dom = cfg.k, cfg.dom
     alpha = parts.bad[0][0]
     p = next(q for q, e in enumerate(alpha, start=1) if e and q > parts.m0)
     k_p = ks.k[p - 1]
     if k_p >= 2:
-        # block_pair(0, V): [[0, V], [V, 0]]
-        v = vandermonde_psd(k_p, t0).entries
-        zero = np.zeros_like(v)
-        core = np.block([[zero, v], [v, zero]])
+        # block_pair(0, V) for V = vandermonde_psd(k_p, t0): [[0, V], [V, 0]]
+        v = t0 * _moments(k_p)
+        core = _block_pair(np.zeros_like(v), v)
         if dom.one_sided:
             core = core + eps
     elif k_p:
-        core = block_pair(*two_by_two_pair(t0)).entries
+        core = _block_pair(t0 * _PAIR[0], t0 * _PAIR[1])  # block_pair(*two_by_two_pair(t0))
     else:
-        core = vandermonde_psd(2, t0).entries  # PSD of rank 2: entrywise powers raise its rank
+        core = t0 * _moments(2)  # vandermonde_psd(2, t0), PSD of rank 2: entrywise powers raise its rank
     # every slot the offending term touches gets the same core, so its
     # structure survives the entrywise product
     placed = {
         q: core for q, k_q in enumerate(ks.k, start=1) if q == p or (alpha[q - 1] and k_q == k_p)
     }
-    return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
+    return _everywhere(_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps))
 
 
 def _recipe_negative_linear(fn, cfg, parts, rng, t0, eps):
@@ -704,7 +726,7 @@ def _recipe_negative_linear(fn, cfg, parts, rng, t0, eps):
     k_p = ks.k[p - 1]
     # a pad block of size l + 3 on every domain kind
     core = _member_filler(k_p + cfg.l + 3 + dom.one_sided, k_p, dom, t0, eps)
-    return [_fill_slots(len(core), {p: core}, np.full(core.shape, t0), ks, dom, t0, eps)]
+    return _everywhere(_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0), ks, dom, t0, eps))
 
 
 def _recipe_multiple_linear(fn, cfg, parts, rng, t0, eps):
@@ -719,15 +741,16 @@ def _recipe_multiple_linear(fn, cfg, parts, rng, t0, eps):
     for q in constrained:
         k_q = ks.k[q - 1]
         if not dom.one_sided:
-            diag = [[-t0] * k_q + [0.0] if r == q else [0.0] * blocks[r] for r in constrained]
-            placed[q] = np.diag(np.concatenate(diag))
+            # diagonal: -t0 at the first k_q places of block q, 0 elsewhere
+            first = [np.arange(blocks[r]) < (k_q if r == q else 0) for r in constrained]
+            placed[q] = np.where(np.diag(np.concatenate(first)), -t0, 0.0)
         else:
-            parts = [
+            summands = [
                 _equicorrelation(blocks[r], 4 * t0, 8 * t0) if r == q else eta * np.eye(blocks[r])
                 for r in constrained
             ]
-            placed[q] = _direct_sum(parts, _shift(dom, eps / 8))
-    return [_fill_slots(n, placed, np.full((n, n), eps / 4), ks, dom, t0, eps)]
+            placed[q] = _direct_sum(summands, _shift(dom, eps / 8))
+    return _everywhere(_fill_slots(n, placed, np.full((len(t0), n, n), eps / 4), ks, dom, t0, eps))
 
 
 def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
@@ -738,7 +761,7 @@ def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
     out = []
     if not dom.one_sided and all(ks.k[q - 1] == 1 for q in constrained):
         # smallest possible witness: a tuple of 1x1 matrices
-        out.append(tuple(np.array([[-t0 if q in constrained else t0]]) for q in range(1, ks.m + 1)))
+        out.append(tuple((-1.0 if q in constrained else 1.0) * t0 for q in range(1, ks.m + 1)))
     kmax = max(ks.k[q - 1] for q in constrained)
     n = 2 + max(k_p, kmax + 1)
     # inflates size n - 1 to n by repeating the first coordinate
@@ -750,16 +773,16 @@ def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
         for q in constrained:
             k_q = ks.k[q - 1]
             if q == p:
-                parts = [np.array([[a, b], [b, a]])]
+                summands = [_block_pair(a, b)]
                 if k_p >= 2:
-                    parts.append(_equicorrelation(k_p, t0, 2 * t0))
-                parts.append(t0 * np.eye(n - sum(map(len, parts))))
-                placed[q] = _direct_sum(parts, _shift(dom, eps))
+                    summands.append(_equicorrelation(k_p, t0, 2 * t0))
+                summands.append(t0 * np.eye(n - sum(s.shape[-1] for s in summands)))
+                placed[q] = _direct_sum(summands, _shift(dom, eps))
             else:
                 inner = [_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 2)]
                 placed[q] = _gather(_direct_sum(inner, _shift(dom, eps)), rows)
-        out.append(_fill_slots(n, placed, np.full((n, n), a), ks, dom, t0, eps))
-    return out
+        out.append(_fill_slots(n, placed, np.full((len(t0), n, n), a), ks, dom, t0, eps))
+    return _everywhere(*out)
 
 
 def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
@@ -770,7 +793,7 @@ def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
         # l == 0 with a negative constant: any small PSD-ish tuple works,
         # the image hugs const * ones which has a negative direction
         n = max(2, kmax + 2)
-        return [_fill_slots(n, {}, np.full((n, n), t0 / 8), ks, dom, t0 / 8, eps / 8)]
+        return _everywhere(_fill_slots(n, {}, np.full((len(t0), n, n), t0 / 8), ks, dom, t0 / 8, eps / 8))
 
     target = negative[0]
     # collapse the multivariate support onto one variable: weights encode
@@ -784,19 +807,22 @@ def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
     exps = sorted({sum(w * e for w, e in zip(weights, a)) for a in base} | {0})
     block = len(exps) + 2
     copies = cfg.l + 1
-    scale = min(1.0, dom.rho_eff) * min(1.0, 8.0 * t0 / dom.rho_eff)
+    scale = min(1.0, dom.rho_eff) * np.fmin(1.0, 8.0 * t0 / dom.rho_eff)
     nodes = scale * (0.35 + 0.5 * (np.arange(block) + 0.5) / block)
     e_t = sum(w * e for w, e in zip(weights, target))
-    eta = abs(base[target]) * float(np.min(nodes)) ** (2 * e_t) / 64.0
-    eta = min(max(eta, 1e-12 * min(t0, scale)), t0)
-    shift = min(eps, eta) / 4.0
+    # each rung's least node to a Python power, the float pow of the C library
+    least = [x ** (2 * e_t) for x in nodes.min(axis=-1).ravel().tolist()]
+    eta = abs(base[target]) * np.reshape(least, t0.shape) / 64.0
+    eta = np.fmin(np.fmax(eta, 1e-12 * np.fmin(t0, scale)), t0)
+    shift = np.fmin(eps, eta) / 4.0
     n = int_in(max(block * copies, kmax + 2), "candidate size", 1, N_MAX)
     placed = {}
     for q in active:
         col = nodes ** weights[q - 1]
-        grid = np.outer(col, col)
+        grid = col.swapaxes(-1, -2) * col  # np.outer(col, col) at each rung
         placed[q] = _direct_sum([grid] * copies + [eta * np.eye(n - block * copies)], _shift(dom, shift))
-    return [_fill_slots(n, placed, np.full((n, n), min(t0, scale) / 8), ks, dom, eta, shift)]
+    free = np.full((len(t0), n, n), np.fmin(t0, scale) / 8)
+    return _everywhere(_fill_slots(n, placed, free, ks, dom, eta, shift))
 
 
 def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
@@ -805,32 +831,53 @@ def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
     A negative base value g is exposed by small negatives on the slope's
     slot.  A nonnegative g (exact and inertia claims) is exposed by
     negatives that the offset cancels, unless ``negative_only`` is set, in
-    which case there is no candidate.
+    which case there is no candidate.  A slot with k_p = 0 (an inertia
+    claim) holds no negatives: for g >= 0 it gets the rank-one PSD core
+    t0 u u^T, u = (1/2, 1), whose entries are dyadic and positive, and
+    g J + c A gains rank.  g can change sign inside a run: its rungs with
+    g < 0 and the others are two candidates, and a ConfigError drops one.
     """
     ks, dom = cfg.k, cfg.dom
     (p, c), = parts.linear.items()
     k_p = ks.k[p - 1]
     s = t0 / 4.0
     # f with the free slots at s and the constrained ones at 0
-    g = float(fn(*(s if q <= parts.m0 else 0.0 for q in range(1, ks.m + 1))))
-    if g < 0.0:
-        delta = min(t0, abs(g) / (2.0 * c))
-        if not dom.one_sided:
-            core = _ones_spike(k_p, delta, min(eps, delta / 2.0))
-        else:
-            core = _equicorrelation(k_p + 1, delta / 2.0, delta)
-        # a t0 * I pad up to size max(k) + 2; exact negatives kept
-        core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
-    elif negative_only:
-        return []
-    elif not dom.one_sided:
-        t_small = min(t0, max(1, k_p) * g / (2.0 * c))
-        core = -t_small * np.eye(max(k_p, 1))
-    else:
-        delta = min(t0 / 5.0, g / (2.0 * c))
-        t_shift = 0.02 / max(k_p, 1)
-        core = delta * ones_pencil(max(k_p, 1), t_shift).entries
-    return [_fill_slots(len(core), {p: core}, np.full(core.shape, s), ks, dom, t0, eps)]
+    g = fn(*(s if q <= parts.m0 else np.zeros_like(s) for q in range(1, ks.m + 1)))
+    below = (g.ravel() < 0.0).tolist()
+    out = []
+    for negative in (True, False) if not negative_only else (True,):
+        at = [h for h, b in enumerate(below) if b == negative]
+        if not at:
+            continue
+        # a run wholly on one side of zero is taken as it is
+        t, e, g_at = (t0, eps, g) if len(at) == len(t0) else (t0[at], eps[at], g[at])
+        keep = None
+        try:
+            if negative:
+                delta = np.fmin(t, np.abs(g_at) / (2.0 * c))
+                if k_p and not dom.one_sided:
+                    spread = np.fmin(e, delta / 2.0)
+                    # ones_spike's positivity checks, which refuse a rung alone
+                    keep = ((delta > 0.0) & (spread > 0.0)).ravel()
+                    core = _ones_spike(k_p, delta, spread)
+                else:
+                    core = _equicorrelation(k_p + 1, delta / 2.0, delta)
+                # a t0 * I pad up to size max(k) + 2; exact negatives kept
+                core = _direct_sum([core, t * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, e / 4))
+            elif k_p == 0:
+                core = t * np.array([[0.25, 0.5], [0.5, 1.0]])  # t0 u u^T, u = (1/2, 1)
+            elif not dom.one_sided:
+                core = -np.fmin(t, k_p * g_at / (2.0 * c)) * np.eye(k_p)
+            else:
+                delta = np.fmin(t / 5.0, g_at / (2.0 * c))
+                core = delta * ones_pencil(k_p, 0.02 / k_p).entries
+            slots = _fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t / 4.0), ks, dom, t, e)
+        except ConfigError:
+            continue
+        if keep is not None and not keep.all():
+            slots, at = tuple(a[keep] for a in slots), [h for h, ok in zip(at, keep.tolist()) if ok]
+        out.append((slots, at))
+    return out
 
 
 def _recipe_constant_map(fn, cfg, parts, rng, t0, eps):
@@ -840,9 +887,11 @@ def _recipe_constant_map(fn, cfg, parts, rng, t0, eps):
         core = t0 * np.array([[1.0, 2.0], [2.0, 1.0]])
     else:
         n = kstar + 2 if dom.one_sided else max(kstar + 1, 2)
-        core = _sample(n, kstar, dom, rng)
+        # a sample per rung, drawn in ladder order: a batch of the sampler's builder
+        draws = rng()
+        core = _settle([_draw(n, kstar, dom, draws) for _ in range(len(t0))])
     placed = {q: core for q, k_q in enumerate(ks.k, start=1) if k_q == kstar}
-    return [_fill_slots(len(core), placed, np.full(core.shape, t0), ks, dom, t0, eps)]
+    return _everywhere(_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps))
 
 
 def _recipe_budget(fn, cfg, parts, rng, t0, eps):
@@ -857,7 +906,7 @@ def _recipe_budget(fn, cfg, parts, rng, t0, eps):
         core = _equicorrelation(k_p + 1, t0, 2 * t0)
     # a t0 * I pad up to size max(k) + 2; exact negatives kept
     core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
-    return [_fill_slots(len(core), {p: core}, np.full(core.shape, t0 / 4), ks, dom, t0, eps)]
+    return _everywhere(_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0 / 4), ks, dom, t0, eps))
 
 
 _RECIPES: dict[str, Callable] = {
@@ -874,30 +923,112 @@ _RECIPES: dict[str, Callable] = {
     "l-less-than-k": _recipe_budget,
 }
 
+#: 2^-h at rung h of a ladder, shaped (H, 1, 1) as a recipe takes its scales
+_HALVINGS = np.ldexp(1.0, -np.arange(RECIPE_HALVINGS))[:, None, None]
 
-def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts) -> Iterator[tuple]:
-    """The recipe's candidates at t0 = rho/8, eps = rho/16, then at both halved,
-    ``RECIPE_HALVINGS`` times; a scale with a candidate past ``N_MAX`` gives none."""
+
+def _scales(dom: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """t0 and eps at every rung: rho/8 and rho/16 at the first, halved at
+    each next one (exactly: they stay normal doubles)."""
+    return dom.rho_eff / 8.0 * _HALVINGS, dom.rho_eff / 16.0 * _HALVINGS
+
+
+def _builder(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts) -> Callable:
+    """``build(t0, eps)``: the recipe at a run of rungs, drawing from the
+    ladder's one generator, which is made when a recipe first asks for it."""
     # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
     # the same key, so the same recipe bytes, for every seed below 2**53
-    rng = _trial_rng(cfg.seed, 2**63)
-    t0, eps = cfg.dom.rho_eff / 8.0, cfg.dom.rho_eff / 16.0
-    for _ in range(RECIPE_HALVINGS):
-        try:
-            yield from recipe(fn, cfg, parts, rng, t0, eps)
-        except ConfigError:
-            pass
-        t0, eps = t0 / 2.0, eps / 2.0
+    made = []
+
+    def rng() -> np.random.Generator:
+        if not made:
+            made.append(_trial_rng(cfg.seed, 2**63))
+        return made[0]
+
+    return partial(recipe, fn, cfg, parts, rng)
+
+
+def _order(built: list) -> list[tuple[int, int]]:
+    """(candidate, slice) of each candidate a run built, in ladder order:
+    rung by rung, and at each rung in the recipe's order."""
+    return [(c, b) for _, c, b in sorted((h, c, b) for c, (_, at) in enumerate(built) for b, h in enumerate(at))]
+
+
+def _slices(built: list) -> list[tuple]:
+    """The candidates a run built, as tuples of n x n arrays in ladder order."""
+    return [tuple(a[b] for a in built[c][0]) for c, b in _order(built)]
+
+
+def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts) -> list[tuple]:
+    """The candidates of the recipe's whole ladder (:func:`_scales`) built in
+    one call, sliced from the stacks in ladder order; none when a candidate
+    would pass ``N_MAX``."""
+    t0, eps = _scales(cfg.dom)
+    try:
+        return _slices(_builder(recipe, fn, cfg, parts)(t0, eps))
+    except ConfigError:
+        return []
 
 
 def _screen(claim: str, fn: FunctionSpec, chunk: list, cfg: TrialConfig) -> Iterator[bool]:
     """Whether the judge may find a witness in each candidate of ``chunk``,
     in order: the arrays of :func:`_trial` counted on the stack
     (:func:`_on_stack`), flagged when its :func:`_breach` returns a count.
-    A candidate :func:`_trial` refuses is not flagged.
+    A candidate :func:`_trial` refuses is not flagged.  The ladder screens
+    its first rung's later candidates so.
     """
     trials = (_trial(claim, fn, slots, cfg) or ([], lambda: None) for slots in chunk)
     return (out is not None for out in _on_stack(map(_built, trials)))
+
+
+def _flag(slots: tuple, breach: Callable | None, *counts: Inertia) -> tuple[tuple, bool]:
+    """A screened candidate and whether :func:`_breach` returns a count on it."""
+    return slots, breach is not None and breach(*counts) is not None
+
+
+def _ladder(claim: str, fn: FunctionSpec, cfg: TrialConfig, build: Callable) -> Iterator[tuple[tuple, bool]]:
+    """Every candidate of a recipe ladder (``build``, :func:`_builder`), in
+    order, with whether the judge may find a witness in it.
+
+    Rungs are built alone until one holds a candidate: its first is not
+    screened, its others are (:func:`_screen`).  The later rungs are built
+    in runs that :func:`_on_stack` packs by the sizes that rung's
+    candidates count (one rung alone may pass the cap), each run once the
+    candidates before it are judged.  A run is one ``build`` call;
+    :func:`_trial` runs once on each candidate's stacks, or lane by lane on
+    a stack it refuses (a refused lane is not flagged), the run is counted
+    as one stack, and a candidate is flagged when :func:`_breach` returns a
+    count.  A ConfigError (a candidate past ``N_MAX``) ends the ladder.
+    """
+    t0, eps = _scales(cfg.dom)
+    try:
+        h, head = 0, []
+        while not head and h < len(t0):
+            head = _slices(build(t0[h : h + 1], eps[h : h + 1]))
+            h += 1
+        if not head:
+            return
+        yield head[0], True
+        yield from zip(head[1:], _screen(claim, fn, head[1:], cfg))
+        sizes = [size for slots in head for size in _lane_sizes(claim, len(slots), len(slots[0]))]
+
+        def settle(run):
+            built = build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])
+            trials = [_trial(claim, fn, slots, cfg) for slots, _ in built]
+            pairs = []
+            for c, b in _order(built):
+                slots = tuple(a[b] for a in built[c][0])
+                if trials[c] is None:
+                    trial = _trial(claim, fn, slots, cfg)
+                else:
+                    trial = [a[b] for a in trials[c][0]], trials[c][1]
+                arrays, breach = trial or ([], None)
+                pairs.append((arrays, partial(_flag, slots, breach)))
+            return pairs
+
+        yield from _on_stack(((sizes, r) for r in range(h, len(t0))), settle)
+    except ConfigError:
+        return
 
 
 def _recipe_witness(
@@ -906,22 +1037,20 @@ def _recipe_witness(
     """The first witness among the clause's recipe candidates, and the
     candidates judged up to it (all of them when there is none).
 
-    The first candidate goes straight to the judge.  The later ones are
-    built and screened (:func:`_screen`) in chunks of 2, 4, 8, ...; only a
-    flagged candidate goes, in order, to the judge, so every witness is the
-    judge's and the count is what judging each candidate in turn gives.
+    The ladder (:func:`_ladder`) builds its first rung alone, then the rest
+    in runs screened on the stack; only its first candidate and the flagged
+    ones go, in order, to the judge, so every witness is the judge's and
+    the count is what judging each candidate in turn gives.
     """
     recipe = _RECIPES.get(clause)
     if recipe is None:
         return None, 0
-    candidates = _candidates(recipe, fn, cfg, _parts(fn, cfg.k, _CLAIM_TO_MODE[claim]))
+    build = _builder(recipe, fn, cfg, _parts(fn, cfg.k, _CLAIM_TO_MODE[claim]))
     attempts = 0
-    while chunk := list(islice(candidates, attempts + 1)):
-        flags = _screen(claim, fn, chunk, cfg) if attempts else [True]
-        for slots, flagged in zip(chunk, flags):
-            attempts += 1
-            if flagged and (w := _make_witness(claim, fn, slots, cfg, clause)) is not None:
-                return w, attempts
+    for slots, flagged in _ladder(claim, fn, cfg, build):
+        attempts += 1
+        if flagged and (w := _make_witness(claim, fn, slots, cfg, clause)) is not None:
+            return w, attempts
     return None, attempts
 
 

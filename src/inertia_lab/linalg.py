@@ -628,14 +628,22 @@ def is_member(A: SymMatrix, k: int, dom: DomainSpec, closure: bool = False) -> b
     return n_neg <= k if closure else n_neg == k
 
 
-def _direct_sum(blocks: list[np.ndarray], shift: float = 0.0) -> np.ndarray:
-    """Block-diagonal sum of square arrays plus ``shift`` in every entry, unchecked."""
-    n = sum(len(b) for b in blocks)
-    out = np.full((n, n), shift)
+def _direct_sum(blocks: list[np.ndarray], shift=0.0) -> np.ndarray:
+    """Block-diagonal sum of square arrays plus ``shift`` in every entry,
+    unchecked.  With (H, n, n) stacks among the blocks, or a shift of
+    shape (H, 1, 1), it is the (H, N, N) stack of the sums of each slice (a
+    2-D block or a float shift is the same in every slice)."""
+    n, lead = 0, getattr(shift, "shape", ())[:-2]
+    for b in blocks:
+        n += b.shape[-1]
+        if b.ndim > 2:
+            lead = b.shape[:-2]
+    out = np.full(lead + (n, n), shift)
     at = 0
     for b in blocks:
-        out[at : at + len(b), at : at + len(b)] += b
-        at += len(b)
+        m = b.shape[-1]
+        out[..., at : at + m, at : at + m] += b
+        at += m
     return out
 
 

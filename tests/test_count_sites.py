@@ -5,10 +5,11 @@ packs matrices into zero-padded chunks within ``STACK_ENTRIES`` entries and
 counts each chunk with one ``inertia_stack`` call.  Its callers are the
 trial loop ``_stacked`` (verify, random search and the lemma suite, whose
 pinned-negatives batch counts its window as a second lane), the recipe
-screen ``_screen``, which sees a ladder's candidates after the first, and
-``linalg._leading_counts``, which packs there the leading blocks that its
-one elimination cannot certify; ``leading_negativity_profile`` is one call
-of it.
+ladder ``_ladder``, which builds the rungs after its first in runs and
+counts each run as one stack, the recipe screen ``_screen``, which sees the
+first rung's candidates after the first, and ``linalg._leading_counts``,
+which packs there the leading blocks that its one elimination cannot
+certify; ``leading_negativity_profile`` is one call of it.
 The scalar calls left are the one judge ``_make_witness``, whose one count
 runs over the arrays of ``_trial`` (its slots, then its lanes: the image
 and, for a lift claim, the lifted images) and which sees a recipe's first
@@ -42,6 +43,7 @@ COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack", "
 EXPECTED = sorted(
     [
         ("constructions.py", "embed_with_negatives", "inertia"),
+        ("harness.py", "_ladder", "_on_stack"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_screen", "_on_stack"),
         ("harness.py", "_stacked", "_on_stack"),

@@ -1135,14 +1135,15 @@ def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
     assert len(judged) == 1 and not counts
 
 
-def test_a_ladder_that_finds_nothing_judges_once_and_counts_a_few_stacks(monkeypatch):
+def test_a_ladder_that_finds_nothing_judges_once_and_counts_one_stack(monkeypatch):
     counts, judged = _spy(monkeypatch, "_count", linalg), _spy(monkeypatch, "_make_witness")
     claim, fn, k, l = RECIPE_CASES["negative-coefficient"]
     cfg = TrialConfig(DomainSpec("two_sided", 1e-12), AdmissibleK(k), l, trials=6, seed=5)
     w, attempts = harness._recipe_witness("negative-coefficient", claim, fn, cfg)
     assert w is None and attempts == harness.RECIPE_HALVINGS == 40
-    # chunks of 2, 4, 8, 16 and the last 9 candidates
-    assert len(judged) == 1 and len(counts) == 5
+    # the first rung goes to the judge; the other 39 are one run, one stack
+    assert len(judged) == 1 and len(counts) == 1
+    assert len(counts[0][0]) == 2 * 39  # each rung's slot and image
 
 
 def test_a_ladder_splits_f_once_as_the_classifier_does(monkeypatch):
@@ -1181,20 +1182,79 @@ def test_candidates_built_past_the_hit_never_reach_the_judge(monkeypatch):
     cfg = TrialConfig(DomainSpec("two_sided", 1e12), AdmissibleK(k), l, trials=6, seed=5)
     recipe = harness._RECIPES["negative-offset"]
     ladder = [s[0].tobytes() for s in _ladder("negative-offset", claim, fn, cfg)]
-    built = []
+    runs = []
 
     def spy(*args):
-        out = recipe(*args)
-        built.extend(out)
-        return out
+        runs.append(len(args[4]))  # the rungs of t0
+        return recipe(*args)
 
     monkeypatch.setitem(harness._RECIPES, "negative-offset", spy)
     judged = _spy(monkeypatch, "_make_witness")
     w, attempts = harness._recipe_witness("negative-offset", claim, fn, cfg)
     assert w is not None and attempts == 10
-    # the hit is in the chunk of candidates 8..15
-    assert len(built) == 15
+    # the first rung alone, then the other 39 in one call
+    assert runs == [1, 39]
     assert [ladder.index(args[2][0].tobytes()) + 1 for args in judged] == [1, 10]
+
+
+# a recipe builds a run of rungs in one call, each rung's slices with the
+# bytes of that rung built alone
+def _one_rung_per_call(clause, claim, fn, cfg):
+    """The ladder with each rung built by its own recipe call, in order."""
+    parts = _parts(fn, cfg.k, harness._CLAIM_TO_MODE[claim])
+    build = harness._builder(harness._RECIPES[clause], fn, cfg, parts)
+    t0, eps = harness._scales(cfg.dom)
+    out = []
+    for h in range(len(t0)):
+        with contextlib.suppress(ConfigError):
+            out += harness._slices(build(t0[h : h + 1], eps[h : h + 1]))
+    return out
+
+
+def _same_ladders(clause, claim, fn, k, l, kind, rho):
+    """The ladder built one rung per call; built in one call (``_candidates``)
+    and as the screen builds it (its first rung, then runs), it has the same
+    candidates, byte for byte and in order."""
+    cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
+    alone = _one_rung_per_call(clause, claim, fn, cfg)
+    parts = _parts(fn, cfg.k, harness._CLAIM_TO_MODE[claim])
+    build = harness._builder(harness._RECIPES[clause], fn, cfg, parts)
+    screened = [slots for slots, _ in harness._ladder(claim, fn, cfg, build)]
+    for ladder in (_ladder(clause, claim, fn, cfg), screened):
+        assert [[(a.shape, a.tobytes()) for a in slots] for slots in ladder] == [
+            [(a.shape, a.tobytes()) for a in slots] for slots in alone
+        ]
+    return alone
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12, 1e150])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("clause", list(RECIPE_CASES))
+def test_a_ladder_built_in_one_call_has_the_bytes_of_one_rung_per_call(clause, kind, rho):
+    assert _same_ladders(clause, *RECIPE_CASES[clause], kind, rho)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_ladder_whose_offset_changes_sign_has_candidates_at_its_last_rungs_alone(kind):
+    # g = f(t0/4, 0) = t0/4 - 0.5 is negative only at the small scales
+    fn = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
+    alone = _same_ladders("negative-offset", "bounded", fn, [0, 2], 2, kind, 1e12)
+    assert 0 < len(alone) < harness.RECIPE_HALVINGS
+
+
+# an offset next to a slope on a slot with k = 0 (an inertia claim): the slot
+# holds no negatives, so the recipe places a PSD core whose rank f changes
+@pytest.mark.parametrize("offset", [1.0, -1.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_offset_on_a_slot_with_k_0_gets_a_recipe_witness(kind, offset):
+    fn = Series(1, {(0,): offset, (1,): 1.0})
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK((0,)), 0, trials=5, seed=0)
+    rep = falsify("inertia", fn, cfg, strategy="recipe")
+    assert rep.label == "witness found via recipe for clause 'nonzero-offset'"
+    assert rep.trials == 1
+    w = rep.witnesses[0]
+    assert w.revalidate("inertia", cfg)
+    assert inertia(w.mats[0]).n_neg == 0 and w.observed != inertia(w.mats[0])
 
 
 # each UNJUDGEABLE tuple on both sides of a well-formed witness in one chunk

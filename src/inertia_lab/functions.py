@@ -107,8 +107,9 @@ class FunctionSpec:
     def __call__(self, *xs):
         """Evaluate entry by entry on ``arity`` same-shape arrays (or floats).
 
-        Per-variable power tables are built by repeated multiplication and the
-        terms are added in canonical order, starting from zeros.
+        Each variable's powers are built by repeated multiplication, and only
+        those the terms use are kept, so memory does not grow with the
+        exponent.  The terms are added in canonical order, starting from zeros.
         """
         if len(xs) != self.arity:
             raise ConfigError(f"got {len(xs)} arguments, function needs {self.arity}")
@@ -118,9 +119,11 @@ class FunctionSpec:
             raise ConfigError("all arguments must share one shape")
         powers = []
         for p, x in enumerate(xs):
-            tab = [np.ones(shape)]
-            for _ in range(max((a[p] for a, _ in self.terms), default=0)):
-                tab.append(tab[-1] * x)
+            used, tab, power = {a[p] for a, _ in self.terms}, {}, np.ones(shape)
+            for e in range(1, max(used, default=0) + 1):
+                power = power * x
+                if e in used:
+                    tab[e] = power
             powers.append(tab)
         out = np.zeros(shape)
         for alpha, c in self.terms:

@@ -34,26 +34,29 @@ One rule decides every tuple that can be judged: ``_trial`` gives the
 arrays it counts, its slots and then the lanes of ``_lanes`` (the image,
 and for a lift claim the image gathered to n+3 and n+7), and ``_breach``
 reads the counts of the counted slots (all, slot 1 alone, or none), then
-of the lanes.  Its three callers differ only in how they count and which
-slots they count.
+of the lanes.  Its two callers, ``_checks`` on the stack and the judge
+one matrix at a time, differ only in how they count and which slots they
+count.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
 settled by size group: the group's two-sided slots are built by one
 stacked QR factorization and one stacked product (``_spectral``), and
-``_trial`` runs once on the group's (B, n, n) slot stacks.  Each slice has
+``_checks`` checks the group's (B, n, n) slot stacks.  Each slice has
 the bytes of the same slot built alone, which is how
 ``sample_with_inertia`` builds it (a batch of one).  A slot's inertia is
 fixed in closed form, so a trial counts the lanes alone, after slot 1 for
-an inertia claim.  A group ``_trial`` refuses raises the error of the first
-trial, in index order, that it refuses.
+an inertia claim.  The first trial, in index order, that ``_trial``
+refuses raises.
 A recipe builds its candidate tuples on plain arrays too, as (H, n, n)
 stacks over a run of H rungs of a ladder, whose scale halves from one rung
 to the next.  The ladder (``_ladder``) builds its first rung alone, and
 its first candidate goes straight to the judge; that rung's others are
-screened (``_screen``), and the later rungs are built in runs that
-``_on_stack`` packs: a run is one recipe call, ``_trial`` runs once on
-each candidate's stacks, the run is counted as one stack, and a candidate
-is flagged when ``_breach`` returns a count.
+counted as one stack, and the later rungs are built in runs that
+``_on_stack`` packs, each one recipe call counted as one stack.
+``_checks`` is the one path from slot stacks to the judge, for trials and
+candidates alike: ``_trial`` runs once on the stacks (tuple by tuple on
+stacks it refuses), and a tuple whose counts ``_breach`` flags goes to
+the judge.
 ``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
 all the arrays of ``_trial`` one matrix at a time and asks the same
 ``_breach``: it makes the witness of a flagged trial or recipe candidate,
@@ -68,7 +71,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -493,6 +496,30 @@ def _make_witness(
     return None if out is None else Witness(mats, fn, out, clause)
 
 
+def _checks(
+    claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, slots: Sequence[np.ndarray], first: int
+) -> list[tuple[tuple, tuple[list, Callable] | None]]:
+    """Each tuple of the (B, n, n) slot stacks ``slots``, in order: its n x n
+    slots, and None when :func:`_trial` refuses it, else its pair as
+    :func:`_on_stack` takes it.
+
+    :func:`_trial` runs once on the stacks, or tuple by tuple on stacks it
+    refuses.  A pair holds the tuple's arrays of :func:`_trial` from index
+    ``first`` on, the ones counted, and a check over their counts that asks
+    the judge (:func:`_make_witness`) when :func:`_breach` returns a count.
+    """
+
+    def check(one, breach, *counts):
+        return _make_witness(claim, fn, one, cfg, clause) if breach(*counts) is not None else None
+
+    stacked = _trial(claim, fn, slots, cfg)
+    if stacked is not None:
+        counted, breach = stacked[0][first:], stacked[1]
+        return [(one, ([a[b] for a in counted], partial(check, one, breach))) for b, one in enumerate(zip(*slots))]
+    alone = [(one, _trial(claim, fn, one, cfg)) for one in zip(*slots)]
+    return [(one, None if t is None else (t[0][first:], partial(check, one, t[1]))) for one, t in alone]
+
+
 def _stacked(
     cfg: TrialConfig, batches: Sequence[tuple[int, Callable]], settle: Callable = list
 ) -> Iterator:
@@ -519,14 +546,13 @@ def _run_trials(
     each slot's, :func:`_draw`), and declares the sizes of the arrays it
     counts on the stack (:func:`_stacked`), which follow from n.  A chunk is
     settled by size group: the group's slots are built as (B, n, n) stacks
-    (:func:`_settle`), and :func:`_trial` runs once on them.  It counts the
-    lanes of :func:`_lanes`, after slot 1 for an inertia claim (its one
+    (:func:`_settle`) and checked at once (:func:`_checks`).  A trial counts
+    the lanes of :func:`_lanes`, after slot 1 for an inertia claim (its one
     slot); the other slots are not counted, since the sampler fixes each
-    slot's count by construction.  When :func:`_trial` refuses a group, the
-    chunk's trials go through it one by one in index order, and the first
-    it refuses raises the error the scalar loop raised for it.  A trial
-    :func:`_breach` flags goes to :func:`_make_witness`, so its witness is
-    what :meth:`Witness.revalidate` recomputes.
+    slot's count by construction.  The first trial, in index order, that
+    :func:`_trial` refuses raises the error the scalar loop raised for it.
+    A trial :func:`_breach` flags goes to :func:`_make_witness`, so its
+    witness is what :meth:`Witness.revalidate` recomputes.
     """
     lo, hi = cfg.n_range
     # the counted arrays start at slot 1 for an inertia claim, else at the image
@@ -535,15 +561,6 @@ def _run_trials(
     def draw(rng):
         n = int(rng.integers(lo, hi + 1))
         return _lane_sizes(claim, cfg.k.m - first, n), (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
-
-    def refuse(slots):
-        if _trial(claim, fn, slots, cfg) is None:
-            for p, a in enumerate(slots, start=1):
-                cfg.dom.check_matrix(a, slot=p)
-            raise ConfigError("matrix entries must be finite")
-
-    def check(breach, slots, *counts):
-        return _make_witness(claim, fn, slots, cfg, clause) if breach(*counts) is not None else None
 
     def settle(chunk):
         groups, where = {}, []
@@ -555,14 +572,15 @@ def _run_trials(
             n: _settle([a for column in zip(*group) for a in column]).reshape(cfg.k.m, len(group), n, n)
             for n, group in groups.items()
         }
-        trials = {n: _trial(claim, fn, list(s), cfg) for n, s in built.items()}
-        if None in trials.values():
-            for n, b in where:
-                refuse(list(built[n][:, b]))
+        checked = {n: _checks(claim, fn, cfg, clause, list(s), first) for n, s in built.items()}
         pairs = []
         for n, b in where:
-            arrays, breach = trials[n]
-            pairs.append(([a[b] for a in arrays[first:]], partial(check, breach, list(built[n][:, b]))))
+            slots, pair = checked[n][b]
+            if pair is None:
+                for p, a in enumerate(slots, start=1):
+                    cfg.dom.check_matrix(a, slot=p)
+                raise ConfigError("matrix entries must be finite")
+            pairs.append(pair)
         return pairs
 
     failures, witnesses = 0, []
@@ -637,13 +655,15 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 # one (len(at), n, n) stack per slot, at the rungs ``at`` of the run.  It
 # is at every rung but where ``_recipe_offset`` splits the run by the sign
 # of f's offset, or where a positivity check (``_ones_spike``'s) refuses a
-# rung.  Slice b of a stack has the bytes of the candidate built at its
-# rung alone.  ``parts`` are f's terms split as the classifier splits them
-# (``functions._parts``), and ``rng()`` is the ladder's one generator,
-# drawn in ladder order.  A candidate larger than ``N_MAX`` is a
-# ConfigError, raised before any size that grows with l or the arity is
-# allocated; no size depends on the scale, so the ladder has no candidate
-# and the run falls through to random search.
+# rung.  ``at`` may be empty: the stacks then have length 0, and their
+# shapes still give the candidate's sizes, so the first rung names the
+# sizes of every candidate of the ladder.  Slice b of a stack has the bytes
+# of the candidate built at its rung alone.  ``parts`` are f's terms split
+# as the classifier splits them (``functions._parts``), and ``rng()`` is
+# the ladder's one generator, drawn in ladder order.  A candidate larger
+# than ``N_MAX`` is a ConfigError, raised before any size that grows with l
+# or the arity is allocated; no size depends on the scale, so the ladder
+# has no candidate and the run falls through to random search.
 
 def _shift(dom: DomainSpec, eps):
     """``eps`` over open_positive, where zero entries are out of domain, else 0."""
@@ -834,8 +854,11 @@ def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
     which case there is no candidate.  A slot with k_p = 0 (an inertia
     claim) holds no negatives: for g >= 0 it gets the rank-one PSD core
     t0 u u^T, u = (1/2, 1), whose entries are dyadic and positive, and
-    g J + c A gains rank.  g can change sign inside a run: its rungs with
-    g < 0 and the others are two candidates, and a ConfigError drops one.
+    g J + c A gains rank.  With a free slot, g moves with t0 and can
+    change sign inside a ladder: its rungs with g < 0 and the others are
+    two candidates, each kept at every run, at no rung if need be, so the
+    first run gives the sizes of both.  Without one, g is f(0) at every
+    rung and the other side is no candidate.  A ConfigError drops a side.
     """
     ks, dom = cfg.k, cfg.dom
     (p, c), = parts.linear.items()
@@ -847,7 +870,7 @@ def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
     out = []
     for negative in (True, False) if not negative_only else (True,):
         at = [h for h, b in enumerate(below) if b == negative]
-        if not at:
+        if not (at or parts.m0):
             continue
         # a run wholly on one side of zero is taken as it is
         t, e, g_at = (t0, eps, g) if len(at) == len(t0) else (t0[at], eps[at], g[at])
@@ -938,14 +961,7 @@ def _builder(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts
     ladder's one generator, which is made when a recipe first asks for it."""
     # the key [seed, 2**63 + 1] once went through float64 as [float(seed), 2**63]:
     # the same key, so the same recipe bytes, for every seed below 2**53
-    made = []
-
-    def rng() -> np.random.Generator:
-        if not made:
-            made.append(_trial_rng(cfg.seed, 2**63))
-        return made[0]
-
-    return partial(recipe, fn, cfg, parts, rng)
+    return partial(recipe, fn, cfg, parts, cache(lambda: _trial_rng(cfg.seed, 2**63)))
 
 
 def _order(built: list) -> list[tuple[int, int]]:
@@ -970,63 +986,43 @@ def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Pa
         return []
 
 
-def _screen(claim: str, fn: FunctionSpec, chunk: list, cfg: TrialConfig) -> Iterator[bool]:
-    """Whether the judge may find a witness in each candidate of ``chunk``,
-    in order: the arrays of :func:`_trial` counted on the stack
-    (:func:`_on_stack`), flagged when its :func:`_breach` returns a count.
-    A candidate :func:`_trial` refuses is not flagged.  The ladder screens
-    its first rung's later candidates so.
-    """
-    trials = (_trial(claim, fn, slots, cfg) or ([], lambda: None) for slots in chunk)
-    return (out is not None for out in _on_stack(map(_built, trials)))
+def _ladder(
+    claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, build: Callable
+) -> Iterator[Witness | None]:
+    """The judge's verdict, a Witness or None, on every candidate of a
+    recipe ladder (``build``, :func:`_builder`), in order.
 
-
-def _flag(slots: tuple, breach: Callable | None, *counts: Inertia) -> tuple[tuple, bool]:
-    """A screened candidate and whether :func:`_breach` returns a count on it."""
-    return slots, breach is not None and breach(*counts) is not None
-
-
-def _ladder(claim: str, fn: FunctionSpec, cfg: TrialConfig, build: Callable) -> Iterator[tuple[tuple, bool]]:
-    """Every candidate of a recipe ladder (``build``, :func:`_builder`), in
-    order, with whether the judge may find a witness in it.
-
-    Rungs are built alone until one holds a candidate: its first is not
-    screened, its others are (:func:`_screen`).  The later rungs are built
-    in runs that :func:`_on_stack` packs by the sizes that rung's
-    candidates count (one rung alone may pass the cap), each run once the
-    candidates before it are judged.  A run is one ``build`` call;
-    :func:`_trial` runs once on each candidate's stacks, or lane by lane on
-    a stack it refuses (a refused lane is not flagged), the run is counted
-    as one stack, and a candidate is flagged when :func:`_breach` returns a
-    count.  A ConfigError (a candidate past ``N_MAX``) ends the ladder.
+    The first rung is built alone, and its first candidate goes straight to
+    the judge.  Its other candidates are counted as one stack, and the later
+    rungs are built in runs that :func:`_on_stack` packs by the sizes the
+    first rung gives every candidate (one rung alone may pass the cap), each
+    run once the candidates before it are judged.  A run is one ``build``
+    call whose candidates are checked on their stacks (:func:`_checks`); only
+    those :func:`_breach` flags reach the judge, and a candidate
+    :func:`_trial` refuses gets None.  A ConfigError (a candidate past
+    ``N_MAX``) ends the ladder.
     """
     t0, eps = _scales(cfg.dom)
+
+    def pairs(built, skip=0):
+        # the candidates of a build, past the first ``skip`` in ladder order, as _on_stack takes them
+        order = _order(built)[skip:]
+        checked = {c: _checks(claim, fn, cfg, clause, built[c][0], 0) for c in {c for c, _ in order}}
+        return [checked[c][b][1] or ([], lambda: None) for c, b in order]
+
     try:
-        h, head = 0, []
-        while not head and h < len(t0):
-            head = _slices(build(t0[h : h + 1], eps[h : h + 1]))
-            h += 1
-        if not head:
-            return
-        yield head[0], True
-        yield from zip(head[1:], _screen(claim, fn, head[1:], cfg))
-        sizes = [size for slots in head for size in _lane_sizes(claim, len(slots), len(slots[0]))]
-
-        def settle(run):
-            built = build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])
-            trials = [_trial(claim, fn, slots, cfg) for slots, _ in built]
-            pairs = []
-            for c, b in _order(built):
-                slots = tuple(a[b] for a in built[c][0])
-                if trials[c] is None:
-                    trial = _trial(claim, fn, slots, cfg)
-                else:
-                    trial = [a[b] for a in trials[c][0]], trials[c][1]
-                arrays, breach = trial or ([], None)
-                pairs.append((arrays, partial(_flag, slots, breach)))
-            return pairs
-
-        yield from _on_stack(((sizes, r) for r in range(h, len(t0))), settle)
+        head = build(t0[:1], eps[:1])
+        alone = _slices(head)
+        if alone:
+            yield _make_witness(claim, fn, alone[0], cfg, clause)
+        # the judged candidate is the only slice of its stacks at one rung:
+        # skipping it leaves its candidate unchecked
+        yield from _on_stack(map(_built, pairs(head, 1)))
+        sizes = [n for slots, _ in head for n in _lane_sizes(claim, len(slots), slots[0].shape[-1])]
+        yield from _on_stack(
+            ((sizes, h) for h in range(1, len(t0))),
+            lambda run: pairs(build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])),
+        )
     except ConfigError:
         return
 
@@ -1035,21 +1031,18 @@ def _recipe_witness(
     clause: str, claim: str, fn: FunctionSpec, cfg: TrialConfig
 ) -> tuple[Witness | None, int]:
     """The first witness among the clause's recipe candidates, and the
-    candidates judged up to it (all of them when there is none).
-
-    The ladder (:func:`_ladder`) builds its first rung alone, then the rest
-    in runs screened on the stack; only its first candidate and the flagged
-    ones go, in order, to the judge, so every witness is the judge's and
-    the count is what judging each candidate in turn gives.
+    candidates judged up to it (all of them when there is none): the first
+    verdict of the ladder (:func:`_ladder`) that is a witness, so every
+    witness is the judge's and the count is what judging each candidate in
+    turn gives.
     """
     recipe = _RECIPES.get(clause)
     if recipe is None:
         return None, 0
     build = _builder(recipe, fn, cfg, _parts(fn, cfg.k, _CLAIM_TO_MODE[claim]))
     attempts = 0
-    for slots, flagged in _ladder(claim, fn, cfg, build):
-        attempts += 1
-        if flagged and (w := _make_witness(claim, fn, slots, cfg, clause)) is not None:
+    for attempts, w in enumerate(_ladder(claim, fn, cfg, clause, build), start=1):
+        if w is not None:
             return w, attempts
     return None, attempts
 

@@ -10,7 +10,7 @@ depend on the BLAS build; LAPACK never enters the runtime path.  No
 eigenvectors are formed.  Many matrices are counted at once by
 :func:`inertia_stack`: the same reduction run on a whole zero-padded stack,
 then a Sturm count instead of QL.  :func:`_on_stack` is the one packer of
-such stacks: the trial loop, the recipe screen, the lemma suite and the
+such stacks: the trial loop, the recipe ladder, the lemma suite and the
 leading negativity profile hand it their matrices, and only it knows the
 ``STACK_ENTRIES`` rule.  :func:`sturm_count` is the same Sturm count for one
 matrix and a few shifts; its one caller is ``pontryagin.gram_realize``.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,25 @@ def test_evaluator_on_stacks_and_points():
         f(x, y[0])
     with pytest.raises(ConfigError):
         f(x)
+
+
+
+def test_a_high_power_keeps_only_the_powers_its_terms_use():
+    # a table of every power up to 20000 of an 8 x 8 array would hold 10 MB
+    f = Series(1, {(20_000,): 2.0, (3,): -1.0})
+    x = np.linspace(0.9999, 1.0001, 64).reshape(8, 8)
+    tracemalloc.start()
+    try:
+        out = f(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # the same repeated multiplications give the same bytes
+    powers = [np.ones(x.shape)]
+    for _ in range(20_000):
+        powers.append(powers[-1] * x)
+    assert out.tobytes() == (2.0 * powers[20_000] + -1.0 * powers[3]).tobytes()
 
 
 def test_apply_arity_mismatch():

@@ -820,11 +820,12 @@ def test_an_overflow_raises_from_the_first_failing_trial(monkeypatch):
     first = next(i for i, (_, _, finite) in enumerate(trials) if not finite)
     assert first > 0 and trials[first][0] != trials[0][0]
     assert any(n == trials[0][0] and not finite for n, _, finite in trials[first:])
-    seen = _spy(monkeypatch, "_lanes")
+    checked, real = [], DomainSpec.check_matrix
+    monkeypatch.setattr(DomainSpec, "check_matrix", lambda dom, a, **kw: checked.append(a) or real(dom, a, **kw))
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="matrix entries must be finite"):
         harness._run_trials("lift", fn, cfg, "test", closure=False)
-    # the last lanes asked for are those of the trial that raised
-    assert [a.tobytes() for a in seen[-1][2]] == [a.tobytes() for a in trials[first][1]]
+    # the slots checked before the error are those of the trial that raised, alone
+    assert [a.tobytes() for a in checked] == [a.tobytes() for a in trials[first][1]]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -1083,13 +1084,19 @@ def _sequential_recipe(clause, claim, fn, cfg):
     return None, attempts
 
 
+#: an offset next to a free slot: g = f(t0/4, 0) = t0/4 - 0.5 changes sign
+#: inside a ladder at rho = 1e12, and is negative only at its last rungs
+SIGN_CHANGING_OFFSET = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
+
 # clause -> (claim, fn, k, l): every RECIPE_CASES clause, plus an inertia
 # claim (slot 1's count is the reference) and a closure claim (at most k_p
-# negatives per slot), whose offsets climb ladders at rho = 1e12
+# negatives per slot), whose offsets climb ladders at rho = 1e12, and an
+# offset whose sign changes inside the ladder, so its first candidate is checked
 LADDER_CASES = {
     **{clause: (clause, *case) for clause, case in RECIPE_CASES.items()},
     "inertia-claim": ("nonzero-offset", "inertia", Affine(-0.5, 1.0), [1], 1),
     "closure-claim": ("negative-offset", "closure", Affine(-0.5, 1.0), [2], 2),
+    "sign-changing-offset": ("negative-offset", "bounded", SIGN_CHANGING_OFFSET, [0, 2], 2),
 }
 
 
@@ -1109,13 +1116,31 @@ def test_the_screened_ladder_reports_what_judging_each_candidate_gives(case, rho
             assert clause in screened.label
 
 
+def _flags(claim, fn, cfg, candidates):
+    """Whether ``_checks``, given each candidate as 1-slice stacks, returns
+    its slots and a check that asks the judge on the counts of its arrays;
+    a candidate it refuses is not flagged."""
+    flags = []
+    with pytest.MonkeyPatch.context() as m:
+        asked = _spy(m, "_make_witness")
+        for slots in candidates:
+            (one, pair), = harness._checks(claim, fn, cfg, "test", [a[None] for a in slots], 0)
+            assert [a.tobytes() for a in one] == [a.tobytes() for a in slots]
+            before = len(asked)
+            if pair is not None:
+                arrays, check = pair
+                check(*linalg._count(arrays))
+            flags.append(len(asked) > before)
+    return flags
+
+
 @pytest.mark.parametrize("case", list(LADDER_CASES))
 def test_the_screen_flags_exactly_the_candidates_the_judge_confirms(case):
     clause, claim, fn, k, l = LADDER_CASES[case]
     for kind, rho in PINNED_DOMAINS:
         cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
         candidates = list(_ladder(clause, claim, fn, cfg))
-        flags = list(harness._screen(claim, fn, candidates, cfg))
+        flags = _flags(claim, fn, cfg, candidates)
         assert flags == [harness._make_witness(claim, fn, c, cfg, clause) is not None for c in candidates]
 
 
@@ -1213,14 +1238,21 @@ def _one_rung_per_call(clause, claim, fn, cfg):
 
 def _same_ladders(clause, claim, fn, k, l, kind, rho):
     """The ladder built one rung per call; built in one call (``_candidates``)
-    and as the screen builds it (its first rung, then runs), it has the same
+    and as ``_ladder`` builds it (its first rung, then runs), it has the same
     candidates, byte for byte and in order."""
     cfg = TrialConfig(DomainSpec(kind, rho), AdmissibleK(k), l, trials=6, seed=5)
     alone = _one_rung_per_call(clause, claim, fn, cfg)
     parts = _parts(fn, cfg.k, harness._CLAIM_TO_MODE[claim])
     build = harness._builder(harness._RECIPES[clause], fn, cfg, parts)
-    screened = [slots for slots, _ in harness._ladder(claim, fn, cfg, build)]
-    for ladder in (_ladder(clause, claim, fn, cfg), screened):
+    built = []
+
+    def spy(t0, eps):
+        run = build(t0, eps)
+        built.extend(harness._slices(run))
+        return run
+
+    list(harness._ladder(claim, fn, cfg, clause, spy))
+    for ladder in (_ladder(clause, claim, fn, cfg), built):
         assert [[(a.shape, a.tobytes()) for a in slots] for slots in ladder] == [
             [(a.shape, a.tobytes()) for a in slots] for slots in alone
         ]
@@ -1236,10 +1268,25 @@ def test_a_ladder_built_in_one_call_has_the_bytes_of_one_rung_per_call(clause, k
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_ladder_whose_offset_changes_sign_has_candidates_at_its_last_rungs_alone(kind):
-    # g = f(t0/4, 0) = t0/4 - 0.5 is negative only at the small scales
-    fn = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
-    alone = _same_ladders("negative-offset", "bounded", fn, [0, 2], 2, kind, 1e12)
+    alone = _same_ladders("negative-offset", "bounded", SIGN_CHANGING_OFFSET, [0, 2], 2, kind, 1e12)
     assert 0 < len(alone) < harness.RECIPE_HALVINGS
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_ladder_whose_offset_changes_sign_makes_two_recipe_calls(kind, monkeypatch):
+    # its one candidate is at no rung of the first run, whose stacks of
+    # length 0 still give the sizes that pack the other 39 rungs as one run
+    cfg = TrialConfig(DomainSpec(kind, 1e12), AdmissibleK((0, 2)), 2, trials=6, seed=5)
+    recipe = harness._RECIPES["negative-offset"]
+    runs = []
+
+    def spy(*args):
+        runs.append(len(args[4]))  # the rungs of t0
+        return recipe(*args)
+
+    monkeypatch.setitem(harness._RECIPES, "negative-offset", spy)
+    harness._recipe_witness("negative-offset", "bounded", SIGN_CHANGING_OFFSET, cfg)
+    assert runs == [1, 39]
 
 
 # an offset next to a slope on a slot with k = 0 (an inertia claim): the slot
@@ -1257,7 +1304,7 @@ def test_an_offset_on_a_slot_with_k_0_gets_a_recipe_witness(kind, offset):
     assert inertia(w.mats[0]).n_neg == 0 and w.observed != inertia(w.mats[0])
 
 
-# each UNJUDGEABLE tuple on both sides of a well-formed witness in one chunk
+# each UNJUDGEABLE tuple on both sides of a well-formed witness
 @pytest.mark.parametrize("case", list(UNJUDGEABLE))
 def test_the_screen_skips_a_candidate_the_judge_cannot_judge(case):
     fn, slots = UNJUDGEABLE[case]
@@ -1265,7 +1312,7 @@ def test_the_screen_skips_a_candidate_the_judge_cannot_judge(case):
     cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,) * fn.arity), 0)
     well_formed = [np.diag([1.0, -1.0])] * fn.arity
     with np.errstate(over="ignore"):
-        assert list(harness._screen("exact", fn, [slots, well_formed, slots], cfg)) == [False, True, False]
+        assert _flags("exact", fn, cfg, [slots, well_formed, slots]) == [False, True, False]
 
 
 @pytest.mark.parametrize("claim,member", [("closure", True), ("bounded", False)])
@@ -1274,4 +1321,4 @@ def test_a_closure_slot_may_hold_fewer_negatives_than_k(claim, member):
     cfg = TrialConfig(DomainSpec("two_sided", 2.0), AdmissibleK((2,)), 0)
     slots = [np.diag([-1.0, 1.0, 1.0])]
     assert (harness._make_witness(claim, Homothety(1.0), slots, cfg, "test") is not None) == member
-    assert list(harness._screen(claim, Homothety(1.0), [slots], cfg)) == [member]
+    assert _flags(claim, Homothety(1.0), cfg, [slots]) == [member]

@@ -59,7 +59,6 @@ from .harness import (
     Witness,
     falsify,
     lemma_suite,
-    sample_member_tuple,
     sample_with_inertia,
     verify_forward,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "ones_spike",
     "pencil_base",
     "replicated_block",
-    "sample_member_tuple",
     "sample_with_inertia",
     "stabilization_index",
     "sym",

@@ -30,13 +30,13 @@ one such stream and build their trials as plain arrays, with the unchecked
 builders; each check reads its lanes' counts alone, so the pinned-negatives
 batch counts out - (a - b) I as a second lane: exactly k zero eigenvalues
 and none below.
-One rule decides every tuple that can be judged: ``_trial`` gives the
-arrays it counts, its slots and then the lanes of ``_lanes`` (the image,
-and for a lift claim the image gathered to n+3 and n+7), and ``_breach``
-reads the counts of the counted slots (all, slot 1 alone, or none), then
-of the lanes.  Its two callers, ``_checks`` on the stack and the judge
-one matrix at a time, differ only in how they count and which slots they
-count.
+One rule decides every tuple: ``_trial`` gives the arrays it counts (its
+slots, the image, and for a lift claim the image gathered to n+3 and n+7)
+and a verdict per tuple, whether every entry is in the domain and the
+image is finite; ``_breach`` reads the counts of the counted slots (all,
+slot 1 alone, or none), then of the image and its lifts.  Its two
+callers, ``_checks`` on the stack and the judge one matrix at a time,
+differ only in how they count and which slots they count.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
 settled by size group: the group's two-sided slots are built by one
@@ -44,19 +44,19 @@ stacked QR factorization and one stacked product (``_spectral``), and
 ``_checks`` checks the group's (B, n, n) slot stacks.  Each slice has
 the bytes of the same slot built alone, which is how
 ``sample_with_inertia`` builds it (a batch of one).  A slot's inertia is
-fixed in closed form, so a trial counts the lanes alone, after slot 1 for
-an inertia claim.  The first trial, in index order, that ``_trial``
-refuses raises.
-A recipe builds its candidate tuples on plain arrays too, as (H, n, n)
-stacks over a run of H rungs of a ladder, whose scale halves from one rung
-to the next.  The ladder (``_ladder``) builds its first rung alone, and
-its first candidate goes straight to the judge; that rung's others are
-counted as one stack, and the later rungs are built in runs that
-``_on_stack`` packs, each one recipe call counted as one stack.
+fixed in closed form, so a trial counts its image and lifts alone, after
+slot 1 for an inertia claim.  The first trial, in index order, that
+``_trial`` cannot judge raises.
+A recipe builds its candidate tuples on plain arrays too: a candidate is
+one (H, n, n) stack per slot, a slice at every rung of a run of H rungs
+of a ladder, whose scale halves from one rung to the next.  The ladder
+(``_ladder``) builds its first rung alone, and its first candidate goes
+straight to the judge; that rung's others are counted as one stack, and
+the later rungs are built in runs that ``_on_stack`` packs, each one
+recipe call counted as one stack.
 ``_checks`` is the one path from slot stacks to the judge, for trials and
-candidates alike: ``_trial`` runs once on the stacks (tuple by tuple on
-stacks it refuses), and a tuple whose counts ``_breach`` flags goes to
-the judge.
+candidates alike: ``_trial`` runs once on the stacks, and a tuple it can
+judge whose counts ``_breach`` flags goes to the judge.
 ``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
 all the arrays of ``_trial`` one matrix at a time and asks the same
 ``_breach``: it makes the witness of a flagged trial or recipe candidate,
@@ -327,17 +327,10 @@ def sample_with_inertia(n: int, k: int, dom: DomainSpec, rng: np.random.Generato
     return SymMatrix(_sample(n, k, dom, rng))
 
 
-def _sample_slots(ks: AdmissibleK, n: int, dom: DomainSpec, rng, closure: bool, sample=_draw):
-    """One ``sample`` per slot, by default its draws (:func:`_draw`): exactly
-    k_p negatives (or j <= k_p under closure)."""
-    return tuple(sample(n, int(rng.integers(0, k_p + 1)) if closure else k_p, dom, rng) for k_p in ks.k)
-
-
-def sample_member_tuple(
-    ks: AdmissibleK, n: int, dom: DomainSpec, rng: np.random.Generator, closure: bool = False
-) -> tuple[SymMatrix, ...]:
-    """One matrix per slot: exactly k_p negatives (or j <= k_p under closure)."""
-    return _sample_slots(ks, n, dom, rng, closure, sample_with_inertia)
+def _sample_slots(ks: AdmissibleK, n: int, dom: DomainSpec, rng, closure: bool) -> tuple:
+    """The draws (:func:`_draw`) of one sample per slot: exactly k_p
+    negatives (or j <= k_p under closure)."""
+    return tuple(_draw(n, int(rng.integers(0, k_p + 1)) if closure else k_p, dom, rng) for k_p in ks.k)
 
 
 # ---------------------------------------------------------------------------
@@ -411,45 +404,35 @@ class VerdictReport:
 )))
 
 
-def _lanes(claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray]) -> list[np.ndarray] | None:
-    """f[slots] and, for a lift claim, f[slots] gathered by the lift's row map
-    to n + e for each e of ``LIFTS`` (f commutes with the lift); None when
-    f[slots] is not finite.
-
-    The slots are n x n arrays, or (B, n, n) stacks of B tuples at once: f
-    acts entrywise and :func:`_gather` on the last two axes.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = fn(*slots)
-    if not np.all(np.isfinite(image)):
-        return None
-    n = image.shape[-1]
-    return [image, *(_gather(image, _lift_rows(n, n + e)) for e in (LIFTS if claim == "lift" else ()))]
-
-
 def _trial(
     claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig
-) -> tuple[list[np.ndarray], Callable] | None:
-    """The arrays a tuple counts, the slots then the lanes of :func:`_lanes`,
-    and the rule its counts answer to (:func:`_breach`); None for a tuple
-    that cannot be judged: a number of slots other than the arity, sizes
-    that differ, an entry outside the domain, or a non-finite image.
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """The arrays a tuple counts and whether it can be judged; None when the
+    slots are not one tuple: a number of them other than the arity, or
+    sizes that differ.
 
-    The slots are n x n arrays, or (B, n, n) stacks of B tuples at once.
+    The arrays are the slots, then the image f[slots], then for a lift claim
+    the image gathered by the lift's row map to n + e for each e of
+    ``LIFTS`` (f commutes with the lift).  A tuple can be judged
+    when every entry is in the domain and the image is finite.  The slots
+    are n x n arrays, or (B, n, n) stacks of B tuples at once, with one
+    verdict per tuple: f acts entrywise and :func:`_gather` on the last two
+    axes.
     """
-    if not (
-        len(slots) == cfg.k.m == fn.arity
-        and len({np.shape(a) for a in slots}) == 1
-        and all(cfg.dom._inside(a).all() for a in slots)
-    ):
+    if not (len(slots) == cfg.k.m == fn.arity and len({np.shape(a) for a in slots}) == 1):
         return None
-    lanes = _lanes(claim, fn, slots)
-    return None if lanes is None else ([*slots, *lanes], partial(_breach, claim, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = fn(*slots)
+    n = image.shape[-1]
+    lifted = [_gather(image, _lift_rows(n, n + e)) for e in (LIFTS if claim == "lift" else ())]
+    ok = np.all([np.isfinite(image), *map(cfg.dom._inside, slots)], axis=(0, -2, -1))
+    return [*slots, image, *lifted], ok
 
 
 def _lane_sizes(claim: str, counted: int, n: int) -> list[int]:
-    """The sizes of the arrays a size-n tuple counts on the stack: ``counted``
-    of its slots, then the lanes of :func:`_lanes`."""
+    """The sizes of the arrays a size-n tuple counts on the stack:
+    ``counted`` of its slots, the image, then for a lift claim its lifts to
+    n + e for each e of ``LIFTS``."""
     return [n] * (counted + 1) + [n + e for e in LIFTS if claim == "lift"]
 
 
@@ -457,9 +440,9 @@ def _breach(claim: str, cfg: TrialConfig, *counts: Inertia) -> Inertia | None:
     """The count that breaks the claim, or None.
 
     ``counts`` holds the counts of the counted slots (all of them, slot 1
-    alone, or none), then those of the lanes of :func:`_lanes`.  A counted
-    slot outside the class (exactly k_p negatives, at most k_p under
-    closure) breaks nothing; slot 1 is an inertia claim's reference.
+    alone, or none), then those of the image and its lifts (:func:`_trial`).
+    A counted slot outside the class (exactly k_p negatives, at most k_p
+    under closure) breaks nothing; slot 1 is an inertia claim's reference.
     """
     split = len(counts) - (1 + len(LIFTS) if claim == "lift" else 1)
     held, (out, *lifted) = counts[:split], counts[split:]
@@ -482,17 +465,16 @@ def _make_witness(
     """The one judge: a Witness of the tuple ``slots`` when the claim fails on it, else None.
 
     Each slot is wrapped in SymMatrix once; the arrays of :func:`_trial`
-    are counted one matrix at a time and its :func:`_breach` decides.  A
-    lift claim's witness holds the size-n tuple, and its ``observed`` is the
+    are counted one matrix at a time and :func:`_breach` decides.  A lift
+    claim's witness holds the size-n tuple, and its ``observed`` is the
     lifted image's count that differs.  A tuple :func:`_trial` cannot judge
     gives None.
     """
     trial = _trial(claim, fn, slots, cfg)
-    if trial is None:
+    if trial is None or not trial[1]:
         return None
-    arrays, breach = trial
     mats = tuple(map(SymMatrix, slots))
-    out = breach(*(inertia(m) for m in [*mats, *map(SymMatrix, arrays[len(mats) :])]))
+    out = _breach(claim, cfg, *(inertia(m) for m in [*mats, *map(SymMatrix, trial[0][len(mats) :])]))
     return None if out is None else Witness(mats, fn, out, clause)
 
 
@@ -500,24 +482,27 @@ def _checks(
     claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, slots: Sequence[np.ndarray], first: int
 ) -> list[tuple[tuple, tuple[list, Callable] | None]]:
     """Each tuple of the (B, n, n) slot stacks ``slots``, in order: its n x n
-    slots, and None when :func:`_trial` refuses it, else its pair as
+    slots, and None when :func:`_trial` cannot judge it, else its pair as
     :func:`_on_stack` takes it.
 
-    :func:`_trial` runs once on the stacks, or tuple by tuple on stacks it
-    refuses.  A pair holds the tuple's arrays of :func:`_trial` from index
-    ``first`` on, the ones counted, and a check over their counts that asks
-    the judge (:func:`_make_witness`) when :func:`_breach` returns a count.
+    :func:`_trial` runs once on the stacks.  A pair holds the tuple's slices
+    of the arrays of :func:`_trial` from index ``first`` on, the ones
+    counted, and a check over their counts that asks the judge
+    (:func:`_make_witness`) when :func:`_breach` returns a count.
     """
 
-    def check(one, breach, *counts):
-        return _make_witness(claim, fn, one, cfg, clause) if breach(*counts) is not None else None
+    def check(one, *counts):
+        return _make_witness(claim, fn, one, cfg, clause) if _breach(claim, cfg, *counts) is not None else None
 
-    stacked = _trial(claim, fn, slots, cfg)
-    if stacked is not None:
-        counted, breach = stacked[0][first:], stacked[1]
-        return [(one, ([a[b] for a in counted], partial(check, one, breach))) for b, one in enumerate(zip(*slots))]
-    alone = [(one, _trial(claim, fn, one, cfg)) for one in zip(*slots)]
-    return [(one, None if t is None else (t[0][first:], partial(check, one, t[1]))) for one, t in alone]
+    tuples = list(zip(*slots))
+    trial = _trial(claim, fn, slots, cfg)
+    if trial is None:
+        return [(one, None) for one in tuples]
+    counted = trial[0][first:]
+    return [
+        (one, ([a[b] for a in counted], partial(check, one)) if ok else None)
+        for b, (one, ok) in enumerate(zip(tuples, trial[1].tolist()))
+    ]
 
 
 def _stacked(
@@ -547,10 +532,11 @@ def _run_trials(
     counts on the stack (:func:`_stacked`), which follow from n.  A chunk is
     settled by size group: the group's slots are built as (B, n, n) stacks
     (:func:`_settle`) and checked at once (:func:`_checks`).  A trial counts
-    the lanes of :func:`_lanes`, after slot 1 for an inertia claim (its one
-    slot); the other slots are not counted, since the sampler fixes each
-    slot's count by construction.  The first trial, in index order, that
-    :func:`_trial` refuses raises the error the scalar loop raised for it.
+    its image and, for a lift claim, its lifts (:func:`_trial`), after slot
+    1 for an inertia claim (its one slot); the other slots are not counted,
+    since the sampler fixes each slot's count by construction.  The first
+    trial, in index order, that :func:`_trial` cannot judge raises the error
+    the scalar loop raised for it.
     A trial :func:`_breach` flags goes to :func:`_make_witness`, so its
     witness is what :meth:`Witness.revalidate` recomputes.
     """
@@ -651,14 +637,11 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 #
 # A recipe maps (fn, cfg, parts, rng, t0, eps) to its candidates at a run
 # of H rungs of a ladder: t0 and eps, of shape (H, 1, 1), are each rung's
-# entry scale and open_positive shift.  A candidate is a pair (slots, at):
-# one (len(at), n, n) stack per slot, at the rungs ``at`` of the run.  It
-# is at every rung but where ``_recipe_offset`` splits the run by the sign
-# of f's offset, or where a positivity check (``_ones_spike``'s) refuses a
-# rung.  ``at`` may be empty: the stacks then have length 0, and their
-# shapes still give the candidate's sizes, so the first rung names the
-# sizes of every candidate of the ladder.  Slice b of a stack has the bytes
-# of the candidate built at its rung alone.  ``parts`` are f's terms split
+# entry scale and open_positive shift.  A recipe gives at least one
+# candidate, and a candidate is its slots: one (H, n, n) stack per slot,
+# with one slice at every rung of the run, so the first rung names the
+# sizes of every candidate of the ladder.  Slice h of a stack has the
+# bytes of the candidate built at rung h alone.  ``parts`` are f's terms split
 # as the classifier splits them (``functions._parts``), and ``rng()`` is
 # the ladder's one generator, drawn in ladder order.  A candidate larger
 # than ``N_MAX`` is a ConfigError, raised before any size that grows with l
@@ -668,11 +651,6 @@ def verify_forward(claim: str, fn: FunctionSpec, cfg: TrialConfig) -> VerdictRep
 def _shift(dom: DomainSpec, eps):
     """``eps`` over open_positive, where zero entries are out of domain, else 0."""
     return eps if dom.kind == "open_positive" else 0.0
-
-
-def _everywhere(*candidates: tuple[np.ndarray, ...]) -> list[tuple[tuple, Sequence[int]]]:
-    """Candidates given as slot stacks, each at every rung of its run."""
-    return [(slots, range(len(slots[0]))) for slots in candidates]
 
 
 def _member_filler(n: int, k_q: int, dom: DomainSpec, t0, eps) -> np.ndarray:
@@ -737,7 +715,7 @@ def _recipe_nonlinear(fn, cfg, parts, rng, t0, eps):
     placed = {
         q: core for q, k_q in enumerate(ks.k, start=1) if q == p or (alpha[q - 1] and k_q == k_p)
     }
-    return _everywhere(_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps))
+    return [_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_negative_linear(fn, cfg, parts, rng, t0, eps):
@@ -746,7 +724,7 @@ def _recipe_negative_linear(fn, cfg, parts, rng, t0, eps):
     k_p = ks.k[p - 1]
     # a pad block of size l + 3 on every domain kind
     core = _member_filler(k_p + cfg.l + 3 + dom.one_sided, k_p, dom, t0, eps)
-    return _everywhere(_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0), ks, dom, t0, eps))
+    return [_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_multiple_linear(fn, cfg, parts, rng, t0, eps):
@@ -770,7 +748,7 @@ def _recipe_multiple_linear(fn, cfg, parts, rng, t0, eps):
                 for r in constrained
             ]
             placed[q] = _direct_sum(summands, _shift(dom, eps / 8))
-    return _everywhere(_fill_slots(n, placed, np.full((len(t0), n, n), eps / 4), ks, dom, t0, eps))
+    return [_fill_slots(n, placed, np.full((len(t0), n, n), eps / 4), ks, dom, t0, eps)]
 
 
 def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
@@ -802,7 +780,7 @@ def _recipe_constrained_dependence(fn, cfg, parts, rng, t0, eps):
                 inner = [_equicorrelation(k_q + 1, t0, 2 * t0), t0 * np.eye(n - k_q - 2)]
                 placed[q] = _gather(_direct_sum(inner, _shift(dom, eps)), rows)
         out.append(_fill_slots(n, placed, np.full((len(t0), n, n), a), ks, dom, t0, eps))
-    return _everywhere(*out)
+    return out
 
 
 def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
@@ -813,7 +791,7 @@ def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
         # l == 0 with a negative constant: any small PSD-ish tuple works,
         # the image hugs const * ones which has a negative direction
         n = max(2, kmax + 2)
-        return _everywhere(_fill_slots(n, {}, np.full((len(t0), n, n), t0 / 8), ks, dom, t0 / 8, eps / 8))
+        return [_fill_slots(n, {}, np.full((len(t0), n, n), t0 / 8), ks, dom, t0 / 8, eps / 8)]
 
     target = negative[0]
     # collapse the multivariate support onto one variable: weights encode
@@ -842,23 +820,22 @@ def _recipe_negative_coefficient(fn, cfg, parts, rng, t0, eps):
         grid = col.swapaxes(-1, -2) * col  # np.outer(col, col) at each rung
         placed[q] = _direct_sum([grid] * copies + [eta * np.eye(n - block * copies)], _shift(dom, shift))
     free = np.full((len(t0), n, n), np.fmin(t0, scale) / 8)
-    return _everywhere(_fill_slots(n, placed, free, ks, dom, eta, shift))
+    return [_fill_slots(n, placed, free, ks, dom, eta, shift)]
 
 
-def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
+def _recipe_offset(fn, cfg, parts, rng, t0, eps):
     """Witnesses for a bad constant offset next to a positive slope.
 
     A negative base value g is exposed by small negatives on the slope's
-    slot.  A nonnegative g (exact and inertia claims) is exposed by
-    negatives that the offset cancels, unless ``negative_only`` is set, in
-    which case there is no candidate.  A slot with k_p = 0 (an inertia
-    claim) holds no negatives: for g >= 0 it gets the rank-one PSD core
-    t0 u u^T, u = (1/2, 1), whose entries are dyadic and positive, and
-    g J + c A gains rank.  With a free slot, g moves with t0 and can
-    change sign inside a ladder: its rungs with g < 0 and the others are
-    two candidates, each kept at every run, at no rung if need be, so the
-    first run gives the sizes of both.  Without one, g is f(0) at every
-    rung and the other side is no candidate.  A ConfigError drops a side.
+    slot, and a positive one (exact and inertia claims) by negatives that
+    the offset cancels.  The side is the sign of f's constant: a
+    ``nonzero-offset`` has no free slot, so g = f(0) at every rung.  With a
+    free slot (a ``negative-offset``), g moves with t0 and can change sign
+    inside a ladder; a rung where g >= 0 is still a candidate, and breaks
+    nothing.  A slot with k_p = 0 (an inertia claim)
+    holds no negatives: for g > 0 it gets the rank-one PSD core t0 u u^T,
+    u = (1/2, 1), whose entries are dyadic and positive, and g J + c A
+    gains rank.
     """
     ks, dom = cfg.k, cfg.dom
     (p, c), = parts.linear.items()
@@ -866,41 +843,22 @@ def _recipe_offset(fn, cfg, parts, rng, t0, eps, negative_only=False):
     s = t0 / 4.0
     # f with the free slots at s and the constrained ones at 0
     g = fn(*(s if q <= parts.m0 else np.zeros_like(s) for q in range(1, ks.m + 1)))
-    below = (g.ravel() < 0.0).tolist()
-    out = []
-    for negative in (True, False) if not negative_only else (True,):
-        at = [h for h, b in enumerate(below) if b == negative]
-        if not (at or parts.m0):
-            continue
-        # a run wholly on one side of zero is taken as it is
-        t, e, g_at = (t0, eps, g) if len(at) == len(t0) else (t0[at], eps[at], g[at])
-        keep = None
-        try:
-            if negative:
-                delta = np.fmin(t, np.abs(g_at) / (2.0 * c))
-                if k_p and not dom.one_sided:
-                    spread = np.fmin(e, delta / 2.0)
-                    # ones_spike's positivity checks, which refuse a rung alone
-                    keep = ((delta > 0.0) & (spread > 0.0)).ravel()
-                    core = _ones_spike(k_p, delta, spread)
-                else:
-                    core = _equicorrelation(k_p + 1, delta / 2.0, delta)
-                # a t0 * I pad up to size max(k) + 2; exact negatives kept
-                core = _direct_sum([core, t * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, e / 4))
-            elif k_p == 0:
-                core = t * np.array([[0.25, 0.5], [0.5, 1.0]])  # t0 u u^T, u = (1/2, 1)
-            elif not dom.one_sided:
-                core = -np.fmin(t, k_p * g_at / (2.0 * c)) * np.eye(k_p)
-            else:
-                delta = np.fmin(t / 5.0, g_at / (2.0 * c))
-                core = delta * ones_pencil(k_p, 0.02 / k_p).entries
-            slots = _fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t / 4.0), ks, dom, t, e)
-        except ConfigError:
-            continue
-        if keep is not None and not keep.all():
-            slots, at = tuple(a[keep] for a in slots), [h for h, ok in zip(at, keep.tolist()) if ok]
-        out.append((slots, at))
-    return out
+    if parts.const < 0.0:
+        delta = np.fmin(t0, np.abs(g) / (2.0 * c))
+        if k_p and not dom.one_sided:
+            core = _ones_spike(k_p, delta, np.fmin(eps, delta / 2.0))
+        else:
+            core = _equicorrelation(k_p + 1, delta / 2.0, delta)
+        # a t0 * I pad up to size max(k) + 2; exact negatives kept
+        core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
+    elif k_p == 0:
+        core = t0 * np.array([[0.25, 0.5], [0.5, 1.0]])  # t0 u u^T, u = (1/2, 1)
+    elif not dom.one_sided:
+        core = -np.fmin(t0, k_p * g / (2.0 * c)) * np.eye(k_p)
+    else:
+        delta = np.fmin(t0 / 5.0, g / (2.0 * c))
+        core = delta * ones_pencil(k_p, 0.02 / k_p).entries
+    return [_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0 / 4.0), ks, dom, t0, eps)]
 
 
 def _recipe_constant_map(fn, cfg, parts, rng, t0, eps):
@@ -914,7 +872,7 @@ def _recipe_constant_map(fn, cfg, parts, rng, t0, eps):
         draws = rng()
         core = _settle([_draw(n, kstar, dom, draws) for _ in range(len(t0))])
     placed = {q: core for q, k_q in enumerate(ks.k, start=1) if k_q == kstar}
-    return _everywhere(_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps))
+    return [_fill_slots(core.shape[-1], placed, np.full(core.shape, t0), ks, dom, t0, eps)]
 
 
 def _recipe_budget(fn, cfg, parts, rng, t0, eps):
@@ -929,7 +887,7 @@ def _recipe_budget(fn, cfg, parts, rng, t0, eps):
         core = _equicorrelation(k_p + 1, t0, 2 * t0)
     # a t0 * I pad up to size max(k) + 2; exact negatives kept
     core = _direct_sum([core, t0 * np.eye(max(ks.k) + 1 - k_p)], _shift(dom, eps / 4))
-    return _everywhere(_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0 / 4), ks, dom, t0, eps))
+    return [_fill_slots(core.shape[-1], {p: core}, np.full(core.shape, t0 / 4), ks, dom, t0, eps)]
 
 
 _RECIPES: dict[str, Callable] = {
@@ -940,7 +898,7 @@ _RECIPES: dict[str, Callable] = {
     "constrained-dependence": _recipe_constrained_dependence,
     "negative-coefficient": _recipe_negative_coefficient,
     "nonmonotone-base": _recipe_negative_coefficient,
-    "negative-offset": partial(_recipe_offset, negative_only=True),
+    "negative-offset": _recipe_offset,
     "nonzero-offset": _recipe_offset,
     "constant-map": _recipe_constant_map,
     "l-less-than-k": _recipe_budget,
@@ -964,15 +922,10 @@ def _builder(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts
     return partial(recipe, fn, cfg, parts, cache(lambda: _trial_rng(cfg.seed, 2**63)))
 
 
-def _order(built: list) -> list[tuple[int, int]]:
-    """(candidate, slice) of each candidate a run built, in ladder order:
-    rung by rung, and at each rung in the recipe's order."""
-    return [(c, b) for _, c, b in sorted((h, c, b) for c, (_, at) in enumerate(built) for b, h in enumerate(at))]
-
-
 def _slices(built: list) -> list[tuple]:
-    """The candidates a run built, as tuples of n x n arrays in ladder order."""
-    return [tuple(a[b] for a in built[c][0]) for c, b in _order(built)]
+    """The candidates a run built, as tuples of n x n arrays in ladder order:
+    rung by rung, and at each rung in the recipe's order."""
+    return [tuple(a[h] for a in slots) for h in range(len(built[0][0])) for slots in built]
 
 
 def _candidates(recipe: Callable, fn: FunctionSpec, cfg: TrialConfig, parts: _Parts) -> list[tuple]:
@@ -993,32 +946,28 @@ def _ladder(
     recipe ladder (``build``, :func:`_builder`), in order.
 
     The first rung is built alone, and its first candidate goes straight to
-    the judge.  Its other candidates are counted as one stack, and the later
-    rungs are built in runs that :func:`_on_stack` packs by the sizes the
-    first rung gives every candidate (one rung alone may pass the cap), each
-    run once the candidates before it are judged.  A run is one ``build``
+    the judge, neither checked nor counted.  The rung's other candidates are
+    counted as one stack.  Every candidate has a slice at every rung, so the
+    later rungs are built in runs that :func:`_on_stack` packs by the sizes
+    the first rung gives (one rung alone may pass the cap), each run once
+    the candidates before it are judged.  A run is one ``build``
     call whose candidates are checked on their stacks (:func:`_checks`); only
     those :func:`_breach` flags reach the judge, and a candidate
-    :func:`_trial` refuses gets None.  A ConfigError (a candidate past
+    :func:`_trial` cannot judge gets None.  A ConfigError (a candidate past
     ``N_MAX``) ends the ladder.
     """
     t0, eps = _scales(cfg.dom)
 
-    def pairs(built, skip=0):
-        # the candidates of a build, past the first ``skip`` in ladder order, as _on_stack takes them
-        order = _order(built)[skip:]
-        checked = {c: _checks(claim, fn, cfg, clause, built[c][0], 0) for c in {c for c, _ in order}}
-        return [checked[c][b][1] or ([], lambda: None) for c, b in order]
+    def pairs(built):
+        # the candidates of a build in ladder order, as _on_stack takes them
+        checked = [_checks(claim, fn, cfg, clause, slots, 0) for slots in built]
+        return [pair or ([], lambda: None) for rung in zip(*checked) for _, pair in rung]
 
     try:
         head = build(t0[:1], eps[:1])
-        alone = _slices(head)
-        if alone:
-            yield _make_witness(claim, fn, alone[0], cfg, clause)
-        # the judged candidate is the only slice of its stacks at one rung:
-        # skipping it leaves its candidate unchecked
-        yield from _on_stack(map(_built, pairs(head, 1)))
-        sizes = [n for slots, _ in head for n in _lane_sizes(claim, len(slots), slots[0].shape[-1])]
+        yield _make_witness(claim, fn, [a[0] for a in head[0]], cfg, clause)
+        yield from _on_stack(map(_built, pairs(head[1:])))
+        sizes = [n for slots in head for n in _lane_sizes(claim, len(slots), slots[0].shape[-1])]
         yield from _on_stack(
             ((sizes, h) for h in range(1, len(t0))),
             lambda run: pairs(build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])),

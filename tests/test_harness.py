@@ -37,7 +37,6 @@ from inertia_lab.harness import (
     TrialConfig,
     falsify,
     lemma_suite,
-    sample_member_tuple,
     sample_with_inertia,
     verify_forward,
 )
@@ -46,6 +45,13 @@ from inertia_lab.linalg import DomainSpec, Inertia, SymMatrix, inertia, is_membe
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(key=[seed, 0]))
+
+
+def _member_tuple(ks, n, dom, rng, closure=False):
+    """One SymMatrix per slot, each with the bytes ``sample_with_inertia``
+    builds from the slot's draws: exactly k_p negatives (or j <= k_p under
+    closure)."""
+    return tuple(SymMatrix(harness._settle([d])[0]) for d in harness._sample_slots(ks, n, dom, rng, closure))
 
 
 @pytest.mark.parametrize("kind", ["two_sided", "open_positive", "closed_left"])
@@ -80,7 +86,7 @@ def test_two_sided_allows_negative_definite():
 def test_tuple_sampler_respects_each_slot():
     ks = AdmissibleK((0, 1, 2))
     dom = DomainSpec("two_sided", 1.0)
-    mats = sample_member_tuple(ks, 4, dom, _rng(2))
+    mats = _member_tuple(ks, 4, dom, _rng(2))
     assert [inertia(m).n_neg for m in mats] == [0, 1, 2]
 
 
@@ -90,7 +96,7 @@ def test_tuple_sampler_closure_stays_at_or_below():
     rng = _rng(3)
     seen = set()
     for _ in range(20):
-        mats = sample_member_tuple(ks, 5, dom, rng, closure=True)
+        mats = _member_tuple(ks, 5, dom, rng, closure=True)
         assert inertia(mats[0]).n_neg == 0
         j = inertia(mats[1]).n_neg
         assert 0 <= j <= 3
@@ -708,7 +714,7 @@ def _scalar_trials(claim, fn, cfg, clause, closure):
     for i in range(cfg.trials):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)]
+        slots = [m.entries for m in _member_tuple(cfg.k, n, cfg.dom, rng, closure=closure)]
         for p, a in enumerate(slots, start=1):
             cfg.dom.check_matrix(a, slot=p)
         if not np.all(np.isfinite(fn(*slots))):
@@ -814,7 +820,7 @@ def test_an_overflow_raises_from_the_first_failing_trial(monkeypatch):
     for i in range(cfg.trials):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng)]
+        slots = [m.entries for m in _member_tuple(cfg.k, n, cfg.dom, rng)]
         with np.errstate(over="ignore"):
             trials.append((n, slots, bool(np.all(np.isfinite(fn(*slots))))))
     first = next(i for i, (_, _, finite) in enumerate(trials) if not finite)
@@ -948,7 +954,7 @@ def test_the_trial_loop_declares_the_sizes_of_the_arrays_it_settles(case, monkey
     for i, (sizes, arrays) in enumerate(zip(declared, settled)):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        slots = [m.entries for m in sample_member_tuple(cfg.k, n, cfg.dom, rng, closure=claim == "closure")]
+        slots = [m.entries for m in _member_tuple(cfg.k, n, cfg.dom, rng, closure=claim == "closure")]
         # slot 1 for an inertia claim, then the image, then the lifts for a lift claim
         want = [n] * (claim == "inertia") + [n] + [n + 3, n + 7] * (claim == "lift")
         assert list(sizes) == want
@@ -980,7 +986,7 @@ def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch
     for i in range(cfg.trials):
         rng = harness._trial_rng(cfg.seed, i)
         n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        mats = sample_member_tuple(cfg.k, n, cfg.dom, rng)
+        mats = _member_tuple(cfg.k, n, cfg.dom, rng)
         for b, extra in zip((3 * i + 1, 3 * i + 2), (3, 7)):
             want = fn(*(lift_finite(m, n + extra).entries for m in mats))
             assert sizes[b] == n + extra
@@ -1091,7 +1097,8 @@ SIGN_CHANGING_OFFSET = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
 # clause -> (claim, fn, k, l): every RECIPE_CASES clause, plus an inertia
 # claim (slot 1's count is the reference) and a closure claim (at most k_p
 # negatives per slot), whose offsets climb ladders at rho = 1e12, and an
-# offset whose sign changes inside the ladder, so its first candidate is checked
+# offset whose sign changes inside the ladder, so that its rungs where g >= 0
+# are judged too
 LADDER_CASES = {
     **{clause: (clause, *case) for clause, case in RECIPE_CASES.items()},
     "inertia-claim": ("nonzero-offset", "inertia", Affine(-0.5, 1.0), [1], 1),
@@ -1267,15 +1274,38 @@ def test_a_ladder_built_in_one_call_has_the_bytes_of_one_rung_per_call(clause, k
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_ladder_whose_offset_changes_sign_has_candidates_at_its_last_rungs_alone(kind):
+def test_every_candidate_has_a_slice_at_every_rung_of_its_run(kind):
+    for clause, (claim, fn, k, l) in RECIPE_CASES.items():
+        cfg = TrialConfig(DomainSpec(kind, 1e12), AdmissibleK(k), l, trials=6, seed=5)
+        parts = _parts(fn, cfg.k, harness._CLAIM_TO_MODE[claim])
+        build = harness._builder(harness._RECIPES[clause], fn, cfg, parts)
+        t0, eps = harness._scales(cfg.dom)
+        for lo, hi in ((0, 1), (1, 40), (5, 9)):
+            built = build(t0[lo:hi], eps[lo:hi])
+            assert built and all(len(a) == hi - lo for slots in built for a in slots), (clause, lo, hi)
+
+
+#: the candidate of SIGN_CHANGING_OFFSET's ladder at rho = 1e12 that is its
+#: first witness: the rungs before it, where g >= 0, are judged and break nothing
+SIGN_CHANGING_HIT = {"two_sided": 37, "open_positive": 38, "closed_left": 37}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_ladder_whose_offset_changes_sign_has_a_candidate_at_every_rung(kind):
     alone = _same_ladders("negative-offset", "bounded", SIGN_CHANGING_OFFSET, [0, 2], 2, kind, 1e12)
-    assert 0 < len(alone) < harness.RECIPE_HALVINGS
+    assert len(alone) == harness.RECIPE_HALVINGS
+    cfg = TrialConfig(DomainSpec(kind, 1e12), AdmissibleK((0, 2)), 2, trials=6, seed=5)
+    rep = falsify("bounded", SIGN_CHANGING_OFFSET, cfg, strategy="recipe")
+    assert rep.label == "witness found via recipe for clause 'negative-offset'"
+    assert rep.trials == SIGN_CHANGING_HIT[kind]
+    w = rep.witnesses[0]
+    assert w.revalidate("bounded", cfg)
+    assert [m.entries.tobytes() for m in w.mats] == [a.tobytes() for a in alone[rep.trials - 1]]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_ladder_whose_offset_changes_sign_makes_two_recipe_calls(kind, monkeypatch):
-    # its one candidate is at no rung of the first run, whose stacks of
-    # length 0 still give the sizes that pack the other 39 rungs as one run
+    # its first rung is built alone, and its sizes pack the other 39 rungs as one run
     cfg = TrialConfig(DomainSpec(kind, 1e12), AdmissibleK((0, 2)), 2, trials=6, seed=5)
     recipe = harness._RECIPES["negative-offset"]
     runs = []
@@ -1304,15 +1334,33 @@ def test_an_offset_on_a_slot_with_k_0_gets_a_recipe_witness(kind, offset):
     assert inertia(w.mats[0]).n_neg == 0 and w.observed != inertia(w.mats[0])
 
 
-# each UNJUDGEABLE tuple on both sides of a well-formed witness
+#: the UNJUDGEABLE tuples shaped as a well-formed 2x2 tuple of their arity
+SAME_SHAPE = ["non-finite-entry", "infinite-entry", "entry-out-of-domain", "non-finite-image"]
+
+
+# each UNJUDGEABLE tuple on both sides of a well-formed witness, tuple by
+# tuple and, where the shapes match, as one stack
 @pytest.mark.parametrize("case", list(UNJUDGEABLE))
 def test_the_screen_skips_a_candidate_the_judge_cannot_judge(case):
     fn, slots = UNJUDGEABLE[case]
     rho = math.inf if case == "non-finite-image" else 1.5
     cfg = TrialConfig(DomainSpec("two_sided", rho), AdmissibleK((1,) * fn.arity), 0)
     well_formed = [np.diag([1.0, -1.0])] * fn.arity
+    tuples = [slots, well_formed, slots]
     with np.errstate(over="ignore"):
-        assert _flags("exact", fn, cfg, [slots, well_formed, slots]) == [False, True, False]
+        flags = _flags("exact", fn, cfg, tuples)
+    assert flags == [False, True, False]
+    if case not in SAME_SHAPE:
+        return
+    with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore"):
+        asked = _spy(m, "_make_witness")
+        checked = harness._checks("exact", fn, cfg, "test", [np.stack(s) for s in zip(*tuples)], 0)
+        assert [[a.tobytes() for a in one] for one, _ in checked] == [[a.tobytes() for a in t] for t in tuples]
+        assert [pair is not None for _, pair in checked] == flags
+        for _, pair in checked:
+            if pair is not None:
+                pair[1](*linalg._count(pair[0]))
+        assert [args[2] for args in asked] == [checked[1][0]]
 
 
 @pytest.mark.parametrize("claim,member", [("closure", True), ("bounded", False)])

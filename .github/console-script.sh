@@ -44,6 +44,18 @@ if len(witnesses) != 1:
     sys.exit(f"inertia-lab falsify printed {len(witnesses)} witnesses, expected 1")
 '
 
+# a lift claim with an affine f over open_positive and sizes 2..9: each trial
+# chunk is one zero-padded stack, so f(0) = 0.5 is zeroed outside every
+# tuple's block, the padding's zeros pass the domain check, and each tuple's
+# lifts gather its own rows
+inertia-lab verify '{"theorem":"lift","fn":{"type":"affine","offset":0.5,"c":2,"slot":1,"arity":1},"config":{"domain":{"kind":"open_positive","rho":1},"k":[1],"l":1,"n_range":[2,9],"trials":40,"seed":3}}' \
+  | python3 -c '
+import json, sys
+label = json.load(sys.stdin)["label"]
+if label != "pass: 40 trials, 0 failures":
+    sys.exit(f"inertia-lab verify printed {label!r}, expected a pass of 40 trials")
+'
+
 # a subnormal matrix: its zero eigenvalue is a plus direction, not a minus one
 inertia-lab pontryagin factor --matrix '[[0,0],[0,-1e-315]]' --k 1 | python3 -c '
 import json, sys

@@ -24,8 +24,9 @@ through one trial loop, ``_stacked``.  Trial i draws from its own stream
 will count.  ``linalg._on_stack``, the one packer of every batch count,
 packs trials in index order, by those sizes alone, into chunks of at most
 ``linalg.STACK_ENTRIES`` zero-padded entries (a single trial may pass it),
-settles each chunk into the arrays and a check over their counts per
-trial, and counts the chunk as one stack.  A suite's five batches share
+settles each chunk into one zero-padded stack of its lanes, in the
+declared order, and one check per trial, and counts that stack against the
+declared sizes.  A suite's five batches share
 one such stream and build their trials as plain arrays, with the unchecked
 builders; each check reads its lanes' counts alone, so the pinned-negatives
 batch counts out - (a - b) I as a second lane: exactly k zero eigenvalues
@@ -38,25 +39,29 @@ slot 1 alone, or none), then of the image and its lifts.  Its two
 callers, ``_checks`` on the stack and the judge one matrix at a time,
 differ only in how they count and which slots they count.
 A verify or random-search trial only draws: its size n, then each slot's
-draws (``_draw``), in the order the scalar sampler made them.  Its chunk is
-settled by size group: the group's two-sided slots are built by one
-stacked QR factorization and one stacked product (``_spectral``), and
-``_checks`` checks the group's (B, n, n) slot stacks.  Each slice has
+draws (``_draw``), in the order the scalar sampler made them.  Its chunk's
+slots are built by size group: the group's two-sided slots by one stacked
+QR factorization and one stacked product (``_spectral``), each slice with
 the bytes of the same slot built alone, which is how
-``sample_with_inertia`` builds it (a batch of one).  A slot's inertia is
-fixed in closed form, so a trial counts its image and lifts alone, after
-slot 1 for an inertia claim.  The first trial, in index order, that
-``_trial`` cannot judge raises.
+``sample_with_inertia`` builds it (a batch of one).  The groups are then
+laid into one (m, B, N, N) slot stack, zero-padded to the chunk's largest
+size N, and ``_checks`` checks the whole chunk at once: ``_trial`` zeroes
+each tuple's image and lifts outside its own block, so the counted arrays
+are already the zero-padded stack that ``_on_stack`` counts.  A slot's
+inertia is fixed in closed form, so a trial counts its image and lifts
+alone, after slot 1 for an inertia claim.  The first trial, in index
+order, that ``_trial`` cannot judge raises.
 A recipe builds its candidate tuples on plain arrays too: a candidate is
 one (H, n, n) stack per slot, a slice at every rung of a run of H rungs
 of a ladder, whose scale halves from one rung to the next.  The ladder
 (``_ladder``) builds its first rung alone, and its first candidate goes
 straight to the judge; that rung's others are counted as one stack, and
 the later rungs are built in runs that ``_on_stack`` packs, each one
-recipe call counted as one stack.
+recipe call counted as one stack, with one check per rung.
 ``_checks`` is the one path from slot stacks to the judge, for trials and
 candidates alike: ``_trial`` runs once on the stacks, and a tuple it can
-judge whose counts ``_breach`` flags goes to the judge.
+judge whose counts ``_breach`` flags goes to the judge with its unpadded
+slots.
 ``_make_witness``, the one judge, wraps each slot in SymMatrix once, counts
 all the arrays of ``_trial`` one matrix at a time and asks the same
 ``_breach``: it makes the witness of a flagged trial or recipe candidate,
@@ -72,7 +77,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -105,7 +110,9 @@ from .linalg import (
     SymMatrix,
     _built,
     _direct_sum,
+    _laid,
     _on_stack,
+    _padded,
     _symmetric,
     inertia,
 )
@@ -273,7 +280,8 @@ def _draw(n: int, k: int, dom: DomainSpec, rng: np.random.Generator) -> np.ndarr
     rho = dom.rho_eff
     if not dom.one_sided:
         g = rng.standard_normal((n, n))
-        lam = np.concatenate([-rng.uniform(0.2, 1.0, size=k), rng.uniform(0.2, 1.0, size=n - k)])
+        lam = rng.uniform(0.2, 1.0, size=n)
+        lam[:k] = -lam[:k]
         return _TwoSidedDraws(g, lam, (0.25 + 0.6 * rng.uniform()) * rho)
     if k == 0:
         v = rng.uniform(0.3, 1.0, size=(n, n))
@@ -404,8 +412,14 @@ class VerdictReport:
 )))
 
 
+def _leading(sizes: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n, n) mask of the leading sizes[b] x sizes[b] block of each slice."""
+    inside = np.arange(n) < sizes[:, None]
+    return inside[:, :, None] & inside[:, None, :]
+
+
 def _trial(
-    claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig
+    claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig, sizes: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """The arrays a tuple counts and whether it can be judged; None when the
     slots are not one tuple: a number of them other than the arity, or
@@ -415,18 +429,35 @@ def _trial(
     the image gathered by the lift's row map to n + e for each e of
     ``LIFTS`` (f commutes with the lift).  A tuple can be judged
     when every entry is in the domain and the image is finite.  The slots
-    are n x n arrays, or (B, n, n) stacks of B tuples at once, with one
-    verdict per tuple: f acts entrywise and :func:`_gather` on the last two
-    axes.
+    are n x n arrays, or (B, N, N) stacks of B tuples at once, with one
+    verdict per tuple: f acts entrywise and the lifts gather on the last two
+    axes.  Given ``sizes``, tuple b of the stacks fills only the leading
+    sizes[b] x sizes[b] block of its slices, with zeros around it: its image
+    is zeroed outside that block (f(0) need not be 0), its lifts gather its
+    own rows to sizes[b] + e and are zero outside, and its verdict ignores
+    the padding.
     """
     if not (len(slots) == cfg.k.m == fn.arity and len({np.shape(a) for a in slots}) == 1):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         image = fn(*slots)
     n = image.shape[-1]
-    lifted = [_gather(image, _lift_rows(n, n + e)) for e in (LIFTS if claim == "lift" else ())]
-    ok = np.all([np.isfinite(image), *map(cfg.dom._inside, slots)], axis=(0, -2, -1))
-    return [*slots, image, *lifted], ok
+    lifts = LIFTS if claim == "lift" else ()
+    ok = np.logical_and.reduce([np.isfinite(image), *map(cfg.dom._inside, slots)])
+    if sizes is None:
+        lifted = [_gather(image, _lift_rows(n, n + e)) for e in lifts]
+    else:
+        lane = np.arange(len(image))[:, None, None]
+        lifted = []
+        for e in lifts:
+            # lane b's rows of the lift from sizes[b] to sizes[b] + e
+            rows = np.minimum(np.arange(n + e), sizes[:, None] - 1)
+            gathered = image[lane, rows[:, :, None], rows[:, None, :]]
+            lifted.append(np.where(_leading(sizes + e, n + e), gathered, 0.0))
+        inside = _leading(sizes, n)
+        image = np.where(inside, image, 0.0)
+        ok |= ~inside
+    return [*slots, image, *lifted], ok.all(axis=(-2, -1))
 
 
 def _lane_sizes(claim: str, counted: int, n: int) -> list[int]:
@@ -479,34 +510,44 @@ def _make_witness(
 
 
 def _checks(
-    claim: str, fn: FunctionSpec, cfg: TrialConfig, clause: str, slots: Sequence[np.ndarray], first: int
-) -> list[tuple[tuple, tuple[list, Callable] | None]]:
-    """Each tuple of the (B, n, n) slot stacks ``slots``, in order: its n x n
-    slots, and None when :func:`_trial` cannot judge it, else its pair as
-    :func:`_on_stack` takes it.
+    claim: str,
+    fn: FunctionSpec,
+    cfg: TrialConfig,
+    clause: str,
+    slots: Sequence[np.ndarray],
+    first: int,
+    sizes: np.ndarray | None = None,
+) -> tuple[list[np.ndarray], list[Callable | None]]:
+    """The counted arrays of the tuples of the (B, N, N) slot stacks
+    ``slots``, and one check per tuple, in order: None for a tuple
+    :func:`_trial` cannot judge.
 
-    :func:`_trial` runs once on the stacks.  A pair holds the tuple's slices
-    of the arrays of :func:`_trial` from index ``first`` on, the ones
-    counted, and a check over their counts that asks the judge
-    (:func:`_make_witness`) when :func:`_breach` returns a count.
+    :func:`_trial` runs once on the stacks, tuple b zero-padded from size
+    ``sizes[b]`` when given.  The counted arrays are its (B, ., .) arrays
+    from index ``first`` on, zero in the lanes of a tuple it refuses, whose
+    entries need not be finite.  A check over a tuple's counts asks the
+    judge (:func:`_make_witness`) on the tuple's unpadded slots when
+    :func:`_breach` returns a count.
     """
 
-    def check(one, *counts):
-        return _make_witness(claim, fn, one, cfg, clause) if _breach(claim, cfg, *counts) is not None else None
+    def check(b, *counts):
+        if _breach(claim, cfg, *counts) is None:
+            return None
+        n = None if sizes is None else sizes[b]
+        return _make_witness(claim, fn, [a[b, :n, :n] for a in slots], cfg, clause)
 
-    tuples = list(zip(*slots))
-    trial = _trial(claim, fn, slots, cfg)
+    trial = _trial(claim, fn, slots, cfg, sizes)
     if trial is None:
-        return [(one, None) for one in tuples]
-    counted = trial[0][first:]
-    return [
-        (one, ([a[b] for a in counted], partial(check, one)) if ok else None)
-        for b, (one, ok) in enumerate(zip(tuples, trial[1].tolist()))
-    ]
+        return [], [None] * len(slots[0])
+    arrays, ok = trial
+    counted = arrays[first:]
+    if not ok.all():
+        counted = [np.where(ok[:, None, None], a, 0.0) for a in counted]
+    return counted, [partial(check, b) if good else None for b, good in enumerate(ok.tolist())]
 
 
 def _stacked(
-    cfg: TrialConfig, batches: Sequence[tuple[int, Callable]], settle: Callable = list
+    cfg: TrialConfig, batches: Sequence[tuple[int, Callable]], settle: Callable = _laid
 ) -> Iterator:
     """The checks of trials 0..trials-1 of each batch (stream, draw), batch
     after batch and in index order, counted on the stack (:func:`_on_stack`).
@@ -529,14 +570,18 @@ def _run_trials(
 
     Trial i makes the draws of a member tuple from stream i (its size n, then
     each slot's, :func:`_draw`), and declares the sizes of the arrays it
-    counts on the stack (:func:`_stacked`), which follow from n.  A chunk is
-    settled by size group: the group's slots are built as (B, n, n) stacks
-    (:func:`_settle`) and checked at once (:func:`_checks`).  A trial counts
-    its image and, for a lift claim, its lifts (:func:`_trial`), after slot
-    1 for an inertia claim (its one slot); the other slots are not counted,
-    since the sampler fixes each slot's count by construction.  The first
-    trial, in index order, that :func:`_trial` cannot judge raises the error
-    the scalar loop raised for it.
+    counts on the stack (:func:`_stacked`), which follow from n.  A chunk's
+    slots are built by size group (:func:`_settle`), laid into one
+    zero-padded (m, B, N, N) stack, N the chunk's largest size, and checked
+    at once (:func:`_checks`, given each trial's n); the counted arrays,
+    zero outside each trial's blocks, are laid lane by lane into the stack
+    :func:`_on_stack` counts.  A trial counts its image and, for a lift
+    claim, its lifts (:func:`_trial`), after slot 1 for an inertia claim
+    (its one slot); the other slots are not counted, since the sampler
+    fixes each slot's count by construction.  The first trial, in index
+    order, that :func:`_trial` cannot judge raises the error the scalar
+    loop raised for it: :meth:`DomainSpec.check_matrix` on its unpadded
+    slots, then "matrix entries must be finite".
     A trial :func:`_breach` flags goes to :func:`_make_witness`, so its
     witness is what :meth:`Witness.revalidate` recomputes.
     """
@@ -549,25 +594,24 @@ def _run_trials(
         return _lane_sizes(claim, cfg.k.m - first, n), (n, _sample_slots(cfg.k, n, cfg.dom, rng, closure))
 
     def settle(chunk):
-        groups, where = {}, []
-        for n, slots in chunk:
-            where.append((n, len(groups.setdefault(n, []))))
-            groups[n].append(slots)
-        # each group's slots, slot by slot: (m, B, n, n)
-        built = {
-            n: _settle([a for column in zip(*group) for a in column]).reshape(cfg.k.m, len(group), n, n)
-            for n, group in groups.items()
-        }
-        checked = {n: _checks(claim, fn, cfg, clause, list(s), first) for n, s in built.items()}
-        pairs = []
-        for n, b in where:
-            slots, pair = checked[n][b]
-            if pair is None:
-                for p, a in enumerate(slots, start=1):
-                    cfg.dom.check_matrix(a, slot=p)
-                raise ConfigError("matrix entries must be finite")
-            pairs.append(pair)
-        return pairs
+        sizes = np.array([n for n, _ in chunk])
+        groups = {}
+        for b, n in enumerate(sizes.tolist()):
+            groups.setdefault(n, []).append(b)
+        # the chunk's slots, slot by slot and zero-padded: (m, B, N, N)
+        size = int(sizes.max())
+        slots = np.zeros((cfg.k.m, len(chunk), size, size))
+        for n, where in groups.items():
+            group = [chunk[b][1] for b in where]
+            built = _settle([a for column in zip(*group) for a in column])
+            slots[:, where, :n, :n] = built.reshape(cfg.k.m, len(where), n, n)
+        counted, checks = _checks(claim, fn, cfg, clause, slots, first, sizes)
+        if None in checks:
+            b = checks.index(None)
+            for p, a in enumerate(slots[:, b, : sizes[b], : sizes[b]], start=1):
+                cfg.dom.check_matrix(a, slot=p)
+            raise ConfigError("matrix entries must be finite")
+        return _padded(counted), checks
 
     failures, witnesses = 0, []
     for w in _stacked(cfg, [(0, draw)], settle):
@@ -951,27 +995,38 @@ def _ladder(
     later rungs are built in runs that :func:`_on_stack` packs by the sizes
     the first rung gives (one rung alone may pass the cap), each run once
     the candidates before it are judged.  A run is one ``build``
-    call whose candidates are checked on their stacks (:func:`_checks`); only
-    those :func:`_breach` flags reach the judge, and a candidate
-    :func:`_trial` cannot judge gets None.  A ConfigError (a candidate past
-    ``N_MAX``) ends the ladder.
+    call whose candidates are checked on their stacks (:func:`_checks`) and
+    laid out rung by rung; each rung's check judges its candidates in order
+    as they are read, so only those :func:`_breach` flags reach the judge,
+    and none past the first witness.  A candidate :func:`_trial` cannot
+    judge gets None, and its lanes are counted as zeros.  A ConfigError (a
+    candidate past ``N_MAX``) ends the ladder.
     """
     t0, eps = _scales(cfg.dom)
 
-    def pairs(built):
-        # the candidates of a build in ladder order, as _on_stack takes them
+    def settle(built):
+        # a build's candidates as one stack, rung by rung, and one check per
+        # rung: its candidates' verdicts in order, each judged when it is read
         checked = [_checks(claim, fn, cfg, clause, slots, 0) for slots in built]
-        return [pair or ([], lambda: None) for rung in zip(*checked) for _, pair in rung]
+        width = len(checked[0][0])
+
+        def rung(checks, *counts):
+            return (None if c is None else c(*counts[i * width : (i + 1) * width]) for i, c in enumerate(checks))
+
+        stack = _padded([a for counted, _ in checked for a in counted])
+        return stack, [partial(rung, checks) for checks in zip(*(checks for _, checks in checked))]
 
     try:
         head = build(t0[:1], eps[:1])
         yield _make_witness(claim, fn, [a[0] for a in head[0]], cfg, clause)
-        yield from _on_stack(map(_built, pairs(head[1:])))
-        sizes = [n for slots in head for n in _lane_sizes(claim, len(slots), slots[0].shape[-1])]
-        yield from _on_stack(
-            ((sizes, h) for h in range(1, len(t0))),
-            lambda run: pairs(build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])),
-        )
+        first, *others = [_lane_sizes(claim, len(slots), slots[0].shape[-1]) for slots in head]
+        rest = [n for sizes in others for n in sizes]
+        if rest:
+            yield from chain.from_iterable(_on_stack([(rest, head[1:])], lambda run: settle(*run)))
+        yield from chain.from_iterable(_on_stack(
+            ((first + rest, h) for h in range(1, len(t0))),
+            lambda run: settle(build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])),
+        ))
     except ConfigError:
         return
 
@@ -1062,7 +1117,7 @@ def _suite_block_identity(cfg: TrialConfig, rng: np.random.Generator):
     scale = cfg.dom.rho_eff / 2.0
     a = scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n)))
     b = scale * (lambda g: g + g.T)(rng.uniform(-0.5, 0.5, size=(n, n)))
-    mats = [np.block([[a, b], [b, a]]), a + b, a - b]
+    mats = [_block_pair(a, b), a + b, a - b]
     return mats, lambda lhs, plus, minus: lhs == Inertia(*(x + y for x, y in zip(plus, minus)))
 
 

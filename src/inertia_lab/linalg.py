@@ -481,7 +481,8 @@ def inertia_stack(a, n) -> np.ndarray:
     :func:`inertia` only for an eigenvalue within about 1e-4 of tau.  Returns
     a (B, 3) int array.  For one matrix, :func:`inertia` is faster.
     """
-    a = np.array(a, dtype=float)
+    # the scaling below makes a new array, so the reduction never writes to the input
+    a = np.asarray(a, dtype=float)
     n = np.asarray(n, dtype=int)
     if a.shape[0] == 0:
         return np.zeros((0, 3), dtype=int)
@@ -508,18 +509,28 @@ def inertia_stack(a, n) -> np.ndarray:
     return np.stack([neg, n - neg - pos, pos], axis=1)
 
 
+def _padded(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The lanes of (B, n_j, n_j) stacks as one zero-padded stack, lane by
+    lane: lane b of every stack in turn, each in the leading block of an
+    N x N slice with zeros elsewhere, N the largest n_j."""
+    size = max(a.shape[-1] for a in stacks)
+    if all(a.shape[-1] == size for a in stacks):
+        return np.stack(stacks, axis=1).reshape(-1, size, size)
+    out = np.zeros((len(stacks[0]), len(stacks), size, size))
+    for j, a in enumerate(stacks):
+        out[:, j, : a.shape[-1], : a.shape[-1]] = a
+    return out.reshape(-1, size, size)
+
+
+def _counts(stack: np.ndarray, sizes: Sequence[int]) -> list[Inertia]:
+    """The counts of a zero-padded stack's lanes, of the given sizes, in order."""
+    return list(map(Inertia._make, inertia_stack(stack, sizes).tolist()))
+
+
 def _count(arrays: Sequence[np.ndarray]) -> list[Inertia]:
     """Counts of symmetric arrays of any sizes in one :func:`inertia_stack`
-    call, zero-padded to the largest when the sizes differ."""
-    sizes = [len(a) for a in arrays]
-    if len(set(sizes)) == 1:
-        stack = np.stack(arrays)
-    else:
-        size = max(sizes, default=0)
-        stack = np.zeros((len(arrays), size, size))
-        for b, a in enumerate(arrays):
-            stack[b, : len(a), : len(a)] = a
-    return [Inertia(*c) for c in inertia_stack(stack, sizes).tolist()]
+    call, zero-padded to the largest (:func:`_padded`)."""
+    return _counts(_padded([a[None] for a in arrays]), [len(a) for a in arrays])
 
 
 def _built(trial: tuple[list, Callable]) -> tuple[list[int], tuple[list, Callable]]:
@@ -528,29 +539,39 @@ def _built(trial: tuple[list, Callable]) -> tuple[list[int], tuple[list, Callabl
     return [len(a) for a in trial[0]], trial
 
 
-def _on_stack(trials: Iterable[tuple[list[int], object]], settle: Callable = list) -> Iterator:
+def _laid(chunk: Sequence[tuple[list, Callable]]) -> tuple[np.ndarray, list[Callable]]:
+    """The default settle of :func:`_on_stack`: built trials (:func:`_built`)
+    as the zero-padded stack of their arrays, in order, and their checks."""
+    return _padded([a[None] for arrays, _ in chunk for a in arrays]), [check for _, check in chunk]
+
+
+def _on_stack(trials: Iterable[tuple[list[int], object]], settle: Callable = _laid) -> Iterator:
     """The checks of ``trials``, pairs (lane sizes, draw), in order, counted
     on the stack.
 
     Trials are packed in order, by their lane sizes alone, until the next one
     would take the zero-padded stack past ``STACK_ENTRIES`` entries (one
     trial alone may pass it).  Then ``settle`` turns the chunk's draws, in
-    one call, into pairs (arrays of those sizes to count, check over their
-    counts), and the chunk is counted by one :func:`_count`.  By default a
-    draw is that pair already (:func:`_built`).  ``trials`` is drawn lazily:
+    one call, into their lanes laid out as one zero-padded stack, in the
+    declared order (each lane in the leading block of its slice, zeros
+    elsewhere), and one check per draw.  One :func:`inertia_stack` call
+    counts the stack against the declared sizes, and each check gets the
+    counts of its own lanes.  By default a draw is a built trial
+    (:func:`_built`), laid out by :func:`_laid`.  ``trials`` is drawn lazily:
     the next trial is drawn before the chunk it does not fit in is settled.
     """
-    chunk, lanes, size = [], 0, 0
+    chunk, sizes, size = [], [], 0
     # past the last trial, one with no lanes and no draw flushes the last chunk
-    for sizes, draw in chain(trials, [((), None)]):
-        big = max(sizes, default=0)
-        if chunk and (draw is None or (lanes + len(sizes)) * max(size, big) ** 2 > STACK_ENTRIES):
-            pairs = settle(chunk)
-            counts = iter(_count([a for t, _ in pairs for a in t]))
-            yield from (c(*islice(counts, len(t))) for t, c in pairs)
-            chunk, lanes, size = [], 0, 0
-        chunk.append(draw)
-        lanes, size = lanes + len(sizes), max(size, big)
+    for lanes, draw in chain(trials, [((), None)]):
+        big = max(lanes, default=0)
+        if chunk and (draw is None or (len(sizes) + len(lanes)) * max(size, big) ** 2 > STACK_ENTRIES):
+            stack, checks = settle([d for _, d in chunk])
+            counts = iter(_counts(stack, sizes))
+            yield from (c(*islice(counts, width)) for (width, _), c in zip(chunk, checks))
+            chunk, sizes, size = [], [], 0
+        chunk.append((len(lanes), draw))
+        sizes.extend(lanes)
+        size = max(size, big)
 
 
 def _leading_counts(A: SymMatrix) -> list[int]:

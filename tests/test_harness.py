@@ -727,7 +727,9 @@ def _scalar_trials(claim, fn, cfg, clause, closure):
 
 # (run, claim, fn, kind, k, l[, config overrides]): all five claims; constant
 # and affine maps have f(0) != 0, so the stack's padding must be zeroed after
-# f is applied.  Over n_range (4, 5) a chunk of the many-chunks runs holds
+# f is applied.  The affine lift over open_positive needs every mask of the
+# padded chunk: 0 is outside the domain, f(0) != 0, and the lifts gather each
+# tuple's own rows.  Over n_range (4, 5) a chunk of the many-chunks runs holds
 # several trials of each size, so size groups cross chunk boundaries; x^26
 # overflows on samples whose peak entry passes 10^(308.25 / 26) ~ 7.2e11.
 STACKED_RUNS = {
@@ -742,6 +744,7 @@ STACKED_RUNS = {
         verify_forward, "bounded", Series(1, {(0,): 0.25, (1,): 1.0, (2,): 0.5}), "closed_left", [0], 0,
     ),
     "verify-lift": (verify_forward, "lift", Series(1, {(2,): 1.0, (0,): -0.5}), "closed_left", [1], 1),
+    "verify-lift-affine": (verify_forward, "lift", Affine(0.5, 2.0), "open_positive", [1], 1),
     "random-exact-constant": (falsify, "exact", Constant(-5.0), "two_sided", [2], 2),
     "random-inertia-affine": (falsify, "inertia", Affine(-0.5, 1.0), "open_positive", [1], 1),
     "random-exact-affine": (falsify, "exact", Affine(1.0, 1.0), "two_sided", [1], 1),
@@ -790,6 +793,63 @@ def test_stacked_trials_report_the_bytes_of_the_scalar_loop(case, stack_entries,
     # every random search but the lift one fails, and carries witnesses
     assert bool(stacked.witnesses) == (case.startswith("random-") and case != "random-lift")
     assert all(w.revalidate(claim, cfg) for w in stacked.witnesses)
+
+
+def _unpadded_lanes(call, cfg, i):
+    """The arrays trial i of a STACKED_RUNS call counts, each unpadded: slot 1
+    for an inertia claim, then the image, then the lifts for a lift claim."""
+    run, claim, fn = call.func, call.args[0], call.args[1]
+    rng = harness._trial_rng(cfg.seed, i)
+    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
+    mats = _member_tuple(cfg.k, n, cfg.dom, rng, closure=run is verify_forward and claim == "closure")
+    lanes = [mats[0].entries] * (claim == "inertia") + [fn(*(m.entries for m in mats))]
+    return lanes + [fn(*(lift_finite(m, n + e).entries for m in mats)) for e in (3, 7) if claim == "lift"]
+
+
+@pytest.mark.parametrize("stack_entries", [linalg.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("case", list(STACKED_RUNS))
+def test_the_trial_rule_runs_once_per_chunk(case, stack_entries, monkeypatch):
+    call, _, cfg = _stacked_run(case, 40)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", stack_entries)
+    trials, judged, chunks = _spy(monkeypatch, "_trial"), _spy(monkeypatch, "_make_witness"), []
+    real = harness._on_stack
+    monkeypatch.setattr(
+        harness, "_on_stack", lambda draws, settle: real(draws, lambda c: chunks.append(len(c)) or settle(c))
+    )
+    _outcome(call)
+    # one call on each chunk's padded slot stacks, with the tuples' sizes,
+    # and one per tuple the judge sees
+    stacked = [args for args in trials if len(args) == 5]
+    assert [len(args[2][0]) for args in stacked] == chunks
+    assert len(trials) == len(chunks) + len(judged)
+    if stack_entries != 300:
+        assert chunks == [cfg.trials]
+    elif case not in RAISING:
+        assert len(chunks) > 1 and sum(chunks) == cfg.trials
+
+
+@pytest.mark.parametrize("stack_entries", [linalg.STACK_ENTRIES, 300], ids=["one-chunk", "many-chunks"])
+@pytest.mark.parametrize("case", [c for c in STACKED_RUNS if c not in RAISING])
+def test_a_trial_chunk_counts_the_stack_count_builds_from_its_unpadded_lanes(case, stack_entries, monkeypatch):
+    call, _, cfg = _stacked_run(case, 40)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", stack_entries)
+    stacks = []
+    real = linalg.inertia_stack
+
+    def spy(a, n):
+        stacks.append((np.array(a), list(n)))
+        return real(a, n)
+
+    monkeypatch.setattr(linalg, "inertia_stack", spy)
+    call()
+    counted = stacks[:]
+    lanes = iter([a for i in range(cfg.trials) for a in _unpadded_lanes(call, cfg, i)])
+    for stack, sizes in counted:
+        del stacks[:]
+        linalg._count(list(islice(lanes, len(sizes))))
+        (want, want_sizes), = stacks
+        assert (stack.shape, stack.tobytes(), sizes) == (want.shape, want.tobytes(), want_sizes)
+    assert next(lanes, None) is None
 
 
 def test_an_overflowing_image_exits_as_the_scalar_loop_does(monkeypatch):
@@ -932,36 +992,35 @@ def test_trial_stacks_keep_under_the_entry_cap_or_hold_one_trial(case, monkeypat
     "case", ["verify-inertia", "verify-exact-two-sizes", "verify-closure-affine", "verify-bounded", "verify-lift"],
 )
 def test_the_trial_loop_declares_the_sizes_of_the_arrays_it_settles(case, monkeypatch):
-    """The packer packs by the sizes a trial declares and counts the arrays
-    its chunk settles into: they agree trial by trial, in order."""
-    call, claim, cfg = _stacked_run(case, 40)
-    declared, settled = [], []
+    """The packer packs by the sizes a trial declares and counts the stack
+    its chunk settles into: one zero-padded lane per declared size, in
+    order, each zero outside its declared block, and one check per trial."""
+    call, _, cfg = _stacked_run(case, 40)
+    declared, lanes = [], []
     real = harness._on_stack
 
     def spy(trials, settle):
         def settle_spy(chunk):
-            pairs = settle(chunk)
-            settled.extend(list(arrays) for arrays, _ in pairs)
-            return pairs
+            stack, checks = settle(chunk)
+            assert len(checks) == len(chunk)
+            lanes.extend(stack)
+            return stack, checks
 
         return real(((declared.append(sizes) or sizes, draw) for sizes, draw in trials), settle_spy)
 
     monkeypatch.setattr(harness, "_on_stack", spy)
     monkeypatch.setattr(linalg, "STACK_ENTRIES", 300)
     call()
-    fn = call.args[1]
-    assert len(declared) == len(settled) == cfg.trials
-    for i, (sizes, arrays) in enumerate(zip(declared, settled)):
-        rng = harness._trial_rng(cfg.seed, i)
-        n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-        slots = [m.entries for m in _member_tuple(cfg.k, n, cfg.dom, rng, closure=claim == "closure")]
-        # slot 1 for an inertia claim, then the image, then the lifts for a lift claim
-        want = [n] * (claim == "inertia") + [n] + [n + 3, n + 7] * (claim == "lift")
-        assert list(sizes) == want
-        assert [a.shape for a in arrays] == [(s, s) for s in want]
-        assert arrays[claim == "inertia"].tobytes() == fn(*slots).tobytes()
-        if claim == "inertia":
-            assert arrays[0].tobytes() == slots[0].tobytes()
+    assert len(declared) == cfg.trials
+    assert len(lanes) == sum(map(len, declared))
+    lanes = iter(lanes)
+    for i, sizes in enumerate(declared):
+        want = _unpadded_lanes(call, cfg, i)
+        assert list(sizes) == [len(a) for a in want]
+        for size, a in zip(sizes, want):
+            lane = next(lanes)
+            assert lane[:size, :size].tobytes() == a.tobytes()
+            assert not lane[size:].any() and not lane[:, size:].any()
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
@@ -1125,19 +1184,19 @@ def test_the_screened_ladder_reports_what_judging_each_candidate_gives(case, rho
 
 def _flags(claim, fn, cfg, candidates):
     """Whether ``_checks``, given each candidate as 1-slice stacks, returns
-    its slots and a check that asks the judge on the counts of its arrays;
-    a candidate it refuses is not flagged."""
+    a check that asks the judge, on the candidate's slots, over the counts
+    of its arrays; a candidate it refuses is not flagged."""
     flags = []
     with pytest.MonkeyPatch.context() as m:
         asked = _spy(m, "_make_witness")
         for slots in candidates:
-            (one, pair), = harness._checks(claim, fn, cfg, "test", [a[None] for a in slots], 0)
-            assert [a.tobytes() for a in one] == [a.tobytes() for a in slots]
+            counted, (check,) = harness._checks(claim, fn, cfg, "test", [a[None] for a in slots], 0)
             before = len(asked)
-            if pair is not None:
-                arrays, check = pair
-                check(*linalg._count(arrays))
+            if check is not None:
+                check(*linalg._count([a[0] for a in counted]))
             flags.append(len(asked) > before)
+            if flags[-1]:
+                assert [a.tobytes() for a in asked[-1][2]] == [a.tobytes() for a in slots]
     return flags
 
 
@@ -1159,7 +1218,7 @@ def _spy(monkeypatch, name, module=harness):
 
 
 def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
-    counts, judged = _spy(monkeypatch, "_count", linalg), _spy(monkeypatch, "_make_witness")
+    counts, judged = _spy(monkeypatch, "inertia_stack", linalg), _spy(monkeypatch, "_make_witness")
     claim, fn, k, l = RECIPE_CASES["nonlinear-term"]
     cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK(k), l, trials=6, seed=5)
     w, attempts = harness._recipe_witness("nonlinear-term", claim, fn, cfg)
@@ -1168,14 +1227,14 @@ def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
 
 
 def test_a_ladder_that_finds_nothing_judges_once_and_counts_one_stack(monkeypatch):
-    counts, judged = _spy(monkeypatch, "_count", linalg), _spy(monkeypatch, "_make_witness")
+    counts, judged = _spy(monkeypatch, "inertia_stack", linalg), _spy(monkeypatch, "_make_witness")
     claim, fn, k, l = RECIPE_CASES["negative-coefficient"]
     cfg = TrialConfig(DomainSpec("two_sided", 1e-12), AdmissibleK(k), l, trials=6, seed=5)
     w, attempts = harness._recipe_witness("negative-coefficient", claim, fn, cfg)
     assert w is None and attempts == harness.RECIPE_HALVINGS == 40
     # the first rung goes to the judge; the other 39 are one run, one stack
     assert len(judged) == 1 and len(counts) == 1
-    assert len(counts[0][0]) == 2 * 39  # each rung's slot and image
+    assert len(counts[0][1]) == 2 * 39  # each rung's slot and image
 
 
 def test_a_ladder_splits_f_once_as_the_classifier_does(monkeypatch):
@@ -1354,13 +1413,18 @@ def test_the_screen_skips_a_candidate_the_judge_cannot_judge(case):
         return
     with pytest.MonkeyPatch.context() as m, np.errstate(over="ignore"):
         asked = _spy(m, "_make_witness")
-        checked = harness._checks("exact", fn, cfg, "test", [np.stack(s) for s in zip(*tuples)], 0)
-        assert [[a.tobytes() for a in one] for one, _ in checked] == [[a.tobytes() for a in t] for t in tuples]
-        assert [pair is not None for _, pair in checked] == flags
-        for _, pair in checked:
-            if pair is not None:
-                pair[1](*linalg._count(pair[0]))
-        assert [args[2] for args in asked] == [checked[1][0]]
+        counted, checks = harness._checks("exact", fn, cfg, "test", [np.stack(s) for s in zip(*tuples)], 0)
+        assert [check is not None for check in checks] == flags
+        # the refused tuples' lanes are counted as zeros
+        assert [bool(np.all(a[b] == 0.0)) for b in range(3) for a in counted] == [
+            not flag for flag in flags for _ in counted
+        ]
+        counts = linalg._count([a[b] for b in range(3) for a in counted])
+        width = len(counted)
+        for b, check in enumerate(checks):
+            if check is not None:
+                check(*counts[b * width : (b + 1) * width])
+        assert [[a.tobytes() for a in args[2]] for args in asked] == [[a.tobytes() for a in well_formed]]
 
 
 @pytest.mark.parametrize("claim,member", [("closure", True), ("bounded", False)])

@@ -44,6 +44,21 @@ if len(witnesses) != 1:
     sys.exit(f"inertia-lab falsify printed {len(witnesses)} witnesses, expected 1")
 '
 
+# a first rung of three candidates, the 1x1 tuple (t0, -t0) first, whose
+# image t0^2 is PSD: the judge takes each of them in order, its tuple as a
+# stack of one, and the second one breaks l = 0
+inertia-lab falsify --strategy recipe '{"theorem":"bounded","fn":{"type":"series","arity":2,"terms":[{"alpha":[0,2],"coeff":1}]},"config":{"k":[0,1],"l":0}}' \
+  | python3 -c '
+import json, sys
+rep = json.load(sys.stdin)
+trials, witnesses = rep["trials"], rep["witnesses"]
+if trials != 2 or len(witnesses) != 1:
+    sys.exit(f"inertia-lab falsify printed {trials} trials and {len(witnesses)} witnesses, expected 2 and 1")
+sizes, observed = [m["n"] for m in witnesses[0]["matrices"]], witnesses[0]["observed"]
+if sizes != [4, 4] or observed != {"neg": 1, "zero": 0, "pos": 3}:
+    sys.exit(f"inertia-lab falsify printed a witness of sizes {sizes} observed {observed}, expected 4x4, neg 1, pos 3")
+'
+
 # a lift claim with an affine f over open_positive and sizes 2..9: each trial
 # chunk is one zero-padded stack, so f(0) = 0.5 is zeroed outside every
 # tuple's block, the padding's zeros pass the domain check, and each tuple's

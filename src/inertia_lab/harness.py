@@ -31,12 +31,13 @@ one such stream and build their trials as plain arrays, with the unchecked
 builders; each check reads its lanes' counts alone, so the pinned-negatives
 batch counts out - (a - b) I as a second lane: exactly k zero eigenvalues
 and none below.
-One rule decides every tuple: ``_trial`` gives the arrays it counts (its
-slots, the image, and for a lift claim the image gathered to n+3 and n+7)
-and a verdict per tuple, whether every entry is in the domain and the
-image is finite; ``_breach`` reads the counts of the counted slots (all,
-slot 1 alone, or none), then of the image and its lifts.  Its two
-callers, ``_checks`` on the stack and the judge one matrix at a time,
+One rule decides every tuple: ``_trial`` takes (B, N, N) slot stacks and
+gives the arrays they count (the slots, the image, and for a lift claim
+the image gathered to n+3 and n+7) and a verdict per tuple, whether every
+entry is in the domain and the image is finite; ``_breach`` reads the
+counts of the counted slots (all, slot 1 alone, or none), then of the
+image and its lifts.  Its two callers, ``_checks`` on the stack and the
+judge on its tuple as a stack of one, counted one matrix at a time,
 differ only in how they count and which slots they count.
 A verify or random-search trial only draws: its size n, then each slot's
 draws (``_draw``), in the order the scalar sampler made them.  Its chunk's
@@ -54,10 +55,10 @@ order, that ``_trial`` cannot judge raises.
 A recipe builds its candidate tuples on plain arrays too: a candidate is
 one (H, n, n) stack per slot, a slice at every rung of a run of H rungs
 of a ladder, whose scale halves from one rung to the next.  The ladder
-(``_ladder``) builds its first rung alone, and its first candidate goes
-straight to the judge; that rung's others are counted as one stack, and
-the later rungs are built in runs that ``_on_stack`` packs, each one
-recipe call counted as one stack, with one check per rung.
+(``_ladder``) builds its first rung alone, and each of its candidates
+goes straight to the judge, in order; the later rungs are built in runs
+that ``_on_stack`` packs, each one recipe call counted as one stack, with
+one check per rung.
 ``_checks`` is the one path from slot stacks to the judge, for trials and
 candidates alike: ``_trial`` runs once on the stacks, and a tuple it can
 judge whose counts ``_breach`` flags goes to the judge with its unpadded
@@ -87,7 +88,6 @@ from .constructions import (
     _block_pair,
     _equicorrelation,
     _gather,
-    _lift_rows,
     _moments,
     _ones_spike,
     _row_map,
@@ -421,39 +421,36 @@ def _leading(sizes: np.ndarray, n: int) -> np.ndarray:
 def _trial(
     claim: str, fn: FunctionSpec, slots: Sequence[np.ndarray], cfg: TrialConfig, sizes: np.ndarray | None = None
 ) -> tuple[list[np.ndarray], np.ndarray] | None:
-    """The arrays a tuple counts and whether it can be judged; None when the
-    slots are not one tuple: a number of them other than the arity, or
-    sizes that differ.
+    """The arrays B tuples count and whether each can be judged; None when
+    the slots are not tuples: a number of them other than the arity, or
+    shapes that differ.
 
+    The slots are (B, N, N) stacks, slice b of each one slot of tuple b.
     The arrays are the slots, then the image f[slots], then for a lift claim
-    the image gathered by the lift's row map to n + e for each e of
-    ``LIFTS`` (f commutes with the lift).  A tuple can be judged
-    when every entry is in the domain and the image is finite.  The slots
-    are n x n arrays, or (B, N, N) stacks of B tuples at once, with one
-    verdict per tuple: f acts entrywise and the lifts gather on the last two
-    axes.  Given ``sizes``, tuple b of the stacks fills only the leading
-    sizes[b] x sizes[b] block of its slices, with zeros around it: its image
-    is zeroed outside that block (f(0) need not be 0), its lifts gather its
-    own rows to sizes[b] + e and are zero outside, and its verdict ignores
-    the padding.
+    the image gathered by the lift's row map to N + e for each e of
+    ``LIFTS`` (f commutes with the lift): f acts entrywise, and tuple b's
+    lift repeats its last row, N - 1.  A tuple can be judged when every
+    entry is in the domain and the image is finite.  Given ``sizes``, tuple
+    b fills only the leading sizes[b] x sizes[b] block of its slices, with
+    zeros around it: its image is zeroed outside that block (f(0) need not
+    be 0), its lifts repeat row sizes[b] - 1 up to sizes[b] + e and are zero
+    outside, and its verdict ignores the padding.
     """
     if not (len(slots) == cfg.k.m == fn.arity and len({np.shape(a) for a in slots}) == 1):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         image = fn(*slots)
     n = image.shape[-1]
-    lifts = LIFTS if claim == "lift" else ()
     ok = np.logical_and.reduce([np.isfinite(image), *map(cfg.dom._inside, slots)])
-    if sizes is None:
-        lifted = [_gather(image, _lift_rows(n, n + e)) for e in lifts]
-    else:
-        lane = np.arange(len(image))[:, None, None]
-        lifted = []
-        for e in lifts:
-            # lane b's rows of the lift from sizes[b] to sizes[b] + e
-            rows = np.minimum(np.arange(n + e), sizes[:, None] - 1)
-            gathered = image[lane, rows[:, :, None], rows[:, None, :]]
-            lifted.append(np.where(_leading(sizes + e, n + e), gathered, 0.0))
+    own = np.full(len(image), n) if sizes is None else sizes
+    lane = np.arange(len(image))[:, None, None]
+    lifted = []
+    for e in LIFTS if claim == "lift" else ():
+        # lane b's rows of the lift from own[b] to own[b] + e
+        rows = np.minimum(np.arange(n + e), own[:, None] - 1)
+        gathered = image[lane, rows[:, :, None], rows[:, None, :]]
+        lifted.append(gathered if sizes is None else np.where(_leading(sizes + e, n + e), gathered, 0.0))
+    if sizes is not None:
         inside = _leading(sizes, n)
         image = np.where(inside, image, 0.0)
         ok |= ~inside
@@ -495,17 +492,17 @@ def _make_witness(
 ) -> Witness | None:
     """The one judge: a Witness of the tuple ``slots`` when the claim fails on it, else None.
 
-    Each slot is wrapped in SymMatrix once; the arrays of :func:`_trial`
-    are counted one matrix at a time and :func:`_breach` decides.  A lift
-    claim's witness holds the size-n tuple, and its ``observed`` is the
-    lifted image's count that differs.  A tuple :func:`_trial` cannot judge
-    gives None.
+    :func:`_trial` runs on the tuple as a stack of one.  Each slot is
+    wrapped in SymMatrix once; the arrays of :func:`_trial` are counted one
+    matrix at a time and :func:`_breach` decides.  A lift claim's witness
+    holds the size-n tuple, and its ``observed`` is the lifted image's count
+    that differs.  A tuple :func:`_trial` cannot judge gives None.
     """
-    trial = _trial(claim, fn, slots, cfg)
-    if trial is None or not trial[1]:
+    trial = _trial(claim, fn, [a[None] for a in slots], cfg)
+    if trial is None or not trial[1][0]:
         return None
     mats = tuple(map(SymMatrix, slots))
-    out = _breach(claim, cfg, *(inertia(m) for m in [*mats, *map(SymMatrix, trial[0][len(mats) :])]))
+    out = _breach(claim, cfg, *(inertia(m) for m in [*mats, *(SymMatrix(a[0]) for a in trial[0][len(mats) :])]))
     return None if out is None else Witness(mats, fn, out, clause)
 
 
@@ -989,18 +986,18 @@ def _ladder(
     """The judge's verdict, a Witness or None, on every candidate of a
     recipe ladder (``build``, :func:`_builder`), in order.
 
-    The first rung is built alone, and its first candidate goes straight to
-    the judge, neither checked nor counted.  The rung's other candidates are
-    counted as one stack.  Every candidate has a slice at every rung, so the
-    later rungs are built in runs that :func:`_on_stack` packs by the sizes
-    the first rung gives (one rung alone may pass the cap), each run once
-    the candidates before it are judged.  A run is one ``build``
-    call whose candidates are checked on their stacks (:func:`_checks`) and
-    laid out rung by rung; each rung's check judges its candidates in order
-    as they are read, so only those :func:`_breach` flags reach the judge,
-    and none past the first witness.  A candidate :func:`_trial` cannot
-    judge gets None, and its lanes are counted as zeros.  A ConfigError (a
-    candidate past ``N_MAX``) ends the ladder.
+    The first rung is built alone, and each of its candidates goes straight
+    to the judge, in order, neither checked nor counted.  Every candidate
+    has a slice at every rung, so the later rungs are built in runs that
+    :func:`_on_stack` packs by the sizes the first rung gives (one rung
+    alone may pass the cap), each run once the candidates before it are
+    judged.  A run is one ``build`` call whose candidates are checked on
+    their stacks (:func:`_checks`) and laid out rung by rung; each rung's
+    check judges its candidates in order as they are read, so only those
+    :func:`_breach` flags reach the judge, and none past the first witness.
+    A later candidate :func:`_trial` cannot judge gets None, and its lanes
+    are counted as zeros.  A ConfigError (a candidate past ``N_MAX``) ends
+    the ladder.
     """
     t0, eps = _scales(cfg.dom)
 
@@ -1018,13 +1015,10 @@ def _ladder(
 
     try:
         head = build(t0[:1], eps[:1])
-        yield _make_witness(claim, fn, [a[0] for a in head[0]], cfg, clause)
-        first, *others = [_lane_sizes(claim, len(slots), slots[0].shape[-1]) for slots in head]
-        rest = [n for sizes in others for n in sizes]
-        if rest:
-            yield from chain.from_iterable(_on_stack([(rest, head[1:])], lambda run: settle(*run)))
+        yield from (_make_witness(claim, fn, slots, cfg, clause) for slots in _slices(head))
+        lanes = [n for slots in head for n in _lane_sizes(claim, len(slots), slots[0].shape[-1])]
         yield from chain.from_iterable(_on_stack(
-            ((first + rest, h) for h in range(1, len(t0))),
+            ((lanes, h) for h in range(1, len(t0))),
             lambda run: settle(build(t0[run[0] : run[-1] + 1], eps[run[0] : run[-1] + 1])),
         ))
     except ConfigError:

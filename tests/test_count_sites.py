@@ -5,16 +5,15 @@ packs matrices into zero-padded chunks within ``STACK_ENTRIES`` entries and
 counts each chunk with one ``inertia_stack`` call.  Its callers are the
 trial loop ``_stacked`` (verify, random search and the lemma suite, whose
 pinned-negatives batch counts its window as a second lane), the recipe
-ladder ``_ladder``, which counts its first rung's candidates after the first
-as one stack and builds the later rungs in runs, each counted as one stack,
-and ``linalg._leading_counts``, which packs there the leading blocks that
-its one elimination cannot certify; ``leading_negativity_profile`` is one
-call of it.
+ladder ``_ladder``, which builds the rungs after its first in runs, each
+counted as one stack, and ``linalg._leading_counts``, which packs there the
+leading blocks that its one elimination cannot certify;
+``leading_negativity_profile`` is one call of it.
 The scalar calls left are the one judge ``_make_witness``, whose one count
 runs over the arrays of ``_trial`` (its slots, then its lanes: the image
-and, for a lift claim, the lifted images) and which sees a recipe's first
-candidate and the flagged ones only, and the pencil base, counted once per
-``lemma_suite`` call.
+and, for a lift claim, the lifted images) and which sees every candidate of
+a recipe's first rung and the flagged ones only, and the pencil base,
+counted once per ``lemma_suite`` call.
 In ``constructions.py`` only ``embed_with_negatives`` counts: it checks that
 a caller's block is PSD.  The sampler, the pinned suite batch and the
 recipes' member filler build their blocks PSD by construction and call the
@@ -43,7 +42,6 @@ COUNTERS = {"inertia", "eig_sym", "inertia_stack", "sturm_count", "_on_stack", "
 EXPECTED = sorted(
     [
         ("constructions.py", "embed_with_negatives", "inertia"),
-        ("harness.py", "_ladder", "_on_stack"),
         ("harness.py", "_ladder", "_on_stack"),
         ("harness.py", "_make_witness", "inertia"),
         ("harness.py", "_stacked", "_on_stack"),

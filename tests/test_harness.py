@@ -1023,13 +1023,18 @@ def test_the_trial_loop_declares_the_sizes_of_the_arrays_it_settles(case, monkey
             assert not lane[size:].any() and not lane[:, size:].any()
 
 
-@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize(
+#: maps whose lifts the trial loop and the judge gather: f(0) != 0 for
+#: each, so the trial loop masks the padding's image, and one has two slots
+LIFT_FNS = pytest.mark.parametrize(
     "fn",
     [Constant(-5.0), Affine(0.5, 2.0), Series(2, {(0, 0): -0.5, (1, 0): 1.0, (1, 1): 0.25, (0, 3): -1.5})],
     ids=["constant", "affine", "series"],
 )
+
+
+@pytest.mark.parametrize("rho", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("kind", KINDS)
+@LIFT_FNS
 def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch):
     stacks = []
     real = linalg.inertia_stack
@@ -1050,6 +1055,34 @@ def test_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, rho, monkeypatch
             want = fn(*(lift_finite(m, n + extra).entries for m in mats))
             assert sizes[b] == n + extra
             assert stack[b, : n + extra, : n + extra].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@LIFT_FNS
+def test_the_judges_lift_lanes_are_the_image_of_the_lifted_slots(fn, kind, monkeypatch):
+    trials = []
+    real = harness._trial
+
+    def spy(*args):
+        trial = real(*args)
+        trials.append((args, trial))
+        return trial
+
+    monkeypatch.setattr(harness, "_trial", spy)
+    cfg = TrialConfig(DomainSpec(kind, 1.0), AdmissibleK((1,) * fn.arity), 1)
+    rng = _rng(11)
+    for n in range(cfg.n_range[0], cfg.n_range[1] + 1):
+        mats = _member_tuple(cfg.k, n, cfg.dom, rng)
+        harness._make_witness("lift", fn, [m.entries for m in mats], cfg, "test")
+        # the judge's tuple as a stack of one, with no sizes
+        (args, (arrays, ok)), = trials
+        trials.clear()
+        assert len(args) == 4 and [a.shape for a in args[2]] == [(1, n, n)] * fn.arity
+        assert ok.tolist() == [True]
+        for lane, extra in zip(arrays[fn.arity + 1 :], harness.LIFTS):
+            want = fn(*(lift_finite(m, n + extra).entries for m in mats))
+            assert lane.shape == (1, n + extra, n + extra)
+            assert lane[0].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1149,6 +1182,11 @@ def _sequential_recipe(clause, claim, fn, cfg):
     return None, attempts
 
 
+#: (claim, fn, k, l) of a constrained-dependence ladder over two_sided, which
+#: has three candidates at its first rung: the 1x1 tuple (t0, -t0), whose
+#: image t0^2 is PSD, then two of size 4, the first of which breaks l = 0
+FIRST_RUNG_SECOND_CANDIDATE = ("bounded", Series(2, {(0, 2): 1.0}), [0, 1], 0)
+
 #: an offset next to a free slot: g = f(t0/4, 0) = t0/4 - 0.5 changes sign
 #: inside a ladder at rho = 1e12, and is negative only at its last rungs
 SIGN_CHANGING_OFFSET = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
@@ -1157,9 +1195,11 @@ SIGN_CHANGING_OFFSET = Series(2, {(0, 0): -0.5, (1, 0): 1.0, (0, 1): 1.0})
 # claim (slot 1's count is the reference) and a closure claim (at most k_p
 # negatives per slot), whose offsets climb ladders at rho = 1e12, and an
 # offset whose sign changes inside the ladder, so that its rungs where g >= 0
-# are judged too
+# are judged too, and a first rung of several candidates whose witness over
+# two_sided is its second
 LADDER_CASES = {
     **{clause: (clause, *case) for clause, case in RECIPE_CASES.items()},
+    "first-rung-second-candidate": ("constrained-dependence", *FIRST_RUNG_SECOND_CANDIDATE),
     "inertia-claim": ("nonzero-offset", "inertia", Affine(-0.5, 1.0), [1], 1),
     "closure-claim": ("negative-offset", "closure", Affine(-0.5, 1.0), [2], 2),
     "sign-changing-offset": ("negative-offset", "bounded", SIGN_CHANGING_OFFSET, [0, 2], 2),
@@ -1224,6 +1264,17 @@ def test_a_first_candidate_hit_counts_no_stack(monkeypatch):
     w, attempts = harness._recipe_witness("nonlinear-term", claim, fn, cfg)
     assert w is not None and attempts == 1
     assert len(judged) == 1 and not counts
+
+
+def test_a_first_rung_hit_past_its_first_candidate_counts_no_stack(monkeypatch):
+    counts, judged = _spy(monkeypatch, "inertia_stack", linalg), _spy(monkeypatch, "_make_witness")
+    claim, fn, k, l = FIRST_RUNG_SECOND_CANDIDATE
+    cfg = TrialConfig(DomainSpec("two_sided", 1.0), AdmissibleK(k), l, trials=6, seed=5)
+    w, attempts = harness._recipe_witness("constrained-dependence", claim, fn, cfg)
+    assert w is not None and attempts == 2
+    # the first rung's candidates go to the judge one by one, in order
+    assert [[a.shape for a in args[2]] for args in judged] == [[(1, 1)] * 2, [(4, 4)] * 2]
+    assert not counts
 
 
 def test_a_ladder_that_finds_nothing_judges_once_and_counts_one_stack(monkeypatch):
